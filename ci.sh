@@ -15,234 +15,143 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Every smoke keeps its files under one temp prefix and runs at most one
+# daemon at a time ($pid); both are cleaned up on exit, pass or fail.
+tmp="$(mktemp -u)"
+log="$tmp.log"
+pid=""
+cleanup() {
+  if [ -n "$pid" ]; then
+    kill "$pid" 2> /dev/null || true
+    wait "$pid" 2> /dev/null || true
+  fi
+  rm -f "$tmp"*
+}
+trap cleanup EXIT
+
+# Fails the run with a message and the daemon log (or the file named
+# second).
+die() {
+  echo "$1; ${2:-daemon log}:" >&2
+  cat "${2:-$log}" >&2
+  exit 1
+}
+
+# Boots a daemon (the command line after the announce pattern, stderr to
+# $log) and waits until its log shows an address matching the pattern;
+# sets $pid and $addr.
+boot_daemon() {
+  local pattern="$1"
+  shift
+  : > "$log"
+  "$@" 2> "$log" &
+  pid=$!
+  for _ in $(seq 1 200); do
+    addr=$(grep -oE "$pattern" "$log" | head -1 | grep -oE '127\.0\.0\.1:[0-9]+' || true)
+    [ -n "$addr" ] && return
+    sleep 0.1
+  done
+  die "daemon did not announce an address"
+}
+
+# Drives the booted daemon with one loadgen mode (which ends by asking it
+# to shut down), then waits for its clean exit.
+drive_daemon() {
+  ./target/release/loadgen "$@" --addr "$addr" || die "loadgen $* failed"
+  wait "$pid"
+  pid=""
+}
+
 serve_smoke() {
   echo "==> service smoke (daemon + loadgen burst + warm restart)"
   cargo build --release -q -p batsched-cli -p batsched-bench
-  local log cache
-  log="$(mktemp)"
-  cache="$(mktemp -u).jsonl"
-
-  # Boots the daemon on a free port with a disk-backed cache, waits for
-  # the announced address, runs one loadgen smoke mode against it, then
-  # waits for the clean exit. On failure, never leave the daemon orphaned.
-  smoke_round() {
-    local mode="$1"
-    : > "$log"
-    ./target/release/batsched serve --http 127.0.0.1:0 --disk-cache "$cache" 2> "$log" &
-    local pid=$!
-    local addr=""
-    for _ in $(seq 1 100); do
-      addr=$(grep -oE '127\.0\.0\.1:[0-9]+' "$log" | head -1 || true)
-      [ -n "$addr" ] && break
-      sleep 0.1
-    done
-    if [ -z "$addr" ]; then
-      echo "daemon did not announce an address; log:" >&2
-      cat "$log" >&2
-      kill "$pid" 2> /dev/null || true
-      wait "$pid" 2> /dev/null || true
-      rm -f "$log" "$cache"
-      exit 1
-    fi
-    if ! ./target/release/loadgen "$mode" --addr "$addr"; then
-      echo "smoke burst ($mode) failed; daemon log:" >&2
-      cat "$log" >&2
-      kill "$pid" 2> /dev/null || true
-      wait "$pid" 2> /dev/null || true
-      rm -f "$log" "$cache"
-      exit 1
-    fi
-    wait "$pid"
-  }
-
+  local cache="$tmp.serve.jsonl"
   # Round 1: schedule (JSON + binary wire formats, one shared cache key)
   # + malformed + keep-alive pass + stats + shutdown (the daemon compacts
   # its disk cache on the way out).
-  smoke_round --smoke
+  boot_daemon '127\.0\.0\.1:[0-9]+' \
+    ./target/release/batsched serve --http 127.0.0.1:0 --disk-cache "$cache"
+  drive_daemon --smoke
   echo "daemon shut down cleanly"
   # Round 2: a fresh daemon on the same cache file must answer the same
   # request — in either wire format — as an X-Cache hit attributed to the
   # disk tier.
-  smoke_round --smoke-warm
+  boot_daemon '127\.0\.0\.1:[0-9]+' \
+    ./target/release/batsched serve --http 127.0.0.1:0 --disk-cache "$cache"
+  drive_daemon --smoke-warm
   echo "warm restart served from the disk tier"
-  rm -f "$log" "$cache"
 }
 
 chaos_smoke() {
   echo "==> chaos smoke (armed daemon + loadgen fault drill)"
   cargo build --release -q -p batsched-cli -p batsched-bench
-  local log cache
-  log="$(mktemp)"
-  cache="$(mktemp -u).jsonl"
-
   # Boot a real daemon with the fault plane armed: one solver panic
   # (targeted at the G2/deadline-75 request), a burst of 10 disk-append
   # failures, and 500 ms of injected latency (2x the request deadline) on
   # every 20th request. The rules mirror CHAOS_FAULTS in loadgen.rs —
   # keep the two lists in lockstep.
-  ./target/release/batsched serve --http 127.0.0.1:0 --disk-cache "$cache" \
+  boot_daemon '127\.0\.0\.1:[0-9]+' \
+    ./target/release/batsched serve --http 127.0.0.1:0 --disk-cache "$tmp.chaos.jsonl" \
     --request-timeout 250 --disk-breaker 3 --disk-probe-ms 150 \
     --fault 'solver-panic:count=1,key="deadline":75' \
     --fault 'disk-append:after=5,count=10' \
-    --fault 'solver-latency:every=20,ms=500,count=5' 2> "$log" &
-  local pid=$!
-  local addr=""
-  for _ in $(seq 1 100); do
-    addr=$(grep -oE '127\.0\.0\.1:[0-9]+' "$log" | head -1 || true)
-    [ -n "$addr" ] && break
-    sleep 0.1
-  done
-  if [ -z "$addr" ]; then
-    echo "daemon did not announce an address; log:" >&2
-    cat "$log" >&2
-    kill "$pid" 2> /dev/null || true
-    wait "$pid" 2> /dev/null || true
-    rm -f "$log" "$cache"
-    exit 1
-  fi
+    --fault 'solver-latency:every=20,ms=500,count=5'
   # --check asserts: zero lost requests, only typed timeout/internal
   # errors, >=1 worker respawn, disk breaker tripped then re-armed.
-  if ! ./target/release/loadgen --chaos --check --addr "$addr"; then
-    echo "chaos drill failed; daemon log:" >&2
-    cat "$log" >&2
-    kill "$pid" 2> /dev/null || true
-    wait "$pid" 2> /dev/null || true
-    rm -f "$log" "$cache"
-    exit 1
-  fi
-  wait "$pid"
+  drive_daemon --chaos --check
   echo "chaos drill survived: typed errors only, pool respawned, disk tier re-armed"
-  rm -f "$log" "$cache"
 }
 
 metrics_smoke() {
   echo "==> metrics smoke (daemon + /v1/metrics scrape + span log)"
   cargo build --release -q -p batsched-cli -p batsched-bench
-  local log spans
-  log="$(mktemp)"
-  spans="$(mktemp)"
+  local spans="$tmp.spans"
   : > "$spans"
-
   # Boot the daemon with structured span logging; loadgen's first request
   # is a /readyz probe, so the drive only starts once the pool is ready.
-  ./target/release/batsched serve --http 127.0.0.1:0 --log-json "$spans" 2> "$log" &
-  local pid=$!
-  local addr=""
-  for _ in $(seq 1 100); do
-    addr=$(grep -oE '127\.0\.0\.1:[0-9]+' "$log" | head -1 || true)
-    [ -n "$addr" ] && break
-    sleep 0.1
-  done
-  if [ -z "$addr" ]; then
-    echo "daemon did not announce an address; log:" >&2
-    cat "$log" >&2
-    kill "$pid" 2> /dev/null || true
-    wait "$pid" 2> /dev/null || true
-    rm -f "$log" "$spans"
-    exit 1
-  fi
-  # loadgen drives 4 /v1/schedule requests (cold, 2 hits, malformed),
-  # scrapes /v1/metrics and asserts exposition shape and exact counts.
-  if ! ./target/release/loadgen --metrics-smoke --addr "$addr"; then
-    echo "metrics smoke failed; daemon log:" >&2
-    cat "$log" >&2
-    kill "$pid" 2> /dev/null || true
-    wait "$pid" 2> /dev/null || true
-    rm -f "$log" "$spans"
-    exit 1
-  fi
-  wait "$pid"
+  # It drives 4 /v1/schedule requests (cold, 2 hits, malformed), scrapes
+  # /v1/metrics and asserts exposition shape and exact counts.
+  boot_daemon '127\.0\.0\.1:[0-9]+' \
+    ./target/release/batsched serve --http 127.0.0.1:0 --log-json "$spans"
+  drive_daemon --metrics-smoke
 
   # The span log must carry exactly one span per /v1/schedule request
   # (stats/metrics/readyz/shutdown emit none) with client ids preserved.
   local lines
   lines=$(grep -c '"trace_id"' "$spans" || true)
-  if [ "$lines" -ne 4 ]; then
-    echo "expected 4 span lines, got $lines; span log:" >&2
-    cat "$spans" >&2
-    rm -f "$log" "$spans"
-    exit 1
-  fi
+  [ "$lines" -eq 4 ] || die "expected 4 span lines, got $lines" "$spans"
   for id in '"trace_id":"metrics-smoke-1"' '"trace_id":"metrics-smoke-bad"'; do
-    if ! grep -q "$id" "$spans"; then
-      echo "client trace id $id missing from span log:" >&2
-      cat "$spans" >&2
-      rm -f "$log" "$spans"
-      exit 1
-    fi
+    grep -q "$id" "$spans" || die "client trace id $id missing" "$spans"
   done
   echo "metrics exposition well-formed; span log carried $lines spans with client ids"
-  rm -f "$log" "$spans"
 }
 
 fleet_smoke() {
   echo "==> fleet smoke (router + 3 workers, kill -9 mid-burst, drain/restart)"
   cargo build --release -q -p batsched-cli -p batsched-bench
-  local log cache
-  log="$(mktemp)"
-  cache="$(mktemp -u).jsonl"
-
   # Boot the router with 3 supervised `batsched serve` children, each
-  # owning its own disk shard ($cache.shard-K). Small probe/backoff
-  # budgets keep the kill -9 → respawn → ready cycle fast.
-  ./target/release/batsched fleet --http 127.0.0.1:0 --size 3 --workers 1 \
-    --disk-cache "$cache" \
-    --probe-interval-ms 50 --restart-backoff-ms 100 --restart-backoff-max-ms 1000 \
-    2> "$log" &
-  local pid=$!
-  local addr=""
-  for _ in $(seq 1 200); do
-    # Only the router announces "listening on" — worker announce lines
-    # are consumed by the launcher, never re-emitted.
-    addr=$(grep -oE 'listening on http://127\.0\.0\.1:[0-9]+' "$log" \
-      | head -1 | grep -oE '127\.0\.0\.1:[0-9]+' || true)
-    [ -n "$addr" ] && break
-    sleep 0.1
-  done
-  if [ -z "$addr" ]; then
-    echo "fleet router did not announce an address; log:" >&2
-    cat "$log" >&2
-    kill "$pid" 2> /dev/null || true
-    wait "$pid" 2> /dev/null || true
-    rm -f "$log" "$cache".shard-*
-    exit 1
-  fi
+  # owning its own disk shard ($tmp.fleet.jsonl.shard-K). Small
+  # probe/backoff budgets keep the kill -9 → respawn → ready cycle fast.
+  # Only the router announces "listening on" — worker announce lines are
+  # consumed by the launcher, never re-emitted.
+  boot_daemon 'listening on http://127\.0\.0\.1:[0-9]+' \
+    ./target/release/batsched fleet --http 127.0.0.1:0 --size 3 --workers 1 \
+    --disk-cache "$tmp.fleet.jsonl" \
+    --probe-interval-ms 50 --restart-backoff-ms 100 --restart-backoff-max-ms 1000
   # loadgen --fleet-smoke: warm burst with pinned routing, kill -9 of the
   # worker owning a known hash slice (pid read from /v1/fleet), zero-loss
   # failover burst, respawn + /readyz recovery, drain drill asserting the
   # ready -> not-ready -> ready transition, then /v1/shutdown.
-  if ! ./target/release/loadgen --fleet-smoke --addr "$addr"; then
-    echo "fleet drill failed; router log:" >&2
-    cat "$log" >&2
-    kill "$pid" 2> /dev/null || true
-    wait "$pid" 2> /dev/null || true
-    rm -f "$log" "$cache".shard-*
-    exit 1
-  fi
-  wait "$pid"
+  drive_daemon --fleet-smoke
   echo "fleet drill survived: kill -9 lost nothing, worker respawned, drain cycled readyz"
-  rm -f "$log" "$cache".shard-*
 }
 
-if [ "${1:-}" = "serve-smoke" ]; then
-  serve_smoke
-  exit 0
-fi
-
-if [ "${1:-}" = "chaos-smoke" ]; then
-  chaos_smoke
-  exit 0
-fi
-
-if [ "${1:-}" = "metrics-smoke" ]; then
-  metrics_smoke
-  exit 0
-fi
-
-if [ "${1:-}" = "fleet-smoke" ]; then
-  fleet_smoke
-  exit 0
-fi
+case "${1:-}" in
+  serve-smoke | chaos-smoke | metrics-smoke | fleet-smoke)
+    "${1//-/_}"
+    exit 0
+    ;;
+esac
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

@@ -81,7 +81,9 @@
 
 #![forbid(unsafe_code)]
 
+use batsched_service::http::client::Conn;
 use batsched_service::wire::DEFAULT_MAX_ITERATIONS;
+use batsched_service::wire_bin::CONTENT_TYPE as BIN_CONTENT_TYPE;
 use batsched_service::{
     decode_request, decode_response, encode_request, home_slot, parse_request, Disposition,
     ErrorResponse, FaultPlane, FaultRule, Fleet, FleetConfig, HistogramSnapshot, HttpServer,
@@ -94,9 +96,8 @@ use batsched_taskgraph::TaskGraph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
+use serde_json::Value;
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -124,6 +125,29 @@ fn loose_deadline(g: &TaskGraph) -> f64 {
 
 fn body_for(g: &TaskGraph, deadline: f64) -> String {
     serde_json::to_string(&ScheduleRequest::new(g.clone(), deadline)).expect("serialises")
+}
+
+/// A request for `synth_graph(n, m, seed)` under its loose deadline.
+fn synth_body(n: usize, m: usize, seed: u64) -> String {
+    let g = synth_graph(n, m, seed);
+    body_for(&g, loose_deadline(&g))
+}
+
+/// `count` synthetic requests, seeded `seed`, `seed + 1`, ….
+fn synth_bodies(count: u64, n: usize, m: usize, seed: u64) -> Vec<String> {
+    (0..count).map(|k| synth_body(n, m, seed + k)).collect()
+}
+
+/// `uniques` repeated `repeats` times round-robin, each pass rotated by
+/// one, so a cold pass over every body comes first.
+fn round_robin(uniques: &[String], repeats: usize) -> Vec<String> {
+    let mut bodies = Vec::with_capacity(uniques.len() * repeats);
+    for r in 0..repeats {
+        for k in 0..uniques.len() {
+            bodies.push(uniques[(k + r) % uniques.len()].clone());
+        }
+    }
+    bodies
 }
 
 /// Folds per-request latencies into the service's log-bucket histogram.
@@ -332,31 +356,17 @@ fn synthetic_stream(quick: bool) -> Vec<String> {
     let mut bodies = Vec::new();
     for (i, &n) in ns.iter().enumerate() {
         for (j, &m) in ms.iter().enumerate() {
-            let g = synth_graph(n, m, 0x5EED + (i * ms.len() + j) as u64);
-            bodies.push(body_for(&g, loose_deadline(&g)));
+            bodies.push(synth_body(n, m, 0x5EED + (i * ms.len() + j) as u64));
         }
     }
     bodies
 }
 
 fn dup_stream(quick: bool) -> Vec<String> {
-    let unique = if quick { 4 } else { 6 };
-    let repeats = 10usize;
-    let uniques: Vec<String> = (0..unique)
-        .map(|k| {
-            let g = synth_graph(32, 6, 0xD0_0D + k as u64);
-            body_for(&g, loose_deadline(&g))
-        })
-        .collect();
+    let uniques = synth_bodies(if quick { 4 } else { 6 }, 32, 6, 0xD0_0D);
     // First a cold pass over every unique body, then interleaved repeats —
     // duplicate-heavy like a fleet of clients asking the same questions.
-    let mut bodies = uniques.clone();
-    for r in 1..repeats {
-        for k in 0..uniques.len() {
-            bodies.push(uniques[(k + r) % uniques.len()].clone());
-        }
-    }
-    bodies
+    round_robin(&uniques, 10)
 }
 
 fn malformed_stream() -> Vec<String> {
@@ -385,121 +395,47 @@ fn malformed_stream() -> Vec<String> {
     ]
 }
 
-/// A framed HTTP/1.1 client on one TCP connection: responses are read by
-/// their `Content-Length`, so any number of requests can share the stream.
-struct HttpClient {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
+/// Per-operation budget for connections to a daemon under test.
+const HTTP_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The header declaring a binary wire-format request body.
+const SEND_BINARY: &str = "Content-Type: application/x-batsched-bin";
+
+/// Connects to a daemon under test; a refused connection fails the run.
+fn connect(addr: &str) -> Conn {
+    Conn::connect(addr, HTTP_TIMEOUT).unwrap_or_else(|e| panic!("cannot connect to {addr}: {e}"))
 }
 
-impl HttpClient {
-    fn connect(addr: &str) -> HttpClient {
-        let stream =
-            TcpStream::connect(addr).unwrap_or_else(|e| panic!("cannot connect to {addr}: {e}"));
-        stream.set_nodelay(true).expect("nodelay");
-        let reader = BufReader::new(stream.try_clone().expect("clone stream"));
-        HttpClient { stream, reader }
-    }
-
-    /// Sends one request and reads its framed response; `close` selects
-    /// the `Connection` header. Returns `(status, head, body)`.
-    fn request(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: &str,
-        close: bool,
-    ) -> (u16, String, String) {
-        self.request_with(method, path, &[], body, close)
-    }
-
-    /// Like [`HttpClient::request`] but with extra header lines (for
-    /// example `X-Request-Id: …`) spliced into the request head.
-    fn request_with(
-        &mut self,
-        method: &str,
-        path: &str,
-        extra_headers: &[&str],
-        body: &str,
-        close: bool,
-    ) -> (u16, String, String) {
-        let (status, head, payload) =
-            self.request_raw(method, path, extra_headers, body.as_bytes(), close);
-        (
-            status,
-            head,
-            String::from_utf8(payload).expect("UTF-8 body"),
-        )
-    }
-
-    /// The byte-level form of [`HttpClient::request_with`]: the request
-    /// body is raw bytes (binary wire documents) and the response body
-    /// comes back undecoded, so `Accept`-negotiated binary replies can be
-    /// inspected as bytes.
-    fn request_raw(
-        &mut self,
-        method: &str,
-        path: &str,
-        extra_headers: &[&str],
-        body: &[u8],
-        close: bool,
-    ) -> (u16, String, Vec<u8>) {
-        let connection = if close { "close" } else { "keep-alive" };
-        let extra: String = extra_headers.iter().map(|h| format!("{h}\r\n")).collect();
-        let req_head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: {connection}\r\n{extra}\r\n",
-            body.len()
-        );
-        self.stream
-            .write_all(req_head.as_bytes())
-            .expect("send request head");
-        self.stream.write_all(body).expect("send request body");
-        let mut head = String::new();
-        loop {
-            let mut line = String::new();
-            let n = self
-                .reader
-                .read_line(&mut line)
-                .expect("read response head");
-            assert!(n > 0, "server closed before a full response head");
-            if line.trim_end().is_empty() {
-                break;
-            }
-            head.push_str(&line);
-        }
-        let status: u16 = head
-            .split_whitespace()
-            .nth(1)
-            .and_then(|c| c.parse().ok())
-            .unwrap_or_else(|| panic!("unparseable response head: {head}"));
-        let len: usize = head
-            .lines()
-            .find_map(|l| {
-                let (name, value) = l.split_once(':')?;
-                name.eq_ignore_ascii_case("content-length")
-                    .then(|| value.trim().parse().expect("numeric Content-Length"))
-            })
-            .expect("response carries Content-Length");
-        let mut payload = vec![0u8; len];
-        self.reader
-            .read_exact(&mut payload)
-            .expect("read response body");
-        (status, head, payload)
-    }
+/// One exchange on `c` as `(status, head, body)`; `close` asks the daemon
+/// to close the connection after answering. A transport failure fails the
+/// run.
+fn request(
+    c: &mut Conn,
+    method: &str,
+    path: &str,
+    body: &str,
+    close: bool,
+) -> (u16, String, String) {
+    let r = c.call(method, path, &[], body.as_bytes(), !close);
+    let r = r.unwrap_or_else(|e| panic!("{method} {path}: {e}"));
+    let text = String::from_utf8(r.body).expect("UTF-8 body");
+    (r.status, r.head, text)
 }
 
-/// Pulls an integer counter out of a stats JSON document.
-fn stats_counter(stats_json: &str, field: &str) -> u64 {
-    let tag = format!("\"{field}\":");
-    let at = stats_json
-        .find(&tag)
-        .unwrap_or_else(|| panic!("stats field {field} missing: {stats_json}"));
-    stats_json[at + tag.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("stats field {field} not an integer: {stats_json}"))
+/// Field `field` of a JSON object document (a stats or fleet-topology
+/// reply); a missing field fails the run.
+fn json_field(doc: &str, field: &str) -> Value {
+    let v = serde::json::parse(doc).unwrap_or_else(|e| panic!("not JSON ({e}): {doc}"));
+    let found = v.get(field).cloned();
+    found.unwrap_or_else(|| panic!("field {field} missing: {doc}"))
+}
+
+/// Integer field `field` of a stats (or topology) document.
+fn stats_counter(doc: &str, field: &str) -> u64 {
+    match json_field(doc, field) {
+        Value::Num(n) => n as u64,
+        v => panic!("field {field} is not a number but {v:?}: {doc}"),
+    }
 }
 
 /// The keep-alive A/B: the duplicate-heavy stream over real HTTP against
@@ -512,43 +448,19 @@ fn run_keepalive_ab(quick: bool) -> KeepAliveReport {
     let server = HttpServer::bind(Arc::clone(&svc), "127.0.0.1:0").expect("bind loadgen daemon");
     let addr = server.local_addr().to_string();
 
-    let uniques: Vec<String> = (0..2u64)
-        .map(|k| {
-            let g = synth_graph(24, 5, 0xCAFE + k);
-            body_for(&g, loose_deadline(&g))
-        })
-        .collect();
-    let repeats = if quick { 60 } else { 150 };
-    let mut bodies = Vec::with_capacity(uniques.len() * repeats);
-    for r in 0..repeats {
-        for k in 0..uniques.len() {
-            bodies.push(uniques[(k + r) % uniques.len()].clone());
-        }
-    }
-    // Prime the cache so both arms measure pure hit traffic.
-    for b in &uniques {
-        let (code, _, payload) =
-            HttpClient::connect(&addr).request("POST", "/v1/schedule", b, true);
-        assert_eq!(code, 200, "prime request failed: {payload}");
-    }
+    let uniques = synth_bodies(2, 24, 5, 0xCAFE);
+    let bodies = round_robin(&uniques, if quick { 60 } else { 150 });
+    // B: every request down one kept-alive connection, after priming the
+    // cache so both arms measure pure hit traffic.
+    let keepalive_rps = primed_keepalive_rps(&addr, &uniques, &bodies);
 
     // A: a fresh TCP connection (and daemon connection thread) per request.
     let t0 = Instant::now();
     for b in &bodies {
-        let (code, _, _) = HttpClient::connect(&addr).request("POST", "/v1/schedule", b, true);
+        let (code, _, _) = request(&mut connect(&addr), "POST", "/v1/schedule", b, true);
         assert_eq!(code, 200);
     }
     let conn_per_request_rps = bodies.len() as f64 / t0.elapsed().as_secs_f64();
-
-    // B: every request down one kept-alive connection.
-    let t0 = Instant::now();
-    let mut client = HttpClient::connect(&addr);
-    for (i, b) in bodies.iter().enumerate() {
-        let close = i + 1 == bodies.len();
-        let (code, _, _) = client.request("POST", "/v1/schedule", b, close);
-        assert_eq!(code, 200);
-    }
-    let keepalive_rps = bodies.len() as f64 / t0.elapsed().as_secs_f64();
 
     server.stop();
     server.wait();
@@ -653,13 +565,7 @@ fn run_warm_restart(quick: bool) -> WarmRestartReport {
         ..ServiceConfig::default()
     };
 
-    let unique = if quick { 4 } else { 8 };
-    let bodies: Vec<String> = (0..unique)
-        .map(|k| {
-            let g = synth_graph(28, 5, 0xD15C + k as u64);
-            body_for(&g, loose_deadline(&g))
-        })
-        .collect();
+    let bodies = synth_bodies(if quick { 4 } else { 8 }, 28, 5, 0xD15C);
 
     let svc = Service::try_start(cfg.clone()).expect("disk-backed service");
     let first: Vec<String> = bodies
@@ -727,15 +633,6 @@ fn metrics_value(text: &str, sample: &str) -> f64 {
             })
         })
         .unwrap_or_else(|| panic!("metric {sample} missing from exposition"))
-}
-
-/// Pulls a boolean field out of a stats JSON document.
-fn stats_flag(stats_json: &str, field: &str) -> bool {
-    let tag = format!("\"{field}\":");
-    let at = stats_json
-        .find(&tag)
-        .unwrap_or_else(|| panic!("stats field {field} missing: {stats_json}"));
-    stats_json[at + tag.len()..].starts_with("true")
 }
 
 /// The canonical chaos fault rules. `ci.sh chaos-smoke` boots a real
@@ -806,16 +703,15 @@ fn run_chaos(quick: bool, check: bool, addr: Option<&str>) -> ChaosReport {
             if i % 6 == 5 {
                 dup.clone()
             } else {
-                let g = synth_graph(14, 4, 0xC4A05 + i as u64);
-                body_for(&g, loose_deadline(&g))
+                synth_body(14, 4, 0xC4A05 + i as u64)
             }
         })
         .collect();
 
-    let mut client = HttpClient::connect(&addr);
+    let mut client = connect(&addr);
     let (mut ok, mut timeouts, mut internal, mut unexpected) = (0usize, 0usize, 0usize, 0usize);
     for body in &bodies {
-        let (code, _, payload) = client.request("POST", "/v1/schedule", body, false);
+        let (code, _, payload) = request(&mut client, "POST", "/v1/schedule", body, false);
         match code {
             200 if serde_json::from_str::<ScheduleResponse>(&payload).is_ok() => ok += 1,
             _ => match serde_json::from_str::<ErrorResponse>(&payload) {
@@ -835,18 +731,17 @@ fn run_chaos(quick: bool, check: bool, addr: Option<&str>) -> ChaosReport {
     let mut recovery = 0usize;
     let mut recovered = false;
     for k in 0..200u64 {
-        let (code, _, stats) = client.request("GET", "/v1/stats", "", false);
+        let (code, _, stats) = request(&mut client, "GET", "/v1/stats", "", false);
         assert_eq!(code, 200, "stats must stay up under chaos: {stats}");
         if stats_counter(&stats, "disk_breaker_trips") >= 1
             && stats_counter(&stats, "disk_rearms") >= 1
-            && !stats_flag(&stats, "disk_degraded")
+            && json_field(&stats, "disk_degraded") == Value::Bool(false)
         {
             recovered = true;
             break;
         }
-        let g = synth_graph(12, 3, 0xFEE1BAD + k);
-        let body = body_for(&g, loose_deadline(&g));
-        let (code, _, payload) = client.request("POST", "/v1/schedule", &body, false);
+        let body = synth_body(12, 3, 0xFEE1BAD + k);
+        let (code, _, payload) = request(&mut client, "POST", "/v1/schedule", &body, false);
         match code {
             200 => {}
             504 | 500 => {} // injected latency / leftover faults: still typed
@@ -856,11 +751,11 @@ fn run_chaos(quick: bool, check: bool, addr: Option<&str>) -> ChaosReport {
         std::thread::sleep(Duration::from_millis(60));
     }
 
-    let (code, _, stats) = client.request("GET", "/v1/stats", "", false);
+    let (code, _, stats) = request(&mut client, "GET", "/v1/stats", "", false);
     assert_eq!(code, 200);
     // The armed fault plane must be visible through BOTH observability
     // surfaces: the stats JSON and the Prometheus exposition.
-    let (code, _, metrics) = client.request("GET", "/v1/metrics", "", true);
+    let (code, _, metrics) = request(&mut client, "GET", "/v1/metrics", "", true);
     assert_eq!(code, 200, "metrics must stay up under chaos");
     let injected_metric = metrics_value(&metrics, "batsched_fault_injected_total");
     let report = ChaosReport {
@@ -939,86 +834,67 @@ fn run_chaos(quick: bool, check: bool, addr: Option<&str>) -> ChaosReport {
     report
 }
 
-/// Pulls one header's value out of a response head.
-fn header_value(head: &str, name: &str) -> Option<String> {
-    head.lines().find_map(|l| {
-        let (n, v) = l.split_once(':')?;
-        n.eq_ignore_ascii_case(name).then(|| v.trim().to_string())
-    })
+/// Primes `uniques` (one fresh connection each), then sends `bodies` down
+/// one kept-alive connection; returns its requests per second.
+fn primed_keepalive_rps(addr: &str, uniques: &[String], bodies: &[String]) -> f64 {
+    for b in uniques {
+        let (code, _, payload) = request(&mut connect(addr), "POST", "/v1/schedule", b, true);
+        assert_eq!(code, 200, "prime request failed: {payload}");
+    }
+    let t0 = Instant::now();
+    let mut client = connect(addr);
+    for (i, b) in bodies.iter().enumerate() {
+        let close = i + 1 == bodies.len();
+        let (code, _, _) = request(&mut client, "POST", "/v1/schedule", b, close);
+        assert_eq!(code, 200);
+    }
+    bodies.len() as f64 / t0.elapsed().as_secs_f64()
 }
 
-/// A one-shot HTTP call that reports transport failures instead of
-/// panicking — the kill-drill classifier: any `Err` is a *lost* request
-/// (the fleet broke its exactly-once answer contract).
-fn try_http_call(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> std::io::Result<(u16, String, String)> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let mut writer = stream.try_clone()?;
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(body.as_bytes())?;
-    let mut reader = BufReader::new(stream);
-    let mut head = String::new();
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed before a full response head",
-            ));
-        }
-        if line.trim_end().is_empty() {
-            break;
-        }
-        head.push_str(&line);
-    }
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "unparseable status line")
-        })?;
-    let len: usize = head
-        .lines()
-        .find_map(|l| {
-            let (n, v) = l.split_once(':')?;
-            if n.eq_ignore_ascii_case("content-length") {
-                v.trim().parse().ok()
-            } else {
-                None
+/// The worker the fleet router names for `body`; asked twice down one
+/// connection, it must name the same worker.
+fn pinned_worker(addr: &str, body: &str) -> usize {
+    let mut client = connect(addr);
+    let mut ask = || {
+        let r = client.call("POST", "/v1/schedule", &[], body.as_bytes(), true);
+        let worker = r
+            .expect("pinned request")
+            .header("X-Fleet-Worker")
+            .map(str::parse);
+        worker
+            .and_then(Result::ok)
+            .expect("router names its worker")
+    };
+    let first = ask();
+    assert_eq!(first, ask(), "duplicates must pin to one worker");
+    first
+}
+
+/// Sends each body as a one-shot schedule request (`before(i)` runs ahead
+/// of the i-th) and tallies `[ok, typed upstream_unavailable, other,
+/// lost]`. A lost request is a transport failure: the fleet broke its
+/// exactly-once answer contract.
+fn classify_burst(addr: &str, bodies: &[String], mut before: impl FnMut(usize)) -> [usize; 4] {
+    let mut tally = [0usize; 4];
+    for (i, b) in bodies.iter().enumerate() {
+        before(i);
+        let sent = Conn::connect(addr, HTTP_TIMEOUT)
+            .and_then(|mut c| c.call("POST", "/v1/schedule", &[], b.as_bytes(), false));
+        let slot = match sent {
+            Ok(r) if r.status == 200 => 0,
+            Ok(r) if r.status == 503 && r.text().contains("upstream_unavailable") => 1,
+            Ok(r) => {
+                eprintln!("burst: unexpected response {}: {}", r.status, r.text());
+                2
             }
-        })
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "response has no Content-Length",
-            )
-        })?;
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
-    Ok((status, head, String::from_utf8_lossy(&payload).into_owned()))
-}
-
-/// The duplicate-heavy fleet stream: `unique` distinct bodies repeated
-/// round-robin so every worker's cache slice stays hot.
-fn fleet_stream(uniques: &[String], repeats: usize) -> Vec<String> {
-    let mut bodies = Vec::with_capacity(uniques.len() * repeats);
-    for r in 0..repeats {
-        for k in 0..uniques.len() {
-            bodies.push(uniques[(k + r) % uniques.len()].clone());
-        }
+            Err(e) => {
+                eprintln!("burst: LOST request {i}: {e}");
+                3
+            }
+        };
+        tally[slot] += 1;
     }
-    bodies
+    tally
 }
 
 /// The fleet drill (see the module docs): single-process baseline vs a
@@ -1034,32 +910,15 @@ fn run_fleet(quick: bool, check: bool) -> FleetReport {
         cache_capacity: 256,
         ..ServiceConfig::default()
     };
-    let uniques: Vec<String> = (0..FLEET_SIZE as u64)
-        .map(|k| {
-            let g = synth_graph(24, 5, 0xF1EE7 + k);
-            body_for(&g, loose_deadline(&g))
-        })
-        .collect();
+    let uniques = synth_bodies(FLEET_SIZE as u64, 24, 5, 0xF1EE7);
     let repeats = if quick { 30 } else { 80 };
-    let bodies = fleet_stream(&uniques, repeats);
+    let bodies = round_robin(&uniques, repeats);
 
     // Phase A: the single-process baseline — same worker config, same
     // duplicate-heavy stream, one kept-alive connection.
     let svc = Arc::new(Service::start(worker_cfg.clone()));
     let server = HttpServer::bind(Arc::clone(&svc), "127.0.0.1:0").expect("bind baseline daemon");
-    let addr = server.local_addr().to_string();
-    for b in &uniques {
-        let (code, _, payload) =
-            HttpClient::connect(&addr).request("POST", "/v1/schedule", b, true);
-        assert_eq!(code, 200, "baseline prime failed: {payload}");
-    }
-    let t0 = Instant::now();
-    let mut client = HttpClient::connect(&addr);
-    for (i, b) in bodies.iter().enumerate() {
-        let (code, _, _) = client.request("POST", "/v1/schedule", b, i + 1 == bodies.len());
-        assert_eq!(code, 200);
-    }
-    let single_rps = bodies.len() as f64 / t0.elapsed().as_secs_f64();
+    let single_rps = primed_keepalive_rps(&server.local_addr().to_string(), &uniques, &bodies);
     server.stop();
     server.wait();
     svc.shutdown();
@@ -1089,27 +948,7 @@ fn run_fleet(quick: bool, check: bool) -> FleetReport {
         fleet.status()
     );
     let addr = fleet.local_addr().to_string();
-    for b in &uniques {
-        let (code, _, payload) =
-            HttpClient::connect(&addr).request("POST", "/v1/schedule", b, true);
-        assert_eq!(code, 200, "fleet prime failed: {payload}");
-    }
-    // Routing is pinned: duplicates of one body land on one worker.
-    let mut client = HttpClient::connect(&addr);
-    let (_, head_a, _) = client.request("POST", "/v1/schedule", &uniques[0], false);
-    let (_, head_b, _) = client.request("POST", "/v1/schedule", &uniques[0], false);
-    let pinned = header_value(&head_a, "X-Fleet-Worker").expect("router names its worker");
-    assert_eq!(
-        Some(&pinned),
-        header_value(&head_b, "X-Fleet-Worker").as_ref(),
-        "duplicates must pin to one worker"
-    );
-    let t0 = Instant::now();
-    for (i, b) in bodies.iter().enumerate() {
-        let (code, _, _) = client.request("POST", "/v1/schedule", b, i + 1 == bodies.len());
-        assert_eq!(code, 200);
-    }
-    let fleet_rps = bodies.len() as f64 / t0.elapsed().as_secs_f64();
+    let fleet_rps = primed_keepalive_rps(&addr, &uniques, &bodies);
 
     // Phase C: the kill drill. The victim is the worker that owns
     // uniques[0]'s hash slice, so the burst is guaranteed to exercise
@@ -1120,30 +959,17 @@ fn run_fleet(quick: bool, check: bool) -> FleetReport {
         FLEET_SIZE,
     );
     assert_eq!(
-        pinned,
-        victim.to_string(),
+        pinned_worker(&addr, &uniques[0]),
+        victim,
         "router and home_slot must agree on the owner"
     );
-    let burst = fleet_stream(&uniques, if quick { 10 } else { 20 });
+    let burst = round_robin(&uniques, if quick { 10 } else { 20 });
     let kill_at = burst.len() / 3;
-    let (mut ok, mut unavailable, mut other, mut lost) = (0usize, 0usize, 0usize, 0usize);
-    for (i, b) in burst.iter().enumerate() {
+    let [ok, unavailable, other, lost] = classify_burst(&addr, &burst, |i| {
         if i == kill_at {
             assert!(fleet.kill_worker(victim), "victim worker must be live");
         }
-        match try_http_call(&addr, "POST", "/v1/schedule", b) {
-            Ok((200, _, _)) => ok += 1,
-            Ok((503, _, payload)) if payload.contains("upstream_unavailable") => unavailable += 1,
-            Ok((code, _, payload)) => {
-                eprintln!("fleet: unexpected response {code}: {payload}");
-                other += 1;
-            }
-            Err(e) => {
-                eprintln!("fleet: LOST request {i}: {e}");
-                lost += 1;
-            }
-        }
-    }
+    });
     let ready_after_kill = fleet.wait_ready(Duration::from_secs(30));
     let status = fleet.status();
     let respawned = status.workers[victim].restarts >= 1;
@@ -1205,21 +1031,17 @@ fn run_fleet(quick: bool, check: bool) -> FleetReport {
     report
 }
 
-/// Every `u64` value of `field` in a JSON document, in order of
-/// appearance (non-numeric values, e.g. `null` pids, are skipped).
-fn json_u64_all(doc: &str, field: &str) -> Vec<u64> {
-    let tag = format!("\"{field}\":");
-    let mut out = Vec::new();
-    let mut rest = doc;
-    while let Some(at) = rest.find(&tag) {
-        let after = &rest[at + tag.len()..];
-        let digits: String = after.chars().take_while(char::is_ascii_digit).collect();
-        if let Ok(v) = digits.parse() {
-            out.push(v);
-        }
-        rest = after;
-    }
-    out
+/// Integer `field` of every worker in a `/v1/fleet` topology, in slot
+/// order (non-numeric values, e.g. `null` pids, are skipped).
+fn worker_fields(topo: &str, field: &str) -> Vec<u64> {
+    let Value::Arr(workers) = json_field(topo, "workers") else {
+        panic!("no workers array: {topo}");
+    };
+    let numbers = workers.iter().filter_map(|w| match w.get(field)? {
+        Value::Num(n) => Some(*n as u64),
+        _ => None,
+    });
+    numbers.collect()
 }
 
 /// The external fleet drill (the `ci.sh fleet-smoke` check) against a
@@ -1246,9 +1068,9 @@ fn run_fleet_smoke(addr: &str) {
 
     let (code, topo) = http_call(addr, "GET", "/v1/fleet", "");
     assert_eq!(code, 200, "{topo}");
-    let size = json_u64_all(&topo, "size")[0] as usize;
+    let size = stats_counter(&topo, "size") as usize;
     assert!(size >= 2, "the drill needs at least two workers: {topo}");
-    let pids = json_u64_all(&topo, "pid");
+    let pids = worker_fields(&topo, "pid");
     assert_eq!(
         pids.len(),
         size,
@@ -1257,26 +1079,13 @@ fn run_fleet_smoke(addr: &str) {
 
     // Warm burst down one kept-alive connection; duplicates must pin to
     // one worker per content hash.
-    let uniques: Vec<String> = (0..size as u64)
-        .map(|k| {
-            let g = synth_graph(24, 5, 0xF1EE7 + k);
-            body_for(&g, loose_deadline(&g))
-        })
-        .collect();
-    let mut client = HttpClient::connect(addr);
-    for b in fleet_stream(&uniques, 6) {
-        let (code, _, payload) = client.request("POST", "/v1/schedule", &b, false);
+    let uniques = synth_bodies(size as u64, 24, 5, 0xF1EE7);
+    let mut client = connect(addr);
+    for b in round_robin(&uniques, 6) {
+        let (code, _, payload) = request(&mut client, "POST", "/v1/schedule", &b, false);
         assert_eq!(code, 200, "warm burst request failed: {payload}");
     }
-    let (_, head_a, _) = client.request("POST", "/v1/schedule", &uniques[0], false);
-    let (_, head_b, _) = client.request("POST", "/v1/schedule", &uniques[0], true);
-    let owner = header_value(&head_a, "X-Fleet-Worker").expect("router names its worker");
-    assert_eq!(
-        Some(&owner),
-        header_value(&head_b, "X-Fleet-Worker").as_ref(),
-        "duplicates must pin to one worker"
-    );
-    let victim: usize = owner.parse().expect("worker id is a slot index");
+    let victim = pinned_worker(addr, &uniques[0]);
 
     // kill -9 the owner of uniques[0]'s slice, then burst: every request
     // must be answered exactly once — failed over onto a survivor (the
@@ -1286,22 +1095,15 @@ fn run_fleet_smoke(addr: &str) {
         .status()
         .expect("spawn kill");
     assert!(killed.success(), "kill -9 {} failed", pids[victim]);
-    let (mut ok, mut unavailable, mut lost) = (0usize, 0usize, 0usize);
-    for (i, b) in fleet_stream(&uniques, 10).iter().enumerate() {
-        match try_http_call(addr, "POST", "/v1/schedule", b) {
-            // The answering worker is NOT asserted: with a 100 ms backoff
-            // the killed slot can legitimately respawn and re-claim its
-            // slice before the burst ends. Exactly-once is the contract.
-            Ok((200, _, _)) => ok += 1,
-            Ok((503, _, payload)) if payload.contains("upstream_unavailable") => unavailable += 1,
-            Ok((code, _, payload)) => panic!("kill burst: unexpected response {code}: {payload}"),
-            Err(e) => {
-                eprintln!("kill burst: LOST request {i}: {e}");
-                lost += 1;
-            }
-        }
-    }
+    // The answering worker is NOT asserted: with a 100 ms backoff the
+    // killed slot can legitimately respawn and re-claim its slice before
+    // the burst ends. Exactly-once is the contract.
+    let [ok, unavailable, other, lost] = classify_burst(addr, &round_robin(&uniques, 10), |_| {});
     assert_eq!(lost, 0, "kill -9 must lose zero requests");
+    assert_eq!(
+        other, 0,
+        "kill-burst responses must be schedules or typed 503s"
+    );
     assert_eq!(
         ok + unavailable,
         size * 10,
@@ -1318,9 +1120,9 @@ fn run_fleet_smoke(addr: &str) {
     loop {
         let (code, topo) = http_call(addr, "GET", "/v1/fleet", "");
         assert_eq!(code, 200, "{topo}");
-        let restarts = json_u64_all(&topo, "restarts");
+        let restarts = worker_fields(&topo, "restarts");
         if restarts.get(victim).copied().unwrap_or(0) >= 1 && topo.contains("\"ready\":true") {
-            let new_pids = json_u64_all(&topo, "pid");
+            let new_pids = worker_fields(&topo, "pid");
             assert_eq!(new_pids.len(), size, "{topo}");
             assert_ne!(
                 new_pids[victim], pids[victim],
@@ -1355,7 +1157,7 @@ fn run_fleet_smoke(addr: &str) {
         let (_, topo) = http_call(addr, "GET", "/v1/fleet", "");
         if saw_not_ready && code == 200 && topo.contains("\"ready\":true") {
             assert!(
-                json_u64_all(&topo, "drains").first().copied().unwrap_or(0) >= 1,
+                worker_fields(&topo, "drains").first().copied().unwrap_or(0) >= 1,
                 "the drain must be accounted: {topo}"
             );
             break;
@@ -1618,7 +1420,7 @@ fn run_benchmark(quick: bool, check: bool) {
 // ------------------------------------------------------------- smoke mode
 
 fn http_call(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
-    let (code, _, payload) = HttpClient::connect(addr).request(method, path, body, true);
+    let (code, _, payload) = request(&mut connect(addr), method, path, body, true);
     (code, payload)
 }
 
@@ -1639,22 +1441,22 @@ fn run_smoke(addr: &str) {
 
     // Keep-alive pass: several requests down ONE connection — the replay
     // must be a cache hit, interleaved stats/health must stay framed.
-    let mut client = HttpClient::connect(addr);
-    let (code, head, replay) = client.request("POST", "/v1/schedule", &body, false);
+    let mut client = connect(addr);
+    let (code, head, replay) = request(&mut client, "POST", "/v1/schedule", &body, false);
     assert_eq!(code, 200, "{replay}");
     assert!(
         head.contains("X-Cache: hit"),
         "keep-alive replay must hit: {head}"
     );
     assert_eq!(replay, cold, "hit must be bit-identical");
-    let (code, _, stats) = client.request("GET", "/v1/stats", "", false);
+    let (code, _, stats) = request(&mut client, "GET", "/v1/stats", "", false);
     assert_eq!(code, 200);
     assert!(stats.contains("\"solved\":"), "{stats}");
     assert!(stats.contains("\"shard_occupancy\":"), "{stats}");
-    let (code, _, health) = client.request("GET", "/healthz", "", false);
+    let (code, _, health) = request(&mut client, "GET", "/healthz", "", false);
     assert_eq!(code, 200, "{health}");
     // Readiness: a healthy daemon with its full worker pool must be ready.
-    let (code, _, ready) = client.request("GET", "/readyz", "", false);
+    let (code, _, ready) = request(&mut client, "GET", "/readyz", "", false);
     assert_eq!(
         code, 200,
         "ready daemon must answer 200 on /readyz: {ready}"
@@ -1665,41 +1467,33 @@ fn run_smoke(addr: &str) {
     // request must hit the cache entry the JSON cold solve created (one
     // canonical key across formats) and answer the identical JSON body.
     let bin = encode_request(&ScheduleRequest::new(g2(), 75.0));
-    let (code, head, payload) = client.request_raw(
-        "POST",
-        "/v1/schedule",
-        &["Content-Type: application/x-batsched-bin"],
-        &bin,
-        false,
-    );
-    assert_eq!(code, 200, "binary request must answer 2xx");
-    assert!(
-        head.contains("X-Cache: hit"),
-        "binary spelling must share the JSON request's cache entry: {head}"
+    let r = client.call("POST", "/v1/schedule", &[SEND_BINARY], &bin, true);
+    let r = r.expect("binary request");
+    assert_eq!(r.status, 200, "binary request must answer 2xx");
+    assert_eq!(
+        r.header("x-cache"),
+        Some("hit"),
+        "binary spelling must share the JSON request's cache entry: {}",
+        r.head
     );
     assert_eq!(
-        String::from_utf8(payload).expect("JSON reply"),
+        std::str::from_utf8(&r.body).expect("JSON reply"),
         cold,
         "cross-format cache hit must be bit-identical"
     );
     // And an `Accept`-negotiated binary response must transcode back to
     // the exact canonical JSON body.
-    let (code, head, raw) = client.request_raw(
-        "POST",
-        "/v1/schedule",
-        &[
-            "Content-Type: application/x-batsched-bin",
-            "Accept: application/x-batsched-bin",
-        ],
-        &bin,
-        true,
+    let accept = format!("Accept: {BIN_CONTENT_TYPE}");
+    let r = client.call("POST", "/v1/schedule", &[SEND_BINARY, &accept], &bin, false);
+    let r = r.expect("binary-accept request");
+    assert_eq!(r.status, 200, "binary-accept request must answer 2xx");
+    assert_eq!(
+        r.header("content-type"),
+        Some(BIN_CONTENT_TYPE),
+        "Accept-negotiated reply must declare the binary media type: {}",
+        r.head
     );
-    assert_eq!(code, 200, "binary-accept request must answer 2xx");
-    assert!(
-        head.contains("application/x-batsched-bin"),
-        "Accept-negotiated reply must declare the binary media type: {head}"
-    );
-    let resp = decode_response(&raw).expect("binary response decodes");
+    let resp = decode_response(&r.body).expect("binary response decodes");
     assert_eq!(
         serde_json::to_string(&resp).expect("response renders"),
         cold,
@@ -1716,8 +1510,8 @@ fn run_smoke(addr: &str) {
 /// tier, bit-identical to a fresh solve of the same request.
 fn run_smoke_warm(addr: &str) {
     let body = body_for(&g2(), 75.0);
-    let mut client = HttpClient::connect(addr);
-    let (code, head, payload) = client.request("POST", "/v1/schedule", &body, false);
+    let mut client = connect(addr);
+    let (code, head, payload) = request(&mut client, "POST", "/v1/schedule", &body, false);
     assert_eq!(code, 200, "warm schedule must answer 2xx: {payload}");
     assert!(
         head.contains("X-Cache: hit"),
@@ -1727,7 +1521,7 @@ fn run_smoke_warm(addr: &str) {
         serde_json::from_str(&payload).expect("schedule response body parses");
     assert!(resp.makespan <= 75.0 + 1e-9);
 
-    let (code, _, stats) = client.request("GET", "/v1/stats", "", false);
+    let (code, _, stats) = request(&mut client, "GET", "/v1/stats", "", false);
     assert_eq!(code, 200);
     assert!(
         stats_counter(&stats, "disk_hits") >= 1,
@@ -1741,20 +1535,17 @@ fn run_smoke_warm(addr: &str) {
     // The binary spelling of the same request must be answered warm from
     // the same (JSON-era) disk tier, bit-identical to the JSON answer.
     let bin = encode_request(&ScheduleRequest::new(g2(), 75.0));
-    let (code, head, warm_bin) = client.request_raw(
-        "POST",
-        "/v1/schedule",
-        &["Content-Type: application/x-batsched-bin"],
-        &bin,
-        true,
-    );
-    assert_eq!(code, 200, "binary warm request must answer 2xx");
-    assert!(
-        head.contains("X-Cache: hit"),
-        "binary spelling must answer warm from the disk-seeded cache: {head}"
+    let r = client.call("POST", "/v1/schedule", &[SEND_BINARY], &bin, false);
+    let r = r.expect("binary request");
+    assert_eq!(r.status, 200, "binary warm request must answer 2xx");
+    assert_eq!(
+        r.header("x-cache"),
+        Some("hit"),
+        "binary spelling must answer warm from the disk-seeded cache: {}",
+        r.head
     );
     assert_eq!(
-        String::from_utf8(warm_bin).expect("JSON reply"),
+        std::str::from_utf8(&r.body).expect("JSON reply"),
         payload,
         "cross-format warm answer must be bit-identical"
     );
@@ -1770,49 +1561,45 @@ fn run_smoke_warm(addr: &str) {
 /// assert the exposition is well-formed Prometheus text whose histogram
 /// counts match exactly the requests this function sent.
 fn run_metrics_smoke(addr: &str) {
-    let mut client = HttpClient::connect(addr);
+    let mut client = connect(addr);
 
     // The daemon must be ready before we lean on it.
-    let (code, _, ready) = client.request("GET", "/readyz", "", false);
+    let (code, _, ready) = request(&mut client, "GET", "/readyz", "", false);
     assert_eq!(code, 200, "booted daemon must be ready: {ready}");
     assert!(ready.contains("\"ready\":true"), "{ready}");
 
     // One cold solve carrying a client trace id: the id must be echoed.
     let body = body_for(&g2(), 75.0);
-    let (code, head, _) = client.request_with(
-        "POST",
-        "/v1/schedule",
-        &["X-Request-Id: metrics-smoke-1"],
-        &body,
-        false,
-    );
-    assert_eq!(code, 200);
-    assert!(
-        head.contains("X-Request-Id: metrics-smoke-1"),
-        "client trace id must be echoed: {head}"
+    let id = ["X-Request-Id: metrics-smoke-1"];
+    let r = client.call("POST", "/v1/schedule", &id, body.as_bytes(), true);
+    let r = r.expect("traced request");
+    assert_eq!(r.status, 200);
+    let echoed = r.header("x-request-id");
+    assert_eq!(
+        echoed,
+        Some("metrics-smoke-1"),
+        "client trace id must be echoed"
     );
     // Two cache hits and one malformed request (a typed 400 also gets its
     // id echoed and is still a served request as far as histograms go).
     for _ in 0..2 {
-        let (code, head, _) = client.request("POST", "/v1/schedule", &body, false);
+        let (code, head, _) = request(&mut client, "POST", "/v1/schedule", &body, false);
         assert_eq!(code, 200);
         assert!(head.contains("X-Cache: hit"), "{head}");
     }
-    let (code, head, _) = client.request_with(
-        "POST",
-        "/v1/schedule",
-        &["X-Request-Id: metrics-smoke-bad"],
-        "{ nope",
-        false,
-    );
-    assert_eq!(code, 400);
-    assert!(
-        head.contains("X-Request-Id: metrics-smoke-bad"),
-        "typed errors must echo the client trace id too: {head}"
+    let id = ["X-Request-Id: metrics-smoke-bad"];
+    let r = client.call("POST", "/v1/schedule", &id, b"{ nope", true);
+    let r = r.expect("traced request");
+    assert_eq!(r.status, 400);
+    let echoed = r.header("x-request-id");
+    assert_eq!(
+        echoed,
+        Some("metrics-smoke-bad"),
+        "typed errors must echo the client trace id too"
     );
     let served = 4u64; // cold + 2 hits + malformed
 
-    let (code, head, text) = client.request("GET", "/v1/metrics", "", true);
+    let (code, head, text) = request(&mut client, "GET", "/v1/metrics", "", true);
     assert_eq!(code, 200, "{text}");
     assert!(
         head.to_ascii_lowercase()
@@ -1910,6 +1697,12 @@ fn run_metrics_smoke(addr: &str) {
     println!("METRICS SMOKE OK ({addr}, {served} requests)");
 }
 
+/// Prints a drill's report on stderr as pretty JSON.
+fn eprint_report(report: &impl Serialize) {
+    let json = serde_json::to_string_pretty(report).expect("report serialises");
+    eprintln!("{json}");
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -1929,10 +1722,7 @@ fn main() {
     let _ = (DEFAULT_MAX_ITERATIONS, ModelSpec::default_rv());
     if wire {
         let points = run_wire(quick, check);
-        eprintln!(
-            "{}",
-            serde_json::to_string_pretty(&points).expect("wire report serialises")
-        );
+        eprint_report(&points);
         let at_200 = points.last().expect("three scaling points");
         println!(
             "WIRE OK ({} points, {:.1}× at n=200, keys match)",
@@ -1943,20 +1733,14 @@ fn main() {
         run_fleet_smoke(addr.expect("--fleet-smoke needs --addr <host:port>"));
     } else if fleet {
         let report = run_fleet(quick, check);
-        eprintln!(
-            "{}",
-            serde_json::to_string_pretty(&report).expect("fleet report serialises")
-        );
+        eprint_report(&report);
         println!(
             "FLEET OK ({} workers, kill burst {} requests, {} lost, respawned: {})",
             report.workers, report.kill_burst_requests, report.lost, report.respawned
         );
     } else if chaos {
         let report = run_chaos(quick, check, addr.map(String::as_str));
-        eprintln!(
-            "{}",
-            serde_json::to_string_pretty(&report).expect("chaos report serialises")
-        );
+        eprint_report(&report);
         println!(
             "CHAOS OK ({} requests, recovered: {})",
             report.requests, report.recovered

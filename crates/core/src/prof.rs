@@ -20,40 +20,69 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Cumulative solver-phase counters (see the module docs for the
-/// counting sites and the `parallel`-feature caveat).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Prof {
+/// Declares [`Prof`] from one list of counters, so each name is written
+/// once and drives the struct, its serialised form, [`Prof::FIELDS`] and
+/// the array view every aggregate (`since`, `merge`, the service's totals
+/// and its `batsched_solver_*_total` series) is computed over.
+macro_rules! prof_counters {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Cumulative solver-phase counters (see the module docs for the
+        /// counting sites and the `parallel`-feature caveat).
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct Prof {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl Prof {
+            /// Counter names in declaration (and serialisation) order.
+            pub const FIELDS: [&'static str; [$(stringify!($field)),*].len()] =
+                [$(stringify!($field)),*];
+
+            /// The counters in [`Prof::FIELDS`] order.
+            pub fn values(&self) -> [u64; Prof::FIELDS.len()] {
+                [$(self.$field),*]
+            }
+
+            /// The profile holding `values` in [`Prof::FIELDS`] order.
+            pub fn from_values(values: [u64; Prof::FIELDS.len()]) -> Prof {
+                let [$($field),*] = values;
+                Prof { $($field),* }
+            }
+        }
+    };
+}
+
+prof_counters! {
     /// Windows evaluated (`ChooseDesignPoints` sweeps, including the
     /// weighted-sequence re-costing's implicit window reuse is *not*
     /// counted — only full window evaluations).
-    pub windows: u64,
+    windows,
     /// Windows entered with a matching cross-window carry (the previous
     /// window's per-row outcomes were reusable).
-    pub carry_hits: u64,
+    carry_hits,
     /// Windows evaluated from scratch (no usable carry).
-    pub carry_misses: u64,
+    carry_misses,
     /// Sweep rows scored in full: every candidate column of the window
     /// went through the suitability factors.
-    pub rows_full: u64,
+    rows_full,
     /// Sweep rows served by the carry fast path: only the window's new
     /// fastest column was scored against the remembered winner.
-    pub rows_carried: u64,
+    rows_carried,
     /// Repair promotions recorded: one-shot journal entries plus, on the
     /// carried sweep, one per column step of each materialized repair
     /// run.
-    pub journal_promotions: u64,
+    journal_promotions,
     /// Repair state undone: one-shot journal entries rolled back at row
     /// end plus carried-sweep chain entries dropped for
     /// re-materialization.
-    pub journal_rollbacks: u64,
+    journal_rollbacks,
     /// σ-engine sequence evaluations.
-    pub sigma_evals: u64,
+    sigma_evals,
     /// Sequence positions served from the σ suffix cache across those
     /// evaluations.
-    pub sigma_reused: u64,
+    sigma_reused,
     /// Sequence positions recomputed (cache miss portion).
-    pub sigma_fresh: u64,
+    sigma_fresh,
 }
 
 impl Prof {
@@ -62,36 +91,20 @@ impl Prof {
     /// of wrapping).
     #[must_use]
     pub fn since(&self, earlier: &Prof) -> Prof {
-        Prof {
-            windows: self.windows.saturating_sub(earlier.windows),
-            carry_hits: self.carry_hits.saturating_sub(earlier.carry_hits),
-            carry_misses: self.carry_misses.saturating_sub(earlier.carry_misses),
-            rows_full: self.rows_full.saturating_sub(earlier.rows_full),
-            rows_carried: self.rows_carried.saturating_sub(earlier.rows_carried),
-            journal_promotions: self
-                .journal_promotions
-                .saturating_sub(earlier.journal_promotions),
-            journal_rollbacks: self
-                .journal_rollbacks
-                .saturating_sub(earlier.journal_rollbacks),
-            sigma_evals: self.sigma_evals.saturating_sub(earlier.sigma_evals),
-            sigma_reused: self.sigma_reused.saturating_sub(earlier.sigma_reused),
-            sigma_fresh: self.sigma_fresh.saturating_sub(earlier.sigma_fresh),
-        }
+        self.zip_with(earlier, u64::saturating_sub)
     }
 
     /// Adds `other`'s counters into `self` (aggregation across requests).
     pub fn merge(&mut self, other: &Prof) {
-        self.windows += other.windows;
-        self.carry_hits += other.carry_hits;
-        self.carry_misses += other.carry_misses;
-        self.rows_full += other.rows_full;
-        self.rows_carried += other.rows_carried;
-        self.journal_promotions += other.journal_promotions;
-        self.journal_rollbacks += other.journal_rollbacks;
-        self.sigma_evals += other.sigma_evals;
-        self.sigma_reused += other.sigma_reused;
-        self.sigma_fresh += other.sigma_fresh;
+        *self = self.zip_with(other, |a, b| a + b);
+    }
+
+    fn zip_with(&self, other: &Prof, f: impl Fn(u64, u64) -> u64) -> Prof {
+        let mut values = self.values();
+        for (v, o) in values.iter_mut().zip(other.values()) {
+            *v = f(*v, o);
+        }
+        Prof::from_values(values)
     }
 
     /// `true` when every counter is zero.

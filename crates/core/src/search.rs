@@ -1736,19 +1736,10 @@ pub struct EvalBuffers {
     pub(crate) choose: ChooseBuffers,
     pub(crate) carry: WindowCarry,
     pub(crate) carry_disabled: bool,
-    pub(crate) sweep_prof: SweepProf,
-}
-
-/// Window-sweep phase counters held by [`EvalBuffers`]; the
-/// journal/σ-cache counters live in their own scratch structures and are
-/// composed by [`EvalBuffers::prof`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SweepProf {
-    pub(crate) windows: u64,
-    pub(crate) carry_hits: u64,
-    pub(crate) carry_misses: u64,
-    pub(crate) rows_full: u64,
-    pub(crate) rows_carried: u64,
+    /// The window-sweep counters; the journal/σ-cache counters live in
+    /// their own scratch structures and are composed by
+    /// [`EvalBuffers::prof`].
+    pub(crate) sweep_prof: crate::prof::Prof,
 }
 
 impl EvalBuffers {
@@ -1764,16 +1755,12 @@ impl EvalBuffers {
     pub fn prof(&self) -> crate::prof::Prof {
         let (sigma_evals, sigma_reused, sigma_fresh) = self.sigma.cache_stats();
         crate::prof::Prof {
-            windows: self.sweep_prof.windows,
-            carry_hits: self.sweep_prof.carry_hits,
-            carry_misses: self.sweep_prof.carry_misses,
-            rows_full: self.sweep_prof.rows_full,
-            rows_carried: self.sweep_prof.rows_carried,
             journal_promotions: self.dpf.prof_promotions,
             journal_rollbacks: self.dpf.prof_rollbacks,
             sigma_evals,
             sigma_reused,
             sigma_fresh,
+            ..self.sweep_prof
         }
     }
 

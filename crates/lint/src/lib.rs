@@ -53,8 +53,9 @@ pub struct FileClass {
 /// Request-serving modules of `crates/service`: a panic here escapes the
 /// solver's `catch_unwind` and kills a connection/router/supervisor
 /// thread (PR 6).
-const SERVING: [&str; 9] = [
+const SERVING: [&str; 10] = [
     "crates/service/src/http.rs",
+    "crates/service/src/http/client.rs",
     "crates/service/src/fleet.rs",
     "crates/service/src/service.rs",
     "crates/service/src/cache.rs",
@@ -67,11 +68,12 @@ const SERVING: [&str; 9] = [
 
 /// Modules that decode wire- or disk-derived bytes: allocations sized
 /// from decoded values must be visibly capped (PR 8's `terms` DoS fix).
-const DECODER: [&str; 4] = [
+const DECODER: [&str; 5] = [
     "crates/service/src/wire.rs",
     "crates/service/src/wire_bin.rs",
     "crates/service/src/disk.rs",
     "crates/service/src/http.rs",
+    "crates/service/src/http/client.rs",
 ];
 
 /// Bit-identity kernel and canonical-hash modules (PRs 1–4, 8): hash

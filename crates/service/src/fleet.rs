@@ -44,17 +44,15 @@
 //! reloads exactly its slice. Rebalancing is restart-only — the fleet
 //! size is fixed at boot.
 
-use crate::http::{
-    self, is_timeout, read_request, reason_phrase, write_response, write_response_bytes,
-    write_response_typed, Request, RequestError,
-};
-use crate::metrics::{render_sample, render_type};
-use crate::service::{Service, ServiceConfig};
+use crate::http::client::{self, Conn};
+use crate::http::{self, write_response, write_response_bytes, LoopExit, Request, RequestError};
+use crate::metrics::{self, Kind, Read, Series};
+use crate::service::{lock_recover, Service, ServiceConfig};
 use crate::wire::{self, ErrorResponse};
 use crate::{FaultPlane, HttpServer};
 use serde::Serialize;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -317,53 +315,39 @@ impl WorkerLauncher for ProcessLauncher {
             .stdout(Stdio::null())
             .stderr(Stdio::piped());
         let mut child = cmd.spawn()?;
-        let Some(stderr) = child.stderr.take() else {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Err(io::Error::other("spawned worker has no piped stderr"));
+        let stderr = child.stderr.take();
+        // From here on an early return drops the handle, killing the child.
+        let mut worker = ProcessWorker {
+            child,
+            addr: SocketAddr::from(([127, 0, 0, 1], 0)),
         };
-        let mut reader = BufReader::new(stderr);
+        let stderr =
+            stderr.ok_or_else(|| io::Error::other("spawned worker has no piped stderr"))?;
         // The daemon announces its address within its first few stderr
         // lines or exits; a child that does neither within the budget is
-        // killed. `read_line` only blocks while the child is alive and
-        // silent, which a healthy `batsched serve` never is.
+        // killed. Reading only blocks while the child is alive and silent,
+        // which a healthy `batsched serve` never is.
         let deadline = Instant::now() + self.launch_timeout;
-        let mut addr = None;
-        let mut line = String::new();
-        while Instant::now() < deadline {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {
-                    if let Some(a) = parse_announced_addr(&line) {
-                        addr = Some(a);
-                        break;
-                    }
-                }
-            }
-        }
-        let Some(addr) = addr else {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Err(io::Error::other(format!(
-                "worker {slot} exited (or stalled) before announcing an address"
-            )));
-        };
+        let mut lines = BufReader::new(stderr).lines().map_while(Result::ok);
+        worker.addr = lines
+            .by_ref()
+            .take_while(|_| Instant::now() < deadline)
+            .find_map(|line| parse_announced_addr(&line))
+            .ok_or_else(|| {
+                io::Error::other(format!(
+                    "worker {slot} exited (or stalled) before announcing an address"
+                ))
+            })?;
         // Keep draining the child's stderr forever: a full pipe would
         // block the worker. Lines are re-emitted tagged with the slot.
         std::thread::Builder::new()
             .name(format!("batsched-fleet-stderr-{slot}"))
             .spawn(move || {
-                let mut line = String::new();
-                loop {
-                    line.clear();
-                    match reader.read_line(&mut line) {
-                        Ok(0) | Err(_) => break,
-                        Ok(_) => eprint!("[worker {slot}] {line}"),
-                    }
+                for line in lines {
+                    eprintln!("[worker {slot}] {line}");
                 }
             })?;
-        Ok(Box::new(ProcessWorker { child, addr }))
+        Ok(Box::new(worker))
     }
 }
 
@@ -588,10 +572,10 @@ struct PerWorker {
     drains: AtomicU64,
 }
 
-/// A pooled upstream connection: buffered read half + write half.
+/// A pooled upstream connection, tagged with the worker incarnation it
+/// was opened to.
 struct UpstreamConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    conn: Conn,
     epoch: u64,
 }
 
@@ -622,17 +606,6 @@ impl FleetShared {
     fn addr_of(&self, k: usize) -> Option<SocketAddr> {
         lock_recover(&self.workers.get(k)?.slot).addr
     }
-}
-
-/// Locks a fleet mutex, recovering from poisoning. Fleet state (slots,
-/// connection pools) is plain data with no mid-update invariants a
-/// panicking holder could tear halfway: the monitor re-derives every
-/// worker's state on its next pass and stale pooled connections are
-/// already fenced by the epoch counter. Inheriting the poisoned value
-/// degrades at most one worker; propagating the panic would wedge the
-/// whole router.
-fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// A running fleet: router listener + supervised workers.
@@ -755,7 +728,21 @@ impl Fleet {
             let flag = Arc::clone(&shutdown);
             std::thread::Builder::new()
                 .name("batsched-fleet-accept".into())
-                .spawn(move || accept_loop(&listener, &shared, &flag))
+                .spawn(move || {
+                    let shutdown = Arc::clone(&flag);
+                    http::accept_loop(&listener, &flag, "batsched-fleet-conn", move |stream| {
+                        let serve = |request, stream: &mut TcpStream, keep_alive, _, _| {
+                            serve_fleet_one(request, stream, &shared, &shutdown, keep_alive)
+                        };
+                        let _ = http::serve_connection(
+                            stream,
+                            &shutdown,
+                            http::IDLE_TIMEOUT,
+                            http::MAX_REQUESTS_PER_CONNECTION,
+                            serve,
+                        );
+                    });
+                })
                 .map_err(FleetStartError::Io)?
         };
         let monitor = {
@@ -814,13 +801,10 @@ impl Fleet {
             return false;
         };
         let mut slot = lock_recover(&w.slot);
-        let Some(handle) = slot.handle.as_mut() else {
+        if slot.handle.is_none() {
             return false;
-        };
-        handle.kill();
-        slot.handle = None;
-        slot.addr = None;
-        mark_down(&self.shared, k, &mut slot, "killed");
+        }
+        mark_down(&self.shared, k, &mut slot);
         true
     }
 
@@ -851,13 +835,9 @@ impl Fleet {
 
     /// Stops the router and tears the fleet down gracefully: each worker
     /// gets `POST /v1/shutdown` (compacting its disk shard) and a bounded
-    /// wait before being killed.
-    pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        self.finish();
+    /// wait before being killed. Dropping the fleet does the same.
+    pub fn shutdown(self) {
+        drop(self);
     }
 
     fn finish(&mut self) {
@@ -869,16 +849,9 @@ impl Fleet {
         for w in &self.shared.workers {
             let mut slot = lock_recover(&w.slot);
             if let Some(addr) = slot.addr {
-                post_shutdown(addr, Duration::from_secs(2));
+                post_shutdown(addr);
             }
-            if let Some(handle) = slot.handle.as_mut() {
-                if !handle.wait_exit(Duration::from_secs(5)) {
-                    handle.kill();
-                }
-            }
-            slot.handle = None;
-            slot.addr = None;
-            slot.state = WorkerState::Down;
+            reap(&mut slot);
             drop(slot);
             lock_recover(&w.pool).clear();
         }
@@ -929,79 +902,93 @@ fn status_of(shared: &Arc<FleetShared>) -> FleetStatus {
     }
 }
 
+/// The router's `/v1/metrics` table, read from a [`FleetStatus`].
+const FLEET_SERIES: [Series<FleetStatus>; 10] = [
+    Series::gauge("batsched_fleet_size", |f| f.size as u64),
+    Series::gauge("batsched_fleet_ready", |f| u64::from(f.ready)),
+    Series::counter("batsched_fleet_requests_total", |f| f.requests),
+    Series::counter("batsched_fleet_retries_total", |f| f.retries),
+    Series::counter("batsched_fleet_unavailable_total", |f| f.unavailable),
+    per_worker(Kind::Gauge, "batsched_fleet_worker_up", |f| {
+        each_worker(f, |w| u64::from(w.state == "ready"))
+    }),
+    per_worker(Kind::Gauge, "batsched_fleet_worker_inflight", |f| {
+        each_worker(f, |w| w.inflight)
+    }),
+    per_worker(Kind::Counter, "batsched_fleet_worker_proxied_total", |f| {
+        each_worker(f, |w| w.proxied)
+    }),
+    per_worker(
+        Kind::Counter,
+        "batsched_fleet_worker_upstream_errors_total",
+        |f| each_worker(f, |w| w.upstream_errors),
+    ),
+    per_worker(Kind::Counter, "batsched_fleet_worker_restarts_total", |f| {
+        each_worker(f, |w| w.restarts)
+    }),
+];
+
+/// A series with one `worker="k"` sample per slot.
+const fn per_worker(
+    kind: Kind,
+    name: &'static str,
+    read: fn(&FleetStatus) -> Vec<(String, u64)>,
+) -> Series<FleetStatus> {
+    Series::labelled(kind, name, Some("worker"), Read::Labelled(read))
+}
+
+fn each_worker(f: &FleetStatus, get: fn(&WorkerStatus) -> u64) -> Vec<(String, u64)> {
+    f.workers
+        .iter()
+        .map(|w| (w.id.to_string(), get(w)))
+        .collect()
+}
+
 fn metrics_of(shared: &Arc<FleetShared>) -> String {
-    let status = status_of(shared);
-    let mut out = String::with_capacity(4 * 1024);
-    render_type(&mut out, "batsched_fleet_size", "gauge");
-    render_sample(&mut out, "batsched_fleet_size", "", status.size as u64);
-    render_type(&mut out, "batsched_fleet_ready", "gauge");
-    render_sample(
-        &mut out,
-        "batsched_fleet_ready",
-        "",
-        u64::from(status.ready),
-    );
-    render_type(&mut out, "batsched_fleet_requests_total", "counter");
-    render_sample(
-        &mut out,
-        "batsched_fleet_requests_total",
-        "",
-        status.requests,
-    );
-    render_type(&mut out, "batsched_fleet_retries_total", "counter");
-    render_sample(&mut out, "batsched_fleet_retries_total", "", status.retries);
-    render_type(&mut out, "batsched_fleet_unavailable_total", "counter");
-    render_sample(
-        &mut out,
-        "batsched_fleet_unavailable_total",
-        "",
-        status.unavailable,
-    );
-    type WorkerSeries = (&'static str, &'static str, fn(&WorkerStatus) -> u64);
-    let per_worker: [WorkerSeries; 5] = [
-        ("batsched_fleet_worker_up", "gauge", |w| {
-            u64::from(w.state == "ready")
-        }),
-        ("batsched_fleet_worker_inflight", "gauge", |w| w.inflight),
-        ("batsched_fleet_worker_proxied_total", "counter", |w| {
-            w.proxied
-        }),
-        (
-            "batsched_fleet_worker_upstream_errors_total",
-            "counter",
-            |w| w.upstream_errors,
-        ),
-        ("batsched_fleet_worker_restarts_total", "counter", |w| {
-            w.restarts
-        }),
-    ];
-    for (name, kind, get) in per_worker {
-        render_type(&mut out, name, kind);
-        for w in &status.workers {
-            render_sample(&mut out, name, &format!("worker=\"{}\"", w.id), get(w));
-        }
-    }
-    out
+    metrics::render(&FLEET_SERIES, &status_of(shared))
 }
 
 // ---------------------------------------------------------------------------
 // Worker lifecycle (monitor thread)
 // ---------------------------------------------------------------------------
 
-/// Transitions a slot to `Down` and escalates its backoff. The caller has
-/// already disposed of the handle (or knows it is dead).
-fn mark_down(shared: &Arc<FleetShared>, k: usize, slot: &mut Slot, _why: &str) {
+/// Transitions slot `k` to `Down` — killing its worker if it still runs —
+/// and escalates its backoff.
+fn mark_down(shared: &Arc<FleetShared>, k: usize, slot: &mut Slot) {
     let Some(w) = shared.workers.get(k) else {
         return;
     };
-    w.epoch.fetch_add(1, Ordering::SeqCst);
-    lock_recover(&w.pool).clear();
-    w.proxy_failures.store(0, Ordering::Relaxed);
+    fence(w);
+    if let Some(mut handle) = slot.handle.take() {
+        handle.kill();
+    }
+    slot.addr = None;
     slot.probe_failures = 0;
     slot.state = WorkerState::Down;
     slot.since = Instant::now();
     slot.backoff_until = Instant::now() + slot.backoff;
     slot.backoff = (slot.backoff * 2).min(shared.cfg.backoff_max);
+}
+
+/// Retires worker `w`'s previous incarnation: its pooled connections are
+/// stale, and its run of failed exchanges no longer counts.
+fn fence(w: &PerWorker) {
+    w.epoch.fetch_add(1, Ordering::SeqCst);
+    lock_recover(&w.pool).clear();
+    w.proxy_failures.store(0, Ordering::Relaxed);
+}
+
+/// Waits (bounded) for a slot's worker to exit after `POST /v1/shutdown`,
+/// kills it if it does not, and leaves the slot `Down`.
+fn reap(slot: &mut Slot) {
+    if let Some(handle) = slot.handle.as_mut() {
+        if !handle.wait_exit(Duration::from_secs(5)) {
+            handle.kill();
+        }
+    }
+    slot.handle = None;
+    slot.addr = None;
+    slot.state = WorkerState::Down;
 }
 
 /// Launches slot `k` (synchronously) and moves it to `Starting`. On
@@ -1030,10 +1017,7 @@ fn launch_slot(shared: &Arc<FleetShared>, k: usize) {
             slot.addr = Some(handle.addr());
             slot.handle = Some(handle);
         }
-        Err(_) => {
-            let mut slot = lock_recover(&w.slot);
-            mark_down(shared, k, &mut slot, "launch failed");
-        }
+        Err(_) => mark_down(shared, k, &mut lock_recover(&w.slot)),
     }
 }
 
@@ -1057,16 +1041,9 @@ fn step_slot(shared: &Arc<FleetShared>, k: usize) {
             WorkerState::Starting => match slot.handle.as_mut() {
                 None => None, // launch in progress elsewhere
                 Some(handle) => {
-                    if handle.poll_dead() {
-                        slot.handle = None;
-                        slot.addr = None;
-                        mark_down(shared, k, slot, "died while starting");
-                        None
-                    } else if slot.since.elapsed() > shared.cfg.start_timeout {
-                        handle.kill();
-                        slot.handle = None;
-                        slot.addr = None;
-                        mark_down(shared, k, slot, "start timeout");
+                    // Died while starting, or did not start in time.
+                    if handle.poll_dead() || slot.since.elapsed() > shared.cfg.start_timeout {
+                        mark_down(shared, k, slot);
                         None
                     } else {
                         slot.addr.map(StepAction::ProbeStarting)
@@ -1076,20 +1053,12 @@ fn step_slot(shared: &Arc<FleetShared>, k: usize) {
             WorkerState::Ready => match slot.handle.as_mut() {
                 None => None,
                 Some(handle) => {
-                    if handle.poll_dead() {
-                        slot.handle = None;
-                        slot.addr = None;
-                        mark_down(shared, k, slot, "died");
-                        None
-                    } else if w.proxy_failures.load(Ordering::Relaxed)
-                        >= shared.cfg.breaker_threshold
-                    {
-                        // Wedged: accepting connections but failing every
-                        // exchange. Kill and restart with backoff.
-                        handle.kill();
-                        slot.handle = None;
-                        slot.addr = None;
-                        mark_down(shared, k, slot, "breaker tripped");
+                    // Died, or wedged: accepting connections but failing
+                    // every exchange. Restart with backoff.
+                    let wedged =
+                        w.proxy_failures.load(Ordering::Relaxed) >= shared.cfg.breaker_threshold;
+                    if handle.poll_dead() || wedged {
+                        mark_down(shared, k, slot);
                         None
                     } else {
                         slot.addr.map(StepAction::ProbeReady)
@@ -1127,12 +1096,7 @@ fn step_slot(shared: &Arc<FleetShared>, k: usize) {
             } else {
                 slot.probe_failures += 1;
                 if slot.probe_failures >= shared.cfg.breaker_threshold {
-                    if let Some(handle) = slot.handle.as_mut() {
-                        handle.kill();
-                    }
-                    slot.handle = None;
-                    slot.addr = None;
-                    mark_down(shared, k, &mut slot, "failed readiness probes");
+                    mark_down(shared, k, &mut slot);
                 }
             }
         }
@@ -1166,39 +1130,18 @@ fn monitor_loop(shared: &Arc<FleetShared>, shutdown: &Arc<AtomicBool>) {
 
 /// `GET /readyz` against a worker; `true` on a 200 within `timeout`.
 fn probe_ready(addr: SocketAddr, timeout: Duration) -> bool {
-    let Ok(mut stream) = TcpStream::connect_timeout(&addr, timeout) else {
-        return false;
-    };
-    if stream.set_read_timeout(Some(timeout)).is_err()
-        || stream.set_write_timeout(Some(timeout)).is_err()
-    {
-        return false;
-    }
-    let req = format!("GET /readyz HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    if stream.write_all(req.as_bytes()).is_err() {
-        return false;
-    }
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    matches!(reader.read_line(&mut line), Ok(n) if n > 0) && line.contains(" 200 ")
+    Conn::connect(addr, timeout)
+        .and_then(|mut c| c.call("GET", "/readyz", &[], b"", false))
+        .is_ok_and(|r| r.status == 200)
 }
 
 /// Best-effort `POST /v1/shutdown` to a worker (graceful stop: it drains
-/// its queue and compacts its disk shard).
-fn post_shutdown(addr: SocketAddr, timeout: Duration) {
-    let Ok(mut stream) = TcpStream::connect_timeout(&addr, timeout) else {
-        return;
-    };
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    let req = format!(
-        "POST /v1/shutdown HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
-    );
-    let _ = stream.write_all(req.as_bytes());
-    // Wait for the acknowledgement (or EOF) so the worker has actually
-    // begun shutting down before the caller starts waiting on its exit.
-    let mut buf = [0u8; 512];
-    let _ = stream.read(&mut buf);
+/// its queue and compacts its disk shard). Waits for the acknowledgement
+/// (or EOF) so the worker has actually begun shutting down before the
+/// caller starts waiting on its exit.
+fn post_shutdown(addr: SocketAddr) {
+    let _ = Conn::connect(addr, Duration::from_secs(2))
+        .and_then(|mut c| c.call("POST", "/v1/shutdown", &[], b"", false));
 }
 
 // ---------------------------------------------------------------------------
@@ -1241,177 +1184,49 @@ fn run_drain(shared: &Arc<FleetShared>, k: usize) {
     }
     let addr = lock_recover(&w.slot).addr;
     if let Some(addr) = addr {
-        post_shutdown(addr, Duration::from_secs(2));
+        post_shutdown(addr);
     }
     let mut slot = lock_recover(&w.slot);
-    if let Some(handle) = slot.handle.as_mut() {
-        if !handle.wait_exit(Duration::from_secs(5)) {
-            handle.kill();
-        }
-    }
-    slot.handle = None;
-    slot.addr = None;
-    slot.state = WorkerState::Down;
+    reap(&mut slot);
     slot.since = Instant::now();
     // An operator-intended restart is not a failure: relaunch immediately
     // with the base backoff, not an escalated one.
     slot.backoff = shared.cfg.backoff_base;
     slot.backoff_until = Instant::now();
     drop(slot);
-    w.epoch.fetch_add(1, Ordering::SeqCst);
-    lock_recover(&w.pool).clear();
-    w.proxy_failures.store(0, Ordering::Relaxed);
+    fence(w);
 }
 
 // ---------------------------------------------------------------------------
 // Router: accept loop and request handling
 // ---------------------------------------------------------------------------
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<FleetShared>, shutdown: &Arc<AtomicBool>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                let flag = Arc::clone(shutdown);
-                if let Ok(h) = std::thread::Builder::new()
-                    .name("batsched-fleet-conn".into())
-                    .spawn(move || {
-                        let _ = handle_client(stream, &shared, &flag);
-                    })
-                {
-                    conns.push(h);
-                }
-                conns.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                conns.retain(|h| !h.is_finished());
-                std::thread::sleep(http::ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(http::ACCEPT_POLL),
-        }
-    }
-    for h in conns {
-        let _ = h.join();
-    }
-}
-
-fn handle_client(
-    stream: TcpStream,
-    shared: &Arc<FleetShared>,
-    shutdown: &Arc<AtomicBool>,
-) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_write_timeout(Some(http::IO_TIMEOUT))?;
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut stream = stream;
-    let mut served = 0usize;
-
-    loop {
-        let mut idled = Duration::ZERO;
-        loop {
-            if shutdown.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            stream.set_read_timeout(Some(http::IDLE_POLL))?;
-            match reader.fill_buf() {
-                Ok([]) => return Ok(()),
-                Ok(_) => break,
-                Err(e) if is_timeout(&e) => {
-                    idled += http::IDLE_POLL;
-                    if idled >= http::IDLE_TIMEOUT {
-                        return Ok(());
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        stream.set_read_timeout(Some(http::IO_TIMEOUT))?;
-
-        served += 1;
-        let request = read_request(&mut reader);
-        let wants_more = matches!(&request, Ok(req) if req.keep_alive)
-            && served < http::MAX_REQUESTS_PER_CONNECTION
-            && !shutdown.load(Ordering::SeqCst);
-
-        let exit = serve_fleet_one(request, &mut stream, shared, shutdown, wants_more)?;
-        if matches!(exit, ClientExit::Close) || !wants_more {
-            return Ok(());
-        }
-    }
-}
-
-enum ClientExit {
-    KeepGoing,
-    Close,
-}
-
 fn serve_fleet_one(
     request: Result<Request, RequestError>,
     stream: &mut TcpStream,
     shared: &Arc<FleetShared>,
-    shutdown: &Arc<AtomicBool>,
+    shutdown: &AtomicBool,
     keep_alive: bool,
-) -> io::Result<ClientExit> {
+) -> io::Result<LoopExit> {
     // Framing failures mirror the worker frontend exactly: typed error,
     // then close — the router never guesses where the next request starts.
     let req = match request {
         Ok(req) => req,
-        Err(RequestError::TooLarge) => {
-            write_response(
-                stream,
-                413,
-                reason_phrase(413),
-                &ErrorResponse::new("too_large", "request head or body exceeds the size limit")
-                    .to_json(),
-                &[],
-                false,
-            )?;
-            return Ok(ClientExit::Close);
+        Err(e) => {
+            http::reject(stream, e)?;
+            return Ok(LoopExit::AnnouncedClose);
         }
-        Err(RequestError::Malformed(msg)) => {
-            write_response(
-                stream,
-                400,
-                reason_phrase(400),
-                &ErrorResponse::new("bad_http", msg).to_json(),
-                &[],
-                false,
-            )?;
-            return Ok(ClientExit::Close);
-        }
-        Err(RequestError::Unsupported(msg)) => {
-            write_response(
-                stream,
-                501,
-                reason_phrase(501),
-                &ErrorResponse::new("unsupported_transfer_encoding", msg).to_json(),
-                &[],
-                false,
-            )?;
-            return Ok(ClientExit::Close);
-        }
-        Err(RequestError::Io(e)) => return Err(e),
     };
 
-    let echo_header = req
-        .request_id
-        .as_ref()
-        .map(|id| format!("X-Request-Id: {id}"));
+    let echo_header = http::echo_header(&req);
     let echo: Vec<&str> = echo_header.as_deref().into_iter().collect();
 
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/v1/schedule") => proxy_schedule(&req, stream, shared, keep_alive),
-        ("GET", "/healthz") => {
-            write_response(stream, 200, "OK", r#"{"ok":true}"#, &echo, keep_alive)?;
-            Ok(ClientExit::KeepGoing)
-        }
         ("GET", "/readyz") => {
             let status = status_of(shared);
-            if status.ready {
-                write_response(stream, 200, "OK", r#"{"ready":true}"#, &echo, keep_alive)?;
+            let (code, body) = if status.ready {
+                (200, r#"{"ready":true}"#.to_string())
             } else {
                 let mut reasons: Vec<String> = status
                     .workers
@@ -1422,90 +1237,46 @@ fn serve_fleet_one(
                 if shared.shutting_down.load(Ordering::SeqCst) {
                     reasons.push("\"shutting_down\"".to_string());
                 }
-                let body = format!("{{\"ready\":false,\"reasons\":[{}]}}", reasons.join(","));
-                write_response(stream, 503, reason_phrase(503), &body, &echo, keep_alive)?;
-            }
-            Ok(ClientExit::KeepGoing)
+                let reasons = reasons.join(",");
+                (503, format!("{{\"ready\":false,\"reasons\":[{reasons}]}}"))
+            };
+            write_response(stream, code, &body, &echo, keep_alive)?;
+            Ok(LoopExit::Served)
         }
         ("GET", "/v1/fleet") => {
             // lint:allow(panic-path): FleetStatus is an owned in-memory struct
             // of strings/ints with derived Serialize; serialisation cannot fail.
             let body = serde_json::to_string(&status_of(shared)).expect("fleet status serialises");
-            write_response(stream, 200, "OK", &body, &echo, keep_alive)?;
-            Ok(ClientExit::KeepGoing)
+            write_response(stream, 200, &body, &echo, keep_alive)?;
+            Ok(LoopExit::Served)
         }
         ("GET", "/v1/metrics") => {
-            write_response_typed(
+            write_response_bytes(
                 stream,
                 200,
-                "OK",
                 "text/plain; version=0.0.4; charset=utf-8",
-                &metrics_of(shared),
+                metrics_of(shared).as_bytes(),
                 &echo,
                 keep_alive,
             )?;
-            Ok(ClientExit::KeepGoing)
+            Ok(LoopExit::Served)
         }
         ("POST", path) if path.starts_with("/v1/fleet/drain/") => {
             let spec = path.strip_prefix("/v1/fleet/drain/").unwrap_or_default();
-            match spec.parse::<usize>() {
+            let (status, body) = match spec.parse::<usize>() {
                 Ok(k) => match drain_worker(shared, k) {
-                    Ok(()) => {
-                        let body = format!("{{\"ok\":true,\"draining\":{k}}}");
-                        write_response(stream, 200, "OK", &body, &echo, keep_alive)?;
-                    }
-                    Err(msg) => {
-                        write_response(
-                            stream,
-                            409,
-                            "Conflict",
-                            &ErrorResponse::new("drain_rejected", msg).to_json(),
-                            &echo,
-                            keep_alive,
-                        )?;
-                    }
+                    Ok(()) => (200, format!("{{\"ok\":true,\"draining\":{k}}}")),
+                    Err(msg) => (409, ErrorResponse::new("drain_rejected", msg).to_json()),
                 },
                 Err(_) => {
-                    write_response(
-                        stream,
-                        400,
-                        reason_phrase(400),
-                        &ErrorResponse::new(
-                            "bad_request",
-                            format!("'{spec}' is not a worker index"),
-                        )
-                        .to_json(),
-                        &echo,
-                        keep_alive,
-                    )?;
+                    let msg = format!("'{spec}' is not a worker index");
+                    (400, ErrorResponse::new("bad_request", msg).to_json())
                 }
-            }
-            Ok(ClientExit::KeepGoing)
+            };
+            write_response(stream, status, &body, &echo, keep_alive)?;
+            Ok(LoopExit::Served)
         }
-        ("POST", "/v1/shutdown") => {
-            write_response(
-                stream,
-                200,
-                "OK",
-                r#"{"ok":true,"shutting_down":true}"#,
-                &echo,
-                false,
-            )?;
-            shutdown.store(true, Ordering::SeqCst);
-            Ok(ClientExit::Close)
-        }
-        _ => {
-            write_response(
-                stream,
-                404,
-                reason_phrase(404),
-                &ErrorResponse::new("not_found", format!("no route {} {}", req.method, req.path))
-                    .to_json(),
-                &echo,
-                keep_alive,
-            )?;
-            Ok(ClientExit::KeepGoing)
-        }
+        _ => http::serve_common(&req, stream, &echo, keep_alive, shutdown),
     }
 }
 
@@ -1513,22 +1284,12 @@ fn serve_fleet_one(
 // Proxying
 // ---------------------------------------------------------------------------
 
-/// A fully buffered upstream response, ready to relay or retry.
-struct UpstreamResponse {
-    status: u16,
-    content_type: String,
-    x_cache: Option<String>,
-    request_id: Option<String>,
-    keep_alive: bool,
-    body: Vec<u8>,
-}
-
 fn proxy_schedule(
     req: &Request,
     stream: &mut TcpStream,
     shared: &Arc<FleetShared>,
     keep_alive: bool,
-) -> io::Result<ClientExit> {
+) -> io::Result<LoopExit> {
     shared.requests.fetch_add(1, Ordering::Relaxed);
     // Routing key: FNV-1a over the raw body bytes, folded onto a home
     // slot. Raw-byte hashing keeps routing allocation- and parse-free;
@@ -1571,24 +1332,23 @@ fn proxy_schedule(
         Some((k, resp)) => {
             let rid = format!(
                 "X-Request-Id: {}",
-                resp.request_id.as_deref().unwrap_or(&trace_id)
+                resp.header("x-request-id").unwrap_or(&trace_id)
             );
             let fw = format!("X-Fleet-Worker: {k}");
             let mut headers: Vec<&str> = vec![rid.as_str(), fw.as_str()];
-            let xc = resp.x_cache.as_ref().map(|v| format!("X-Cache: {v}"));
+            let xc = resp.header("x-cache").map(|v| format!("X-Cache: {v}"));
             if let Some(xc) = &xc {
                 headers.push(xc.as_str());
             }
             write_response_bytes(
                 stream,
                 resp.status,
-                reason_phrase(resp.status),
-                &resp.content_type,
+                resp.header("content-type").unwrap_or("application/json"),
                 &resp.body,
                 &headers,
                 keep_alive,
             )?;
-            Ok(ClientExit::KeepGoing)
+            Ok(LoopExit::Served)
         }
         None => {
             shared.unavailable.fetch_add(1, Ordering::Relaxed);
@@ -1596,7 +1356,6 @@ fn proxy_schedule(
             write_response(
                 stream,
                 503,
-                reason_phrase(503),
                 &ErrorResponse::new(
                     "upstream_unavailable",
                     format!(
@@ -1608,7 +1367,7 @@ fn proxy_schedule(
                 &[rid.as_str()],
                 keep_alive,
             )?;
-            Ok(ClientExit::KeepGoing)
+            Ok(LoopExit::Served)
         }
     }
 }
@@ -1622,7 +1381,7 @@ fn proxy_attempt(
     k: usize,
     req: &Request,
     trace_id: &str,
-) -> io::Result<UpstreamResponse> {
+) -> io::Result<client::Response> {
     let Some(w) = shared.workers.get(k) else {
         return Err(io::Error::other("worker index out of range"));
     };
@@ -1636,23 +1395,17 @@ fn proxy_attempt(
         // repool).
         let pooled = lock_recover(&w.pool).pop();
         if let Some(mut conn) = pooled {
-            if let Ok(resp) = exchange(&mut conn, addr, req, trace_id) {
-                repool(shared, k, conn, resp.keep_alive);
+            if let Ok(resp) = exchange(&mut conn.conn, req, trace_id) {
+                repool(shared, k, conn, resp.keep_alive());
                 return Ok(resp);
             }
         }
-        let epoch = w.epoch.load(Ordering::SeqCst);
-        let stream = TcpStream::connect_timeout(&addr, shared.cfg.upstream_timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(shared.cfg.upstream_timeout))?;
-        stream.set_write_timeout(Some(shared.cfg.upstream_timeout))?;
         let mut conn = UpstreamConn {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
-            epoch,
+            epoch: w.epoch.load(Ordering::SeqCst),
+            conn: Conn::connect(addr, shared.cfg.upstream_timeout)?,
         };
-        let resp = exchange(&mut conn, addr, req, trace_id)?;
-        repool(shared, k, conn, resp.keep_alive);
+        let resp = exchange(&mut conn.conn, req, trace_id)?;
+        repool(shared, k, conn, resp.keep_alive());
         Ok(resp)
     })();
     w.inflight.fetch_sub(1, Ordering::SeqCst);
@@ -1690,108 +1443,22 @@ fn repool(shared: &Arc<FleetShared>, k: usize, conn: UpstreamConn, keep_alive: b
 }
 
 /// Sends the proxied request and reads the complete framed response.
-fn exchange(
-    conn: &mut UpstreamConn,
-    addr: SocketAddr,
-    req: &Request,
-    trace_id: &str,
-) -> io::Result<UpstreamResponse> {
-    let mut head = format!(
-        "POST /v1/schedule HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n",
-        req.body.len()
-    );
-    if let Some(ct) = &req.content_type {
-        head.push_str(&format!("Content-Type: {ct}\r\n"));
-    }
-    if req.accept_binary {
-        head.push_str(&format!("Accept: {}\r\n", crate::wire_bin::CONTENT_TYPE));
-    }
-    head.push_str(&format!(
-        "X-Request-Id: {trace_id}\r\nConnection: keep-alive\r\n\r\n"
-    ));
-    conn.writer.write_all(head.as_bytes())?;
-    conn.writer.write_all(&req.body)?;
-    conn.writer.flush()?;
-    read_upstream_response(&mut conn.reader)
-}
-
-/// Reads one head line, treating EOF and truncation as hard errors — a
-/// response that stops mid-head means the upstream died mid-exchange.
-fn read_resp_line<R: BufRead>(reader: &mut R) -> io::Result<String> {
-    const MAX_LINE: u64 = 16 * 1024;
-    let mut raw = Vec::new();
-    let n = reader.by_ref().take(MAX_LINE).read_until(b'\n', &mut raw)?;
-    if n == 0 || raw.last() != Some(&b'\n') {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "upstream closed mid-response",
-        ));
-    }
-    String::from_utf8(raw)
-        .map(|s| s.trim_end_matches(['\r', '\n']).to_string())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 response head"))
-}
-
-fn read_upstream_response<R: BufRead>(reader: &mut R) -> io::Result<UpstreamResponse> {
-    let status_line = read_resp_line(reader)?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unreadable status line {status_line:?}"),
-            )
-        })?;
-    let mut content_length: Option<usize> = None;
-    let mut content_type = String::from("application/json");
-    let mut x_cache = None;
-    let mut request_id = None;
-    let mut keep_alive = true;
-    loop {
-        let line = read_resp_line(reader)?;
-        if line.is_empty() {
-            break;
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let value = value.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.parse().ok();
-        } else if name.eq_ignore_ascii_case("content-type") {
-            content_type = value.to_string();
-        } else if name.eq_ignore_ascii_case("x-cache") {
-            x_cache = Some(value.to_string());
-        } else if name.eq_ignore_ascii_case("x-request-id") {
-            request_id = Some(value.to_string());
-        } else if name.eq_ignore_ascii_case("connection") && value.eq_ignore_ascii_case("close") {
-            keep_alive = false;
-        }
-    }
-    let len = content_length.ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            "upstream response without Content-Length",
-        )
-    })?;
-    if len > http::MAX_BODY_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "upstream response body over the size cap",
-        ));
-    }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
-    Ok(UpstreamResponse {
-        status,
-        content_type,
-        x_cache,
-        request_id,
-        keep_alive,
-        body,
-    })
+fn exchange(conn: &mut Conn, req: &Request, trace_id: &str) -> io::Result<client::Response> {
+    let content_type = req
+        .content_type
+        .as_ref()
+        .map(|ct| format!("Content-Type: {ct}"));
+    let accept = req
+        .accept_binary
+        .then(|| format!("Accept: {}", crate::wire_bin::CONTENT_TYPE));
+    let request_id = format!("X-Request-Id: {trace_id}");
+    let headers: Vec<&str> = content_type
+        .iter()
+        .chain(&accept)
+        .chain([&request_id])
+        .map(String::as_str)
+        .collect();
+    conn.call("POST", "/v1/schedule", &headers, &req.body, true)
 }
 
 #[cfg(test)]

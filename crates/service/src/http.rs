@@ -59,6 +59,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+pub mod client;
+
 /// Largest accepted request body (an n=50, m=8 instance is ~60 KB; this
 /// leaves two orders of magnitude of headroom without letting one client
 /// balloon memory).
@@ -113,7 +115,18 @@ impl HttpServer {
         let flag = Arc::clone(&shutdown);
         let acceptor = std::thread::Builder::new()
             .name("batsched-http-accept".into())
-            .spawn(move || accept_loop(&listener, &service, &flag))?;
+            .spawn(move || {
+                let shutdown = Arc::clone(&flag);
+                accept_loop(&listener, &flag, "batsched-http-conn", move |stream| {
+                    let (idle_timeout, max_requests) = service.http_limits();
+                    let serve = |request, stream: &mut TcpStream, keep_alive, started, read_us| {
+                        serve_one(
+                            request, stream, &service, &shutdown, keep_alive, started, read_us,
+                        )
+                    };
+                    let _ = serve_connection(stream, &shutdown, idle_timeout, max_requests, serve);
+                });
+            })?;
         Ok(HttpServer {
             addr,
             shutdown,
@@ -149,18 +162,23 @@ impl Drop for HttpServer {
     }
 }
 
-fn accept_loop(listener: &TcpListener, service: &Arc<Service>, shutdown: &Arc<AtomicBool>) {
+/// Accepts connections until `shutdown` is raised, serving each on its
+/// own thread; joins them all before returning. Shared with the fleet
+/// router.
+pub(crate) fn accept_loop(
+    listener: &TcpListener,
+    shutdown: &AtomicBool,
+    thread_name: &str,
+    serve: impl Fn(TcpStream) + Clone + Send + 'static,
+) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
     while !shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
-                let service = Arc::clone(service);
-                let flag = Arc::clone(shutdown);
+                let serve = serve.clone();
                 if let Ok(h) = std::thread::Builder::new()
-                    .name("batsched-http-conn".into())
-                    .spawn(move || {
-                        let _ = handle_connection(stream, &service, &flag);
-                    })
+                    .name(thread_name.into())
+                    .spawn(move || serve(stream))
                 {
                     conns.push(h);
                 }
@@ -181,78 +199,89 @@ fn accept_loop(listener: &TcpListener, service: &Arc<Service>, shutdown: &Arc<At
     }
 }
 
-/// Why a connection's request loop ends.
-enum LoopExit {
-    /// Peer closed (or went idle past the timeout) at a request boundary.
-    CleanClose,
+/// Waits at a request boundary for the next request's first byte, then
+/// switches `stream` to the per-read timeout. `false` when the peer closed,
+/// the connection sat idle past `idle_timeout` or `shutdown` was raised —
+/// a clean close, not an error. Polls in short read-timeout ticks so a
+/// shutdown doesn't wait out the whole idle window.
+fn await_request(
+    reader: &mut BufReader<TcpStream>,
+    stream: &TcpStream,
+    shutdown: &AtomicBool,
+    idle_timeout: Duration,
+) -> io::Result<bool> {
+    let mut idled = Duration::ZERO;
+    loop {
+        if shutdown.load(Ordering::SeqCst) {
+            return Ok(false);
+        }
+        stream.set_read_timeout(Some(IDLE_POLL))?;
+        match reader.fill_buf() {
+            Ok([]) => return Ok(false), // peer closed between requests
+            Ok(_) => break,             // first bytes of the next request
+            Err(e) if is_timeout(&e) => {
+                idled += IDLE_POLL;
+                if idled >= idle_timeout {
+                    return Ok(false);
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    Ok(true)
+}
+
+/// How answering one request leaves its connection.
+pub(crate) enum LoopExit {
+    /// Answered; the loop goes on if both sides agreed to keep alive.
+    Served,
     /// This response announced `Connection: close`; close after writing.
     AnnouncedClose,
 }
 
-fn handle_connection(
+/// Runs one connection's request loop (shared with the fleet router): waits
+/// at each request boundary, frames the request and hands it to `serve`
+/// with whether both sides agreed to keep the connection alive, when the
+/// request's first byte arrived and how long reading it took (µs).
+pub(crate) fn serve_connection(
     stream: TcpStream,
-    service: &Arc<Service>,
-    shutdown: &Arc<AtomicBool>,
+    shutdown: &AtomicBool,
+    idle_timeout: Duration,
+    max_requests: usize,
+    mut serve: impl FnMut(
+        Result<Request, RequestError>,
+        &mut TcpStream,
+        bool,
+        Instant,
+        u64,
+    ) -> io::Result<LoopExit>,
 ) -> io::Result<()> {
     stream.set_nonblocking(false)?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     // Small responses on a kept-alive connection: without NODELAY, Nagle
     // batches the next response behind the previous ACK.
     stream.set_nodelay(true)?;
-    let (idle_timeout, max_requests) = service.http_limits();
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut stream = stream;
     let mut served = 0usize;
-
-    loop {
-        // Wait at the request boundary: EOF or idle timeout here is a
-        // clean close, not an error. Poll in short read-timeout ticks so
-        // a daemon shutdown doesn't wait out the whole idle window.
-        let mut idled = Duration::ZERO;
-        loop {
-            if shutdown.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            stream.set_read_timeout(Some(IDLE_POLL))?;
-            match reader.fill_buf() {
-                Ok([]) => return Ok(()), // peer closed between requests
-                Ok(_) => break,          // first bytes of the next request
-                Err(e) if is_timeout(&e) => {
-                    idled += IDLE_POLL;
-                    if idled >= idle_timeout {
-                        return Ok(());
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        // A request is arriving: per-read timeout from here on. The
-        // request's end-to-end clock starts at its first byte.
-        stream.set_read_timeout(Some(IO_TIMEOUT))?;
-
+    while await_request(&mut reader, &stream, shutdown, idle_timeout)? {
         served += 1;
+        // The request's end-to-end clock starts at its first byte.
         let started = Instant::now();
         let request = read_request(&mut reader);
         let read_us = started.elapsed().as_micros() as u64;
         let wants_more = matches!(&request, Ok(req) if req.keep_alive)
             && served < max_requests
             && !shutdown.load(Ordering::SeqCst);
-
-        let exit = serve_one(
-            request,
-            &mut stream,
-            service,
-            shutdown,
-            wants_more,
-            started,
-            read_us,
-        )?;
+        let exit = serve(request, &mut stream, wants_more, started, read_us)?;
         // Continue the loop only when both sides agreed to keep going.
         if matches!(exit, LoopExit::AnnouncedClose) || !wants_more {
-            return Ok(());
+            break;
         }
     }
+    Ok(())
 }
 
 /// Lingering close for responses that reject a request mid-read
@@ -284,60 +313,22 @@ fn linger_close(stream: &mut TcpStream) {
 fn serve_one(
     request: Result<Request, RequestError>,
     stream: &mut TcpStream,
-    service: &Arc<Service>,
-    shutdown: &Arc<AtomicBool>,
+    service: &Service,
+    shutdown: &AtomicBool,
     keep_alive: bool,
     started: Instant,
     read_us: u64,
 ) -> io::Result<LoopExit> {
     let req = match request {
         Ok(req) => req,
-        Err(RequestError::TooLarge) => {
-            write_response(
-                stream,
-                413,
-                "Payload Too Large",
-                &ErrorResponse::new("too_large", "request head or body exceeds the size limit")
-                    .to_json(),
-                &[],
-                false,
-            )?;
+        Err(e) => {
+            reject(stream, e)?;
             linger_close(stream);
             return Ok(LoopExit::AnnouncedClose);
         }
-        Err(RequestError::Malformed(msg)) => {
-            write_response(
-                stream,
-                400,
-                "Bad Request",
-                &ErrorResponse::new("bad_http", msg).to_json(),
-                &[],
-                false,
-            )?;
-            linger_close(stream);
-            return Ok(LoopExit::AnnouncedClose);
-        }
-        Err(RequestError::Unsupported(msg)) => {
-            write_response(
-                stream,
-                501,
-                "Not Implemented",
-                &ErrorResponse::new("unsupported_transfer_encoding", msg).to_json(),
-                &[],
-                false,
-            )?;
-            linger_close(stream);
-            return Ok(LoopExit::AnnouncedClose);
-        }
-        Err(RequestError::Io(e)) => return Err(e),
     };
 
-    // A sane client-supplied X-Request-Id is echoed on every response,
-    // typed errors included, so the caller can correlate across retries.
-    let echo_header = req
-        .request_id
-        .as_ref()
-        .map(|id| format!("X-Request-Id: {id}"));
+    let echo_header = echo_header(&req);
     let echo: Vec<&str> = echo_header.as_deref().into_iter().collect();
 
     match (req.method.as_str(), req.path.as_str()) {
@@ -350,7 +341,6 @@ fn serve_one(
                 write_response(
                     stream,
                     415,
-                    reason_phrase(415),
                     &ErrorResponse::new(
                         "unsupported_media_type",
                         format!(
@@ -362,7 +352,7 @@ fn serve_one(
                     &echo,
                     keep_alive,
                 )?;
-                return Ok(LoopExit::CleanClose);
+                return Ok(LoopExit::Served);
             };
             let trace_id = req
                 .request_id
@@ -418,20 +408,12 @@ fn serve_one(
                 Some(bin) => write_response_bytes(
                     stream,
                     200,
-                    reason_phrase(200),
                     wire_bin::CONTENT_TYPE,
                     bin,
                     &headers,
                     keep_alive,
                 )?,
-                None => write_response(
-                    stream,
-                    status,
-                    reason_phrase(status),
-                    &reply.body,
-                    &headers,
-                    keep_alive,
-                )?,
+                None => write_response(stream, status, &reply.body, &headers, keep_alive)?,
             }
             let write_us = write_started.elapsed().as_micros() as u64;
             service.observe_http(read_us, write_us);
@@ -440,64 +422,73 @@ fn serve_one(
                 &Span::new(trace_id, &reply, read_us, write_us, total_us)
                     .with_fleet_worker(service.fleet_worker()),
             );
-            Ok(LoopExit::CleanClose)
+            Ok(LoopExit::Served)
         }
         ("GET", "/v1/stats") => {
-            write_response(stream, 200, "OK", &service.stats_json(), &echo, keep_alive)?;
-            Ok(LoopExit::CleanClose)
+            write_response(stream, 200, &service.stats_json(), &echo, keep_alive)?;
+            Ok(LoopExit::Served)
         }
         ("GET", "/v1/metrics") => {
-            write_response_typed(
+            write_response_bytes(
                 stream,
                 200,
-                "OK",
                 "text/plain; version=0.0.4; charset=utf-8",
-                &service.metrics_text(),
+                service.metrics_text().as_bytes(),
                 &echo,
                 keep_alive,
             )?;
-            Ok(LoopExit::CleanClose)
-        }
-        ("GET", "/healthz") => {
-            write_response(stream, 200, "OK", r#"{"ok":true}"#, &echo, keep_alive)?;
-            Ok(LoopExit::CleanClose)
+            Ok(LoopExit::Served)
         }
         ("GET", "/readyz") => {
             match service.readiness() {
                 Ok(()) => {
-                    write_response(stream, 200, "OK", r#"{"ready":true}"#, &echo, keep_alive)?;
+                    write_response(stream, 200, r#"{"ready":true}"#, &echo, keep_alive)?;
                 }
                 Err(reasons) => {
                     let listed: Vec<String> = reasons.iter().map(|r| format!("\"{r}\"")).collect();
                     let body = format!("{{\"ready\":false,\"reasons\":[{}]}}", listed.join(","));
-                    write_response(stream, 503, "Service Unavailable", &body, &echo, keep_alive)?;
+                    write_response(stream, 503, &body, &echo, keep_alive)?;
                 }
             }
-            Ok(LoopExit::CleanClose)
+            Ok(LoopExit::Served)
+        }
+        _ => serve_common(&req, stream, &echo, keep_alive, shutdown),
+    }
+}
+
+/// A sane client-supplied `X-Request-Id` is echoed on every response,
+/// typed errors included, so the caller can correlate across retries.
+pub(crate) fn echo_header(req: &Request) -> Option<String> {
+    let id = req.request_id.as_ref()?;
+    Some(format!("X-Request-Id: {id}"))
+}
+
+/// The routes the daemon and the fleet router answer alike: liveness,
+/// `POST /v1/shutdown` (acknowledge, then stop accepting) and a typed 404
+/// for everything else.
+pub(crate) fn serve_common(
+    req: &Request,
+    stream: &mut TcpStream,
+    echo: &[&str],
+    keep_alive: bool,
+    shutdown: &AtomicBool,
+) -> io::Result<LoopExit> {
+    match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/healthz") => {
+            write_response(stream, 200, r#"{"ok":true}"#, echo, keep_alive)?;
+            Ok(LoopExit::Served)
         }
         ("POST", "/v1/shutdown") => {
-            write_response(
-                stream,
-                200,
-                "OK",
-                r#"{"ok":true,"shutting_down":true}"#,
-                &echo,
-                false,
-            )?;
+            let body = r#"{"ok":true,"shutting_down":true}"#;
+            write_response(stream, 200, body, echo, false)?;
             shutdown.store(true, Ordering::SeqCst);
             Ok(LoopExit::AnnouncedClose)
         }
         _ => {
-            write_response(
-                stream,
-                404,
-                "Not Found",
-                &ErrorResponse::new("not_found", format!("no route {} {}", req.method, req.path))
-                    .to_json(),
-                &echo,
-                keep_alive,
-            )?;
-            Ok(LoopExit::CleanClose)
+            let route = format!("no route {} {}", req.method, req.path);
+            let body = ErrorResponse::new("not_found", route).to_json();
+            write_response(stream, 404, &body, echo, keep_alive)?;
+            Ok(LoopExit::Served)
         }
     }
 }
@@ -519,11 +510,12 @@ fn write_severed_response(stream: &mut TcpStream, status: u16, body: &str) -> io
     stream.flush()
 }
 
-pub(crate) fn reason_phrase(status: u16) -> &'static str {
+fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        409 => "Conflict",
         413 => "Payload Too Large",
         415 => "Unsupported Media Type",
         501 => "Not Implemented",
@@ -570,7 +562,25 @@ impl From<io::Error> for RequestError {
     }
 }
 
-pub(crate) fn is_timeout(e: &io::Error) -> bool {
+/// Answers a request that failed framing with its typed error, announcing
+/// `Connection: close`: after a malformed head or a short body the next
+/// request's start is unknowable. An I/O error is returned as is.
+pub(crate) fn reject(stream: &mut TcpStream, err: RequestError) -> io::Result<()> {
+    let (status, error, message) = match err {
+        RequestError::TooLarge => (
+            413,
+            "too_large",
+            "request head or body exceeds the size limit".to_string(),
+        ),
+        RequestError::Malformed(msg) => (400, "bad_http", msg),
+        RequestError::Unsupported(msg) => (501, "unsupported_transfer_encoding", msg),
+        RequestError::Io(e) => return Err(e),
+    };
+    let body = ErrorResponse::new(error, message).to_json();
+    write_response(stream, status, &body, &[], false)
+}
+
+fn is_timeout(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
@@ -748,57 +758,54 @@ fn negotiate_format(content_type: Option<&str>) -> Option<WireFormat> {
     }
 }
 
+/// Writes one JSON response.
 pub(crate) fn write_response(
     stream: &mut TcpStream,
     status: u16,
-    reason: &str,
     body: &str,
     extra_headers: &[&str],
     keep_alive: bool,
 ) -> io::Result<()> {
-    write_response_typed(
-        stream,
-        status,
-        reason,
-        "application/json",
-        body,
-        extra_headers,
-        keep_alive,
-    )
-}
-
-pub(crate) fn write_response_typed(
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &str,
-    extra_headers: &[&str],
-    keep_alive: bool,
-) -> io::Result<()> {
+    let json = "application/json";
     write_response_bytes(
         stream,
         status,
-        reason,
-        content_type,
+        json,
         body.as_bytes(),
         extra_headers,
         keep_alive,
     )
 }
 
+/// Writes one response: status line (reason from [`reason_phrase`]),
+/// framing headers, `extra_headers`, body.
 pub(crate) fn write_response_bytes(
     stream: &mut TcpStream,
     status: u16,
-    reason: &str,
     content_type: &str,
+    body: &[u8],
+    extra_headers: &[&str],
+    keep_alive: bool,
+) -> io::Result<()> {
+    let reason = reason_phrase(status);
+    let start = format!("HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}");
+    write_message(stream, &start, body, extra_headers, keep_alive)
+}
+
+/// Writes one HTTP/1.1 message, requests (see [`client::Conn::send`]) and
+/// responses alike: `start` — the start line and any leading header lines,
+/// without the last CRLF — then the framing headers, `extra_headers` and
+/// `body`.
+fn write_message(
+    stream: &mut TcpStream,
+    start: &str,
     body: &[u8],
     extra_headers: &[&str],
     keep_alive: bool,
 ) -> io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
     let mut head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
+        "{start}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
         body.len()
     );
     for h in extra_headers {

@@ -26,7 +26,9 @@
 //!   end, plus stats counters and graceful shutdown;
 //! * [`jsonl`] — the stdio/pipe frontend (one document per line);
 //! * [`http`] — a dependency-free HTTP/1.1 frontend on `std::net` with
-//!   keep-alive connections and strict request framing;
+//!   keep-alive connections and strict request framing, plus
+//!   [`http::client`], the one HTTP/1.1 client the fleet router, the load
+//!   generator and the tests all speak through;
 //! * [`fleet`] — fleet-scale serving: a front-tier router that spawns and
 //!   supervises N worker processes, routes each request by folded
 //!   content-hash bits to a consistent worker slice, and retries failed
@@ -35,7 +37,8 @@
 //! * [`faults`] — the fault-injection plane chaos tests arm to drive the
 //!   failure paths (worker panics, slow solves, disk errors) on purpose;
 //! * [`metrics`] — hand-rolled fixed-boundary log-bucket histograms and
-//!   the Prometheus text rendering behind `GET /v1/metrics`;
+//!   the telemetry registry (one table line per series) rendered as
+//!   Prometheus text behind `GET /v1/metrics`;
 //! * [`trace`] — request trace ids (client-supplied or generated),
 //!   per-stage timing accumulation, and the one-span-per-request JSON
 //!   rendering;

@@ -1,6 +1,12 @@
 //! Hand-rolled metrics primitives: a fixed-boundary log-bucket latency
 //! histogram with atomic buckets and mergeable snapshots, plus the
-//! Prometheus text-exposition rendering helpers behind `GET /v1/metrics`.
+//! telemetry registry behind `GET /v1/metrics`.
+//!
+//! A registry is a table of `Series` lines — name, kind, optional label
+//! and how to read the samples out of the state the table describes —
+//! and `render` turns any table into Prometheus text exposition. The
+//! service and the fleet router each declare one table, so exporting a new
+//! series is one table line.
 //!
 //! No external dependencies: the bucket boundaries are a compile-time
 //! 1–2–5 ladder in microseconds (1 µs … 60 s), wide enough that a cache
@@ -177,19 +183,125 @@ impl HistogramSnapshot {
         }
         last_finite_bound() as f64
     }
+}
 
-    /// Mean observation in microseconds (0 for an empty histogram).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.count as f64
+/// What a series measures: the `# TYPE` keyword.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    Counter,
+    Gauge,
+    Histogram,
+}
+
+impl Kind {
+    fn as_str(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram => "histogram",
         }
     }
 }
 
+/// How a series reads its samples out of the state `S` its table describes.
+pub(crate) enum Read<S> {
+    /// One unlabelled sample.
+    Value(fn(&S) -> u64),
+    /// One sample per value of the series' label (unlabelled when the
+    /// series has none); no samples leaves the series out entirely.
+    Labelled(fn(&S) -> Vec<(String, u64)>),
+    /// One histogram per value of the series' label.
+    Histograms(fn(&S) -> Vec<(String, HistogramSnapshot)>),
+    /// One unlabelled series per entry, named by substituting the entry's
+    /// name for the `{}` in the series name.
+    Each(fn(&S) -> Vec<(&'static str, u64)>),
+}
+
+/// One line of a telemetry table.
+pub(crate) struct Series<S> {
+    name: &'static str,
+    kind: Kind,
+    label: Option<&'static str>,
+    read: Read<S>,
+}
+
+impl<S> Series<S> {
+    pub(crate) const fn counter(name: &'static str, read: fn(&S) -> u64) -> Self {
+        Self::labelled(Kind::Counter, name, None, Read::Value(read))
+    }
+
+    pub(crate) const fn gauge(name: &'static str, read: fn(&S) -> u64) -> Self {
+        Self::labelled(Kind::Gauge, name, None, Read::Value(read))
+    }
+
+    pub(crate) const fn histograms(
+        name: &'static str,
+        label: Option<&'static str>,
+        read: fn(&S) -> Vec<(String, HistogramSnapshot)>,
+    ) -> Self {
+        Self::labelled(Kind::Histogram, name, label, Read::Histograms(read))
+    }
+
+    pub(crate) const fn labelled(
+        kind: Kind,
+        name: &'static str,
+        label: Option<&'static str>,
+        read: Read<S>,
+    ) -> Self {
+        Self {
+            name,
+            kind,
+            label,
+            read,
+        }
+    }
+}
+
+/// Renders every series of `table`, read from `state`, as Prometheus text
+/// exposition: one `# TYPE` line per series, then its samples.
+pub(crate) fn render<S>(table: &[Series<S>], state: &S) -> String {
+    let mut out = String::with_capacity(8 * 1024);
+    for series in table {
+        let (name, kind) = (series.name, series.kind.as_str());
+        let labels = |value: &str| {
+            series
+                .label
+                .map_or_else(String::new, |key| format!("{key}=\"{value}\""))
+        };
+        match &series.read {
+            Read::Value(read) => {
+                render_type(&mut out, name, kind);
+                render_sample(&mut out, name, "", read(state));
+            }
+            Read::Labelled(read) => {
+                let samples = read(state);
+                if !samples.is_empty() {
+                    render_type(&mut out, name, kind);
+                }
+                for (value, sample) in samples {
+                    render_sample(&mut out, name, &labels(&value), sample);
+                }
+            }
+            Read::Histograms(read) => {
+                render_type(&mut out, name, kind);
+                for (value, snap) in read(state) {
+                    render_histogram(&mut out, name, &labels(&value), &snap);
+                }
+            }
+            Read::Each(read) => {
+                for (entry, sample) in read(state) {
+                    let name = name.replace("{}", entry);
+                    render_type(&mut out, &name, kind);
+                    render_sample(&mut out, &name, "", sample);
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Appends one `# TYPE` header line.
-pub(crate) fn render_type(out: &mut String, name: &str, kind: &str) {
+fn render_type(out: &mut String, name: &str, kind: &str) {
     out.push_str("# TYPE ");
     out.push_str(name);
     out.push(' ');
@@ -199,7 +311,7 @@ pub(crate) fn render_type(out: &mut String, name: &str, kind: &str) {
 
 /// Appends one `name{labels} value` sample line (`labels` already
 /// rendered, without braces; empty = no label set).
-pub(crate) fn render_sample(out: &mut String, name: &str, labels: &str, value: u64) {
+fn render_sample(out: &mut String, name: &str, labels: &str, value: u64) {
     out.push_str(name);
     if !labels.is_empty() {
         out.push('{');
@@ -214,12 +326,7 @@ pub(crate) fn render_sample(out: &mut String, name: &str, labels: &str, value: u
 /// Appends a full Prometheus histogram family member — cumulative
 /// `_bucket` series (including `le="+Inf"`), `_sum` and `_count` — with
 /// `labels` (e.g. `stage="solve"`) merged into each bucket's label set.
-pub(crate) fn render_histogram(
-    out: &mut String,
-    name: &str,
-    labels: &str,
-    snap: &HistogramSnapshot,
-) {
+fn render_histogram(out: &mut String, name: &str, labels: &str, snap: &HistogramSnapshot) {
     let mut cum = 0u64;
     for (i, &c) in snap.buckets.iter().enumerate() {
         cum += c;

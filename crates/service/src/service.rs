@@ -29,7 +29,7 @@ use crate::cache::ShardedCache;
 use crate::disk::{DiskFormat, DiskTier, FsyncPolicy};
 use crate::faults::FaultPlane;
 use crate::logfmt::{Level, LogTarget, SpanLog};
-use crate::metrics::{render_histogram, render_sample, render_type, Histogram};
+use crate::metrics::{self, Histogram, Kind, Read, Series};
 use crate::trace::{RequestTrace, Span};
 use crate::wire::{self, ErrorResponse, ScheduleRequest, ScheduleResponse, WIRE_VERSION};
 use crate::wire_bin::{self, WireFormat};
@@ -42,7 +42,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -257,116 +257,112 @@ struct Job {
     submitted: Instant,
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    received: AtomicU64,
-    binary_requests: AtomicU64,
-    ok_solved: AtomicU64,
-    cache_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    client_errors: AtomicU64,
-    internal_errors: AtomicU64,
-    rejected: AtomicU64,
-    timeouts: AtomicU64,
-    worker_panics: AtomicU64,
-    worker_respawns: AtomicU64,
-    disk_errors: AtomicU64,
-    disk_breaker_trips: AtomicU64,
-    disk_rearms: AtomicU64,
-    solve_nanos: AtomicU64,
-    hit_nanos: AtomicU64,
-    disk_hit_nanos: AtomicU64,
-}
+/// The `stage` label values of `batsched_stage_duration_us`, in exposition
+/// order: the HTTP read, the worker stages in [`RequestTrace`] order, and
+/// the HTTP write.
+const STAGES: [&str; 9] = [
+    "read",
+    "queue",
+    "parse",
+    "hash",
+    "cache",
+    "disk",
+    "solve",
+    "serialize",
+    "write",
+];
 
-/// Aggregated solver phase counters across all requests (the sum of every
-/// per-request [`Prof`] delta), readable without stopping the world.
-#[derive(Debug, Default)]
-struct ProfTotals {
-    windows: AtomicU64,
-    carry_hits: AtomicU64,
-    carry_misses: AtomicU64,
-    rows_full: AtomicU64,
-    rows_carried: AtomicU64,
-    journal_promotions: AtomicU64,
-    journal_rollbacks: AtomicU64,
-    sigma_evals: AtomicU64,
-    sigma_reused: AtomicU64,
-    sigma_fresh: AtomicU64,
-}
-
-impl ProfTotals {
-    fn add(&self, p: &Prof) {
-        self.windows.fetch_add(p.windows, Ordering::Relaxed);
-        self.carry_hits.fetch_add(p.carry_hits, Ordering::Relaxed);
-        self.carry_misses
-            .fetch_add(p.carry_misses, Ordering::Relaxed);
-        self.rows_full.fetch_add(p.rows_full, Ordering::Relaxed);
-        self.rows_carried
-            .fetch_add(p.rows_carried, Ordering::Relaxed);
-        self.journal_promotions
-            .fetch_add(p.journal_promotions, Ordering::Relaxed);
-        self.journal_rollbacks
-            .fetch_add(p.journal_rollbacks, Ordering::Relaxed);
-        self.sigma_evals.fetch_add(p.sigma_evals, Ordering::Relaxed);
-        self.sigma_reused
-            .fetch_add(p.sigma_reused, Ordering::Relaxed);
-        self.sigma_fresh.fetch_add(p.sigma_fresh, Ordering::Relaxed);
-    }
-
-    fn load(&self) -> Prof {
-        let l = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        Prof {
-            windows: l(&self.windows),
-            carry_hits: l(&self.carry_hits),
-            carry_misses: l(&self.carry_misses),
-            rows_full: l(&self.rows_full),
-            rows_carried: l(&self.rows_carried),
-            journal_promotions: l(&self.journal_promotions),
-            journal_rollbacks: l(&self.journal_rollbacks),
-            sigma_evals: l(&self.sigma_evals),
-            sigma_reused: l(&self.sigma_reused),
-            sigma_fresh: l(&self.sigma_fresh),
-        }
-    }
-}
-
-/// The service's latency histograms plus solver phase totals.
+/// The storage behind [`SERIES`] and [`Service::stats`].
 ///
 /// Stage histograms are observed once per worker-handled request, for
-/// every stage — a stage that did not run observes 0 µs — so all stage
-/// `_count` series agree with each other and with the number of requests
-/// the workers handled. `total` is observed once per [`Service::call`];
-/// `read`/`write` once per HTTP-served request; `solve_cold` only on cold
-/// solves (it feeds the solve percentiles in stats).
+/// every worker-side stage — a stage that did not run observes 0 µs — so
+/// all those `_count` series agree with each other and with the number of
+/// requests the workers handled. `total` is observed once per
+/// [`Service::call`]; `read`/`write` once per HTTP-served request;
+/// `solve_cold` only on cold solves (it feeds the solve percentiles in
+/// stats).
 #[derive(Debug, Default)]
-struct Metrics {
+struct Telemetry {
+    counters: [AtomicU64; COUNTERS],
+    /// The sum of every request's solver [`Prof`] delta, in
+    /// [`Prof::FIELDS`] order.
+    prof: [AtomicU64; Prof::FIELDS.len()],
+    stages: [Histogram; STAGES.len()],
     total: Histogram,
-    read: Histogram,
-    write: Histogram,
-    queue: Histogram,
-    parse: Histogram,
-    hash: Histogram,
-    cache: Histogram,
-    disk: Histogram,
-    solve: Histogram,
-    serialize: Histogram,
     solve_cold: Histogram,
-    prof: ProfTotals,
 }
 
-impl Metrics {
+impl Telemetry {
+    fn bump(&self, counter: Counter) {
+        if let Some(c) = self.counters.get(counter as usize) {
+            c.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn count(&self, counter: Counter) -> u64 {
+        self.counters
+            .get(counter as usize)
+            .map_or(0, |c| c.load(Ordering::Relaxed))
+    }
+
+    fn counts(&self) -> [u64; COUNTERS] {
+        self.counters.each_ref().map(|c| c.load(Ordering::Relaxed))
+    }
+
+    fn add_prof(&self, p: &Prof) {
+        for (total, v) in self.prof.iter().zip(p.values()) {
+            total.fetch_add(v, Ordering::Relaxed);
+        }
+    }
+
+    fn prof(&self) -> Prof {
+        Prof::from_values(self.prof.each_ref().map(|c| c.load(Ordering::Relaxed)))
+    }
+
     /// One uniform observation of every worker-side stage for a handled
     /// request.
     fn observe_stages(&self, t: &RequestTrace) {
-        self.queue.observe(t.queue_us);
-        self.parse.observe(t.parse_us);
-        self.hash.observe(t.hash_us);
-        self.cache.observe(t.cache_us);
-        self.disk.observe(t.disk_us);
-        self.solve.observe(t.solve_us);
-        self.serialize.observe(t.serialize_us);
+        let [_, worker @ .., _] = &self.stages;
+        let us = [
+            t.queue_us,
+            t.parse_us,
+            t.hash_us,
+            t.cache_us,
+            t.disk_us,
+            t.solve_us,
+            t.serialize_us,
+        ];
+        for (h, us) in worker.iter().zip(us) {
+            h.observe(us);
+        }
     }
+
+    /// The HTTP frontend's connection I/O for one request.
+    fn observe_http(&self, read_us: u64, write_us: u64) {
+        let [read, .., write] = &self.stages;
+        read.observe(read_us);
+        write.observe(write_us);
+    }
+}
+
+/// Locks a mutex, recovering from poisoning rather than propagating a dead
+/// holder's panic to every later caller. Every value this crate guards so
+/// stays usable after a panic:
+///
+/// * breaker state, the sender/supervisor options, and fleet slots and
+///   connection pools are plain data with no mid-update invariant a
+///   panicking holder could tear (the fleet monitor re-derives each
+///   worker's state on its next pass, and stale pooled connections are
+///   fenced by their epoch);
+/// * the job-queue receiver is just a channel endpoint;
+/// * the disk tier validates every record on read, so a torn append from
+///   a mid-`put` panic is skipped at reindex time instead of corrupting
+///   lookups.
+///
+/// Inheriting the value degrades at most one request or worker;
+/// propagating the panic would wedge the daemon or the whole router.
+pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Consecutive-error circuit breaker guarding the disk tier. Closed: every
@@ -380,17 +376,6 @@ struct Breaker {
     state: Mutex<BreakerState>,
     /// Mirrors "open" for lock-free stats reads.
     degraded: AtomicBool,
-}
-
-/// Locks a service mutex, recovering from poisoning rather than
-/// propagating a dead holder's panic to every later caller. Each
-/// protected value stays usable after a panic: breaker state and the
-/// sender/supervisor options are plain data, the job-queue receiver is
-/// just a channel endpoint, and the disk tier validates every record on
-/// read, so a torn append from a mid-`put` panic is skipped at reindex
-/// time instead of corrupting lookups.
-fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 #[derive(Default)]
@@ -426,25 +411,25 @@ impl Breaker {
 
     /// Records a successful disk operation: resets the error run and, if
     /// the breaker was open, re-arms the tier.
-    fn record_ok(&self, c: &Counters) {
+    fn record_ok(&self, t: &Telemetry) {
         let mut s = lock_recover(&self.state);
         s.consecutive = 0;
         if s.open_since.take().is_some() {
             self.degraded.store(false, Ordering::Relaxed);
-            c.disk_rearms.fetch_add(1, Ordering::Relaxed);
+            t.bump(Counter::DiskRearms);
         }
     }
 
     /// Records a failed disk operation; trips the breaker on the
     /// `threshold`-th consecutive error.
-    fn record_err(&self, c: &Counters) {
-        c.disk_errors.fetch_add(1, Ordering::Relaxed);
+    fn record_err(&self, t: &Telemetry) {
+        t.bump(Counter::DiskErrors);
         let mut s = lock_recover(&self.state);
         s.consecutive = s.consecutive.saturating_add(1);
         if s.open_since.is_none() && s.consecutive >= self.threshold {
             s.open_since = Some(Instant::now());
             self.degraded.store(true, Ordering::Relaxed);
-            c.disk_breaker_trips.fetch_add(1, Ordering::Relaxed);
+            t.bump(Counter::DiskBreakerTrips);
         }
     }
 
@@ -456,8 +441,7 @@ impl Breaker {
 struct Shared {
     cache: ShardedCache,
     disk: Option<Mutex<DiskTier>>,
-    counters: Counters,
-    metrics: Metrics,
+    telemetry: Telemetry,
     logger: Option<SpanLog>,
     breaker: Breaker,
     faults: FaultPlane,
@@ -471,87 +455,206 @@ struct Shared {
     workers_live: AtomicU64,
 }
 
-/// Point-in-time statistics, served by the `stats` endpoint.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct StatsSnapshot {
-    /// Wire version.
-    pub v: u32,
-    /// Worker threads.
-    pub workers: usize,
-    /// Queue depth limit.
-    pub queue_capacity: usize,
-    /// Aggregate memory-cache capacity across shards.
-    pub cache_capacity: usize,
-    /// Live memory-cache entries across shards.
-    pub cache_len: usize,
-    /// Number of memory-cache shards.
-    pub cache_shards: usize,
-    /// Live entries per shard, in shard order.
-    pub shard_occupancy: Vec<usize>,
-    /// `true` when a disk tier is configured.
-    pub disk_enabled: bool,
-    /// `true` while the disk-tier breaker is open (tier bypassed).
-    pub disk_degraded: bool,
-    /// Distinct keys persisted on the disk tier (0 without one).
-    pub disk_entries: usize,
-    /// Requests accepted into the queue.
-    pub received: u64,
-    /// Requests that arrived in the binary wire format (the remainder of
-    /// `received` arrived as JSON).
-    pub binary_requests: u64,
-    /// Requests answered from a cold solve.
-    pub solved: u64,
-    /// Requests answered from the in-memory cache tier.
-    pub cache_hits: u64,
-    /// Requests answered from the disk tier (after a memory miss).
-    pub disk_hits: u64,
-    /// Requests that missed every cache tier.
-    pub cache_misses: u64,
-    /// Requests rejected as the caller's fault.
-    pub client_errors: u64,
-    /// Internal failures (including caught worker panics).
-    pub internal_errors: u64,
-    /// Requests refused because the queue was full.
-    pub rejected: u64,
-    /// Requests that exceeded the configured deadline.
-    pub timeouts: u64,
-    /// Solver panics caught and answered as typed errors.
-    pub worker_panics: u64,
-    /// Workers respawned after a panic (pool back at full strength).
-    pub worker_respawns: u64,
-    /// Disk-tier I/O errors observed (reads and writes).
-    pub disk_errors: u64,
-    /// Times the disk breaker tripped into degraded mode.
-    pub disk_breaker_trips: u64,
-    /// Times a probe re-armed the disk tier.
-    pub disk_rearms: u64,
-    /// Mean cold-solve latency (µs) including parse and serialisation.
-    pub solve_mean_us: f64,
-    /// Mean memory-tier cache-hit latency (µs).
-    pub hit_mean_us: f64,
-    /// Mean disk-tier cache-hit latency (µs).
-    pub disk_hit_mean_us: f64,
-    /// Jobs queued and not yet picked up by a worker.
-    pub queue_depth: u64,
-    /// Worker threads currently alive.
-    pub workers_live: u64,
-    /// Fault-injection rules fired since startup (0 when disarmed).
-    pub faults_injected: u64,
-    /// Span log lines suppressed by the rate limiter.
-    pub spans_dropped: u64,
-    /// End-to-end latency p50 (µs), from the request-duration histogram.
-    pub e2e_p50_us: f64,
-    /// End-to-end latency p95 (µs).
-    pub e2e_p95_us: f64,
-    /// End-to-end latency p99 (µs).
-    pub e2e_p99_us: f64,
-    /// Cold-solve latency p50 (µs), from the cold-solve histogram.
-    pub solve_p50_us: f64,
-    /// Cold-solve latency p95 (µs).
-    pub solve_p95_us: f64,
-    /// Cold-solve latency p99 (µs).
-    pub solve_p99_us: f64,
+/// Declares [`StatsSnapshot`] around the service's event counters, so each
+/// counter is one line: its [`Counter`] slot, its stats field and the
+/// `/v1/metrics` counter it exports as (none: stats only).
+macro_rules! stats_snapshot {
+    (
+        head { $($(#[$hm:meta])* $head:ident: $hty:ty,)* }
+        counters { $($(#[$cm:meta])* $slot:ident $field:ident $(=> $series:literal)?,)* }
+        tail { $($(#[$tm:meta])* $tail:ident: $tty:ty,)* }
+    ) => {
+        /// Point-in-time statistics, served by the `stats` endpoint.
+        #[derive(Debug, Clone, Default, PartialEq, Serialize)]
+        pub struct StatsSnapshot {
+            $($(#[$hm])* pub $head: $hty,)*
+            $($(#[$cm])* pub $field: u64,)*
+            $($(#[$tm])* pub $tail: $tty,)*
+        }
+
+        /// A service event counter: its slot in [`Telemetry`].
+        #[derive(Debug, Clone, Copy)]
+        enum Counter {
+            $($slot,)*
+        }
+
+        const COUNTERS: usize = [$(stringify!($field)),*].len();
+
+        /// The exported counters' `/v1/metrics` series, in slot order.
+        const COUNTER_SERIES: &[Series<Service>] = &[$($(
+            Series::counter($series, |s| s.shared.telemetry.count(Counter::$slot)),
+        )?)*];
+
+        impl StatsSnapshot {
+            /// A snapshot holding `counts` (in slot order) and defaults
+            /// elsewhere.
+            fn with_counts(counts: [u64; COUNTERS]) -> Self {
+                let [$($field),*] = counts;
+                Self {
+                    $($field,)*
+                    ..Self::default()
+                }
+            }
+        }
+    };
 }
+
+stats_snapshot! {
+    head {
+        /// Wire version.
+        v: u32,
+        /// Worker threads.
+        workers: usize,
+        /// Queue depth limit.
+        queue_capacity: usize,
+        /// Aggregate memory-cache capacity across shards.
+        cache_capacity: usize,
+        /// Live memory-cache entries across shards.
+        cache_len: usize,
+        /// Number of memory-cache shards.
+        cache_shards: usize,
+        /// Live entries per shard, in shard order.
+        shard_occupancy: Vec<usize>,
+        /// `true` when a disk tier is configured.
+        disk_enabled: bool,
+        /// `true` while the disk-tier breaker is open (tier bypassed).
+        disk_degraded: bool,
+        /// Distinct keys persisted on the disk tier (0 without one).
+        disk_entries: usize,
+    }
+    counters {
+        /// Requests accepted into the queue.
+        Received received => "batsched_received_total",
+        /// Requests that arrived in the binary wire format (the remainder
+        /// of `received` arrived as JSON; exported through
+        /// `batsched_requests_by_format`).
+        BinaryRequests binary_requests,
+        /// Requests answered from a cold solve.
+        Solved solved => "batsched_solved_total",
+        /// Requests answered from the in-memory cache tier.
+        CacheHits cache_hits => "batsched_cache_hits_total",
+        /// Requests answered from the disk tier (after a memory miss).
+        DiskHits disk_hits => "batsched_disk_hits_total",
+        /// Requests that missed every cache tier.
+        CacheMisses cache_misses => "batsched_cache_misses_total",
+        /// Requests rejected as the caller's fault.
+        ClientErrors client_errors => "batsched_client_errors_total",
+        /// Internal failures (including caught worker panics).
+        InternalErrors internal_errors => "batsched_internal_errors_total",
+        /// Requests refused because the queue was full.
+        Rejected rejected => "batsched_rejected_total",
+        /// Requests that exceeded the configured deadline.
+        Timeouts timeouts => "batsched_timeouts_total",
+        /// Solver panics caught and answered as typed errors.
+        WorkerPanics worker_panics => "batsched_worker_panics_total",
+        /// Workers respawned after a panic (pool back at full strength).
+        WorkerRespawns worker_respawns => "batsched_worker_respawns_total",
+        /// Disk-tier I/O errors observed (reads and writes).
+        DiskErrors disk_errors => "batsched_disk_errors_total",
+        /// Times the disk breaker tripped into degraded mode.
+        DiskBreakerTrips disk_breaker_trips => "batsched_disk_breaker_trips_total",
+        /// Times a probe re-armed the disk tier.
+        DiskRearms disk_rearms => "batsched_disk_rearms_total",
+    }
+    tail {
+        /// Jobs queued and not yet picked up by a worker.
+        queue_depth: u64,
+        /// Worker threads currently alive.
+        workers_live: u64,
+        /// Fault-injection rules fired since startup (0 when disarmed).
+        faults_injected: u64,
+        /// Span log lines suppressed by the rate limiter.
+        spans_dropped: u64,
+        /// End-to-end latency p50 (µs), from the request-duration histogram.
+        e2e_p50_us: f64,
+        /// End-to-end latency p95 (µs).
+        e2e_p95_us: f64,
+        /// End-to-end latency p99 (µs).
+        e2e_p99_us: f64,
+        /// Cold-solve latency p50 (µs), from the cold-solve histogram.
+        solve_p50_us: f64,
+        /// Cold-solve latency p95 (µs).
+        solve_p95_us: f64,
+        /// Cold-solve latency p99 (µs).
+        solve_p99_us: f64,
+    }
+}
+
+/// The rest of the service's `/v1/metrics` table, exposed after
+/// [`COUNTER_SERIES`] in this order.
+const SERIES: [Series<Service>; 16] = [
+    Series::counter("batsched_fault_injected_total", |s| {
+        s.shared.faults.injected_total()
+    }),
+    Series::counter("batsched_spans_dropped_total", Service::spans_dropped),
+    // `binary` is counted directly, `json` is the remainder of `received`
+    // (the formats partition admissions).
+    Series::labelled(
+        Kind::Counter,
+        "batsched_requests_by_format",
+        Some("format"),
+        Read::Labelled(|s| {
+            let t = &s.shared.telemetry;
+            let binary = t.count(Counter::BinaryRequests);
+            let json = t.count(Counter::Received).saturating_sub(binary);
+            vec![("json".into(), json), ("binary".into(), binary)]
+        }),
+    ),
+    Series::gauge("batsched_queue_depth", |s| {
+        s.shared.in_queue.load(Ordering::Relaxed)
+    }),
+    Series::gauge("batsched_workers_live", |s| {
+        s.shared.workers_live.load(Ordering::Relaxed)
+    }),
+    Series::gauge("batsched_workers_target", |s| s.cfg.workers as u64),
+    Series::gauge("batsched_disk_breaker_open", |s| {
+        u64::from(s.shared.breaker.is_open())
+    }),
+    Series::gauge("batsched_cache_entries", |s| s.shared.cache.len() as u64),
+    Series::gauge("batsched_cache_capacity", |s| {
+        s.shared.cache.capacity() as u64
+    }),
+    Series::gauge("batsched_disk_entries", |s| s.disk_entries() as u64),
+    Series::gauge("batsched_ready", |s| u64::from(s.readiness().is_ok())),
+    // Only fleet workers export their slot: a standalone daemon has no
+    // meaningful value to report, and an absent series is clearer than a
+    // sentinel.
+    Series::labelled(
+        Kind::Gauge,
+        "batsched_fleet_worker_id",
+        None,
+        Read::Labelled(|s| {
+            s.cfg
+                .fleet_worker
+                .map(|id| (String::new(), id.into()))
+                .into_iter()
+                .collect()
+        }),
+    ),
+    Series::labelled(
+        Kind::Counter,
+        "batsched_solver_{}_total",
+        None,
+        Read::Each(|s| {
+            Prof::FIELDS
+                .into_iter()
+                .zip(s.shared.telemetry.prof().values())
+                .collect()
+        }),
+    ),
+    Series::histograms("batsched_request_duration_us", None, |s| {
+        vec![(String::new(), s.shared.telemetry.total.snapshot())]
+    }),
+    Series::histograms("batsched_stage_duration_us", Some("stage"), |s| {
+        let stages = STAGES.iter().zip(&s.shared.telemetry.stages);
+        stages
+            .map(|(stage, h)| (stage.to_string(), h.snapshot()))
+            .collect()
+    }),
+    Series::histograms("batsched_solve_cold_duration_us", None, |s| {
+        vec![(String::new(), s.shared.telemetry.solve_cold.snapshot())]
+    }),
+];
 
 /// A running scheduling service. Cheap to share behind an [`Arc`];
 /// [`Service::shutdown`] takes `&self` so any frontend can trigger it.
@@ -710,8 +813,7 @@ impl Service {
         let shared = Arc::new(Shared {
             cache: ShardedCache::new(cfg.cache_capacity, cfg.cache_shards),
             disk,
-            counters: Counters::default(),
-            metrics: Metrics::default(),
+            telemetry: Telemetry::default(),
             logger,
             breaker: Breaker::new(cfg.disk_breaker_threshold, cfg.disk_probe_interval),
             faults,
@@ -750,10 +852,7 @@ impl Service {
                                     live -= 1;
                                     shared.workers_live.fetch_sub(1, Ordering::Relaxed);
                                 } else {
-                                    shared
-                                        .counters
-                                        .worker_respawns
-                                        .fetch_add(1, Ordering::Relaxed);
+                                    shared.telemetry.bump(Counter::WorkerRespawns);
                                     handles.push(spawn_worker(next_id, &rx, &shared, &ev_tx));
                                     next_id += 1;
                                 }
@@ -823,8 +922,8 @@ impl Service {
         format: WireFormat,
     ) -> Result<Receiver<Reply>, Box<Reply>> {
         let started = Instant::now();
-        let overload = |started: Instant, counters: &Counters| {
-            counters.rejected.fetch_add(1, Ordering::Relaxed);
+        let overload = |started: Instant, telemetry: &Telemetry| {
+            telemetry.bump(Counter::Rejected);
             Box::new(Reply {
                 body: ErrorResponse::overloaded(self.cfg.queue_capacity).to_json(),
                 disposition: Disposition::Overloaded,
@@ -834,7 +933,7 @@ impl Service {
         };
         let guard = lock_recover(&self.tx);
         let Some(tx) = guard.as_ref() else {
-            return Err(overload(started, &self.shared.counters));
+            return Err(overload(started, &self.shared.telemetry));
         };
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
         match tx.try_send(Job {
@@ -844,21 +943,15 @@ impl Service {
             submitted: started,
         }) {
             Ok(()) => {
-                self.shared
-                    .counters
-                    .received
-                    .fetch_add(1, Ordering::Relaxed);
+                self.shared.telemetry.bump(Counter::Received);
                 if format == WireFormat::Binary {
-                    self.shared
-                        .counters
-                        .binary_requests
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.shared.telemetry.bump(Counter::BinaryRequests);
                 }
                 self.shared.in_queue.fetch_add(1, Ordering::Relaxed);
                 Ok(reply_rx)
             }
             Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
-                Err(overload(started, &self.shared.counters))
+                Err(overload(started, &self.shared.telemetry))
             }
         }
     }
@@ -881,7 +974,7 @@ impl Service {
         // request, whatever the outcome — so its `_count` is exactly the
         // number of requests served through this entry point.
         self.shared
-            .metrics
+            .telemetry
             .total
             .observe(started.elapsed().as_micros() as u64);
         reply
@@ -899,10 +992,7 @@ impl Service {
                 match rx.recv_timeout(remaining) {
                     Ok(reply) => Some(reply),
                     Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                        self.shared
-                            .counters
-                            .timeouts
-                            .fetch_add(1, Ordering::Relaxed);
+                        self.shared.telemetry.bump(Counter::Timeouts);
                         return Reply {
                             body: ErrorResponse::timeout(budget).to_json(),
                             disposition: Disposition::Timeout,
@@ -937,8 +1027,7 @@ impl Service {
 
     /// Records the HTTP frontend's connection I/O timings for one request.
     pub(crate) fn observe_http(&self, read_us: u64, write_us: u64) {
-        self.shared.metrics.read.observe(read_us);
-        self.shared.metrics.write.observe(write_us);
+        self.shared.telemetry.observe_http(read_us, write_us);
     }
 
     /// Readiness for traffic: `Ok(())` when the service can serve at full
@@ -966,183 +1055,30 @@ impl Service {
     /// request counters, queue/worker/breaker gauges, solver phase totals
     /// and the per-stage latency histograms.
     pub fn metrics_text(&self) -> String {
-        let c = &self.shared.counters;
-        let m = &self.shared.metrics;
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mut out = String::with_capacity(8 * 1024);
+        let mut out = metrics::render(COUNTER_SERIES, self);
+        out.push_str(&metrics::render(&SERIES, self));
+        out
+    }
 
-        let counters: [(&str, u64); 16] = [
-            ("batsched_received_total", load(&c.received)),
-            ("batsched_solved_total", load(&c.ok_solved)),
-            ("batsched_cache_hits_total", load(&c.cache_hits)),
-            ("batsched_disk_hits_total", load(&c.disk_hits)),
-            ("batsched_cache_misses_total", load(&c.cache_misses)),
-            ("batsched_client_errors_total", load(&c.client_errors)),
-            ("batsched_internal_errors_total", load(&c.internal_errors)),
-            ("batsched_rejected_total", load(&c.rejected)),
-            ("batsched_timeouts_total", load(&c.timeouts)),
-            ("batsched_worker_panics_total", load(&c.worker_panics)),
-            ("batsched_worker_respawns_total", load(&c.worker_respawns)),
-            ("batsched_disk_errors_total", load(&c.disk_errors)),
-            (
-                "batsched_disk_breaker_trips_total",
-                load(&c.disk_breaker_trips),
-            ),
-            ("batsched_disk_rearms_total", load(&c.disk_rearms)),
-            (
-                "batsched_fault_injected_total",
-                self.shared.faults.injected_total(),
-            ),
-            (
-                "batsched_spans_dropped_total",
-                self.shared.logger.as_ref().map_or(0, SpanLog::dropped),
-            ),
-        ];
-        for (name, value) in counters {
-            render_type(&mut out, name, "counter");
-            render_sample(&mut out, name, "", value);
-        }
-
-        // Requests by wire format: `binary` is counted directly, `json` is
-        // the remainder of `received` (the formats partition admissions).
-        let received = load(&c.received);
-        let binary = load(&c.binary_requests);
-        render_type(&mut out, "batsched_requests_by_format", "counter");
-        render_sample(
-            &mut out,
-            "batsched_requests_by_format",
-            "format=\"json\"",
-            received.saturating_sub(binary),
-        );
-        render_sample(
-            &mut out,
-            "batsched_requests_by_format",
-            "format=\"binary\"",
-            binary,
-        );
-
-        let disk_entries = self
-            .shared
+    /// Distinct keys on the disk tier (0 without one).
+    fn disk_entries(&self) -> usize {
+        self.shared
             .disk
             .as_ref()
-            .map_or(0, |d| lock_recover(d).len());
-        let gauges: [(&str, u64); 8] = [
-            (
-                "batsched_queue_depth",
-                self.shared.in_queue.load(Ordering::Relaxed),
-            ),
-            (
-                "batsched_workers_live",
-                self.shared.workers_live.load(Ordering::Relaxed),
-            ),
-            ("batsched_workers_target", self.cfg.workers as u64),
-            (
-                "batsched_disk_breaker_open",
-                u64::from(self.shared.breaker.is_open()),
-            ),
-            ("batsched_cache_entries", self.shared.cache.len() as u64),
-            (
-                "batsched_cache_capacity",
-                self.shared.cache.capacity() as u64,
-            ),
-            ("batsched_disk_entries", disk_entries as u64),
-            ("batsched_ready", u64::from(self.readiness().is_ok())),
-        ];
-        for (name, value) in gauges {
-            render_type(&mut out, name, "gauge");
-            render_sample(&mut out, name, "", value);
-        }
-        // Only fleet workers export their slot: a standalone daemon has no
-        // meaningful value to report, and an absent series is clearer than
-        // a sentinel.
-        if let Some(id) = self.cfg.fleet_worker {
-            render_type(&mut out, "batsched_fleet_worker_id", "gauge");
-            render_sample(&mut out, "batsched_fleet_worker_id", "", u64::from(id));
-        }
+            .map_or(0, |d| lock_recover(d).len())
+    }
 
-        let prof = m.prof.load();
-        let solver: [(&str, u64); 10] = [
-            ("batsched_solver_windows_total", prof.windows),
-            ("batsched_solver_carry_hits_total", prof.carry_hits),
-            ("batsched_solver_carry_misses_total", prof.carry_misses),
-            ("batsched_solver_rows_full_total", prof.rows_full),
-            ("batsched_solver_rows_carried_total", prof.rows_carried),
-            (
-                "batsched_solver_journal_promotions_total",
-                prof.journal_promotions,
-            ),
-            (
-                "batsched_solver_journal_rollbacks_total",
-                prof.journal_rollbacks,
-            ),
-            ("batsched_solver_sigma_evals_total", prof.sigma_evals),
-            ("batsched_solver_sigma_reused_total", prof.sigma_reused),
-            ("batsched_solver_sigma_fresh_total", prof.sigma_fresh),
-        ];
-        for (name, value) in solver {
-            render_type(&mut out, name, "counter");
-            render_sample(&mut out, name, "", value);
-        }
-
-        render_type(&mut out, "batsched_request_duration_us", "histogram");
-        render_histogram(
-            &mut out,
-            "batsched_request_duration_us",
-            "",
-            &m.total.snapshot(),
-        );
-        render_type(&mut out, "batsched_stage_duration_us", "histogram");
-        let stages: [(&str, &Histogram); 9] = [
-            ("read", &m.read),
-            ("queue", &m.queue),
-            ("parse", &m.parse),
-            ("hash", &m.hash),
-            ("cache", &m.cache),
-            ("disk", &m.disk),
-            ("solve", &m.solve),
-            ("serialize", &m.serialize),
-            ("write", &m.write),
-        ];
-        for (stage, hist) in stages {
-            render_histogram(
-                &mut out,
-                "batsched_stage_duration_us",
-                &format!("stage=\"{stage}\""),
-                &hist.snapshot(),
-            );
-        }
-        render_type(&mut out, "batsched_solve_cold_duration_us", "histogram");
-        render_histogram(
-            &mut out,
-            "batsched_solve_cold_duration_us",
-            "",
-            &m.solve_cold.snapshot(),
-        );
-        out
+    /// Span log lines the rate limiter suppressed.
+    fn spans_dropped(&self) -> u64 {
+        self.shared.logger.as_ref().map_or(0, SpanLog::dropped)
     }
 
     /// A consistent-enough point-in-time statistics snapshot.
     pub fn stats(&self) -> StatsSnapshot {
-        let c = &self.shared.counters;
+        let t = &self.shared.telemetry;
         let shard_occupancy = self.shared.cache.occupancy();
-        let disk_entries = self
-            .shared
-            .disk
-            .as_ref()
-            .map_or(0, |d| lock_recover(d).len());
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mean_us = |nanos: u64, count: u64| {
-            if count == 0 {
-                0.0
-            } else {
-                nanos as f64 / count as f64 / 1_000.0
-            }
-        };
-        let solved = load(&c.ok_solved);
-        let hits = load(&c.cache_hits);
-        let disk_hits = load(&c.disk_hits);
-        let e2e = self.shared.metrics.total.snapshot();
-        let solve_cold = self.shared.metrics.solve_cold.snapshot();
+        let e2e = t.total.snapshot();
+        let solve_cold = t.solve_cold.snapshot();
         StatsSnapshot {
             v: WIRE_VERSION,
             workers: self.cfg.workers,
@@ -1153,35 +1089,18 @@ impl Service {
             shard_occupancy,
             disk_enabled: self.shared.disk.is_some(),
             disk_degraded: self.shared.breaker.is_open(),
-            disk_entries,
-            received: load(&c.received),
-            binary_requests: load(&c.binary_requests),
-            solved,
-            cache_hits: hits,
-            disk_hits,
-            cache_misses: load(&c.cache_misses),
-            client_errors: load(&c.client_errors),
-            internal_errors: load(&c.internal_errors),
-            rejected: load(&c.rejected),
-            timeouts: load(&c.timeouts),
-            worker_panics: load(&c.worker_panics),
-            worker_respawns: load(&c.worker_respawns),
-            disk_errors: load(&c.disk_errors),
-            disk_breaker_trips: load(&c.disk_breaker_trips),
-            disk_rearms: load(&c.disk_rearms),
-            solve_mean_us: mean_us(load(&c.solve_nanos), solved),
-            hit_mean_us: mean_us(load(&c.hit_nanos), hits),
-            disk_hit_mean_us: mean_us(load(&c.disk_hit_nanos), disk_hits),
+            disk_entries: self.disk_entries(),
             queue_depth: self.shared.in_queue.load(Ordering::Relaxed),
             workers_live: self.shared.workers_live.load(Ordering::Relaxed),
             faults_injected: self.shared.faults.injected_total(),
-            spans_dropped: self.shared.logger.as_ref().map_or(0, SpanLog::dropped),
+            spans_dropped: self.spans_dropped(),
             e2e_p50_us: e2e.quantile(0.50),
             e2e_p95_us: e2e.quantile(0.95),
             e2e_p99_us: e2e.quantile(0.99),
             solve_p50_us: solve_cold.quantile(0.50),
             solve_p95_us: solve_cold.quantile(0.95),
             solve_p99_us: solve_cold.quantile(0.99),
+            ..StatsSnapshot::with_counts(t.counts())
         }
     }
 
@@ -1265,7 +1184,7 @@ fn worker_loop(id: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) -> bool {
                     worker,
                     ..RequestTrace::default()
                 };
-                shared.metrics.observe_stages(&trace);
+                shared.telemetry.observe_stages(&trace);
                 let _ = job.reply.send(Reply {
                     body: ErrorResponse::timeout(budget).to_json(),
                     disposition: Disposition::Timeout,
@@ -1285,17 +1204,16 @@ fn worker_loop(id: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) -> bool {
                 reply.trace.queue_us = queue_us;
                 reply.trace.worker = worker;
                 reply.trace.prof = ws.prof().since(&prof_before);
-                shared.metrics.prof.add(&reply.trace.prof);
-                shared.metrics.observe_stages(&reply.trace);
+                shared.telemetry.add_prof(&reply.trace.prof);
+                shared.telemetry.observe_stages(&reply.trace);
                 if reply.disposition == (Disposition::Ok { cached: false }) {
-                    shared.metrics.solve_cold.observe(reply.trace.solve_us);
+                    shared.telemetry.solve_cold.observe(reply.trace.solve_us);
                 }
                 let _ = job.reply.send(reply); // caller may have given up; fine
             }
             Err(payload) => {
-                let c = &shared.counters;
-                c.worker_panics.fetch_add(1, Ordering::Relaxed);
-                c.internal_errors.fetch_add(1, Ordering::Relaxed);
+                shared.telemetry.bump(Counter::WorkerPanics);
+                shared.telemetry.bump(Counter::InternalErrors);
                 let body = ErrorResponse::new(
                     "internal",
                     format!(
@@ -1314,7 +1232,7 @@ fn worker_loop(id: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) -> bool {
                     injected: shared.faults.is_armed(),
                     ..RequestTrace::default()
                 };
-                shared.metrics.observe_stages(&trace);
+                shared.telemetry.observe_stages(&trace);
                 let _ = job.reply.send(Reply {
                     body,
                     disposition: Disposition::Internal,
@@ -1334,7 +1252,7 @@ fn answer(
     ws: &mut SolverWorkspace,
     submitted: Instant,
 ) -> Reply {
-    let c = &shared.counters;
+    let tel = &shared.telemetry;
     let finish = |disposition: Disposition, body: String, trace: RequestTrace| Reply {
         micros: submitted.elapsed().as_micros() as u64,
         body,
@@ -1369,9 +1287,7 @@ fn answer(
     let alias_hit = shared.cache.get_by_alias(raw_key, body);
     trace.cache_us += us(t);
     if let Some(cached) = alias_hit {
-        c.cache_hits.fetch_add(1, Ordering::Relaxed);
-        c.hit_nanos
-            .fetch_add(submitted.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        tel.bump(Counter::CacheHits);
         return finish(Disposition::Ok { cached: true }, cached, trace);
     }
     // Admission: JSON parses then hashes in a separate (streaming) pass;
@@ -1389,7 +1305,7 @@ fn answer(
             let req = match parsed {
                 Ok(req) => req,
                 Err(e) => {
-                    c.client_errors.fetch_add(1, Ordering::Relaxed);
+                    tel.bump(Counter::ClientErrors);
                     return finish(
                         Disposition::ClientError,
                         ErrorResponse::from_wire(&e).to_json(),
@@ -1409,7 +1325,7 @@ fn answer(
             match decoded {
                 Ok(pair) => pair,
                 Err(e) => {
-                    c.client_errors.fetch_add(1, Ordering::Relaxed);
+                    tel.bump(Counter::ClientErrors);
                     return finish(
                         Disposition::ClientError,
                         ErrorResponse::from_wire(&e).to_json(),
@@ -1426,9 +1342,7 @@ fn answer(
         // Different spelling, same canonical question: remember this
         // spelling so its next occurrence takes the fast path.
         shared.cache.alias(raw_key, body, key);
-        c.cache_hits.fetch_add(1, Ordering::Relaxed);
-        c.hit_nanos
-            .fetch_add(submitted.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        tel.bump(Counter::CacheHits);
         return finish(Disposition::Ok { cached: true }, cached, trace);
     }
     // One breaker decision covers this request's disk read and (on a cold
@@ -1445,12 +1359,10 @@ fn answer(
         trace.disk_us += us(t);
         match persisted {
             Ok(Some(cached)) => {
-                shared.breaker.record_ok(c);
+                shared.breaker.record_ok(tel);
                 shared.cache.insert(key, cached.clone());
                 shared.cache.alias(raw_key, body, key);
-                c.disk_hits.fetch_add(1, Ordering::Relaxed);
-                c.disk_hit_nanos
-                    .fetch_add(submitted.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                tel.bump(Counter::DiskHits);
                 trace.served_from_disk = true;
                 return finish(Disposition::Ok { cached: true }, cached, trace);
             }
@@ -1458,7 +1370,7 @@ fn answer(
             // disk's health: neutral for the breaker.
             Ok(None) => {}
             Err(e) => {
-                shared.breaker.record_err(c);
+                shared.breaker.record_err(tel);
                 // The error may be organic or injected; with an armed
                 // plane, flag the request as fault-involved.
                 trace.injected |= shared.faults.is_armed();
@@ -1466,7 +1378,7 @@ fn answer(
             }
         }
     }
-    c.cache_misses.fetch_add(1, Ordering::Relaxed);
+    tel.bump(Counter::CacheMisses);
     if shared.faults.is_armed() && shared.faults.solver_panic(body_text_for_faults()) {
         // lint:allow(panic-path): fault injection by design — this panic is
         // the test stimulus for the catch_unwind isolation boundary below.
@@ -1491,25 +1403,23 @@ fn answer(
                 let appended = lock_recover(disk).put(key, &rendered);
                 trace.disk_us += us(t);
                 match appended {
-                    Ok(()) => shared.breaker.record_ok(c),
+                    Ok(()) => shared.breaker.record_ok(tel),
                     Err(e) => {
-                        shared.breaker.record_err(c);
+                        shared.breaker.record_err(tel);
                         trace.injected |= shared.faults.is_armed();
                         eprintln!("batsched-service: disk-cache append failed: {e}");
                     }
                 }
             }
-            c.ok_solved.fetch_add(1, Ordering::Relaxed);
-            c.solve_nanos
-                .fetch_add(submitted.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            tel.bump(Counter::Solved);
             finish(Disposition::Ok { cached: false }, rendered, trace)
         }
         Err(err) => {
             let disposition = if err.error == "internal" {
-                c.internal_errors.fetch_add(1, Ordering::Relaxed);
+                tel.bump(Counter::InternalErrors);
                 Disposition::Internal
             } else {
-                c.client_errors.fetch_add(1, Ordering::Relaxed);
+                tel.bump(Counter::ClientErrors);
                 Disposition::ClientError
             };
             finish(disposition, err.to_json(), trace)

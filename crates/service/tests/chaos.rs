@@ -5,6 +5,7 @@
 //! shutdown under injected latency, and fault attribution through the
 //! observability surfaces (span log, `/v1/metrics`, `/readyz`).
 
+use batsched_service::http::client::Conn;
 use batsched_service::prelude::*;
 use batsched_service::{LogTarget, Service};
 use batsched_taskgraph::paper::g2;
@@ -12,7 +13,6 @@ use batsched_taskgraph::synth::{layered, Rounding, ScalingScheme, TaskParams};
 use batsched_taskgraph::TaskGraph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -345,36 +345,24 @@ fn shutdown_under_load_answers_every_accepted_request_exactly_once() {
 
 // --------------------------------------------------------- HTTP frontend
 
-/// Sends one framed POST over `stream` and reads back (status, body).
-fn http_roundtrip(stream: &mut std::net::TcpStream, path: &str, body: &str) -> (u16, String) {
-    let req = format!(
-        "POST {path} HTTP/1.1\r\nHost: localhost\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).expect("send");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .expect("status code");
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().expect("content length");
-        }
-    }
-    let mut payload = vec![0u8; content_length];
-    reader.read_exact(&mut payload).expect("body");
-    (status, String::from_utf8(payload).expect("utf8 body"))
+fn connect(addr: std::net::SocketAddr) -> Conn {
+    Conn::connect(addr, Duration::from_secs(30)).expect("connect")
+}
+
+/// Sends one framed keep-alive POST and reads back (status, body).
+fn http_roundtrip(c: &mut Conn, path: &str, body: &str) -> (u16, String) {
+    let content_type = ["Content-Type: application/json"];
+    let r = c.call("POST", path, &content_type, body.as_bytes(), true);
+    let r = r.expect("exchange");
+    (r.status, String::from_utf8(r.body).expect("utf8 body"))
+}
+
+/// One `Connection: close` GET on a fresh connection, returning (status,
+/// body).
+fn http_get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
+    let r = connect(addr).call("GET", path, &[], b"", false);
+    let r = r.expect("exchange");
+    (r.status, String::from_utf8(r.body).expect("utf8 body"))
 }
 
 #[test]
@@ -397,7 +385,7 @@ fn http_keepalive_connection_survives_a_worker_panic() {
     );
     let server = HttpServer::bind(Arc::clone(&svc), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
 
     let (status, body) = http_roundtrip(&mut stream, "/v1/schedule", &g2_body());
     assert_eq!(status, 500);
@@ -410,20 +398,7 @@ fn http_keepalive_connection_survives_a_worker_panic() {
     assert_eq!(status, 200);
     assert!(body.contains("\"sigma\""), "{body}");
 
-    let (status, stats_body) = {
-        let mut s2 = std::net::TcpStream::connect(addr).expect("connect stats");
-        let req = "GET /v1/stats HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n";
-        s2.write_all(req.as_bytes()).expect("send stats");
-        let mut raw = String::new();
-        s2.read_to_string(&mut raw).expect("recv stats");
-        let status: u16 = raw
-            .split_whitespace()
-            .nth(1)
-            .and_then(|c| c.parse().ok())
-            .expect("status");
-        let payload = raw.split_once("\r\n\r\n").expect("split").1.to_string();
-        (status, payload)
-    };
+    let (status, stats_body) = http_get(addr, "/v1/stats");
     assert_eq!(status, 200);
     assert!(stats_body.contains("\"worker_panics\":1"), "{stats_body}");
     assert!(stats_body.contains("\"worker_respawns\":1"), "{stats_body}");
@@ -434,18 +409,15 @@ fn http_keepalive_connection_survives_a_worker_panic() {
 
 // ------------------------------------- fault attribution in observability
 
-/// Extracts the unsigned integer that follows `"field":` in a span line.
+/// The unsigned integer field `field` of a JSON span line.
 fn span_field(line: &str, field: &str) -> u64 {
-    let tag = format!("\"{field}\":");
-    let at = line
-        .find(&tag)
-        .unwrap_or_else(|| panic!("span field {field} missing: {line}"));
-    line[at + tag.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("span field {field} not an integer: {line}"))
+    match serde::json::parse(line)
+        .ok()
+        .and_then(|v| v.get(field).cloned())
+    {
+        Some(serde_json::Value::Num(n)) => n as u64,
+        _ => panic!("span field {field} not an integer: {line}"),
+    }
 }
 
 /// Extracts one sample's value from a Prometheus text exposition.
@@ -456,26 +428,6 @@ fn metric(text: &str, sample: &str) -> u64 {
             (name == sample).then(|| value.parse::<f64>().expect("numeric sample") as u64)
         })
         .unwrap_or_else(|| panic!("metric {sample} missing from exposition"))
-}
-
-/// One `Connection: close` GET, returning (status, body).
-fn http_get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
-    let mut s = std::net::TcpStream::connect(addr).expect("connect");
-    let req = format!("GET {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n");
-    s.write_all(req.as_bytes()).expect("send");
-    let mut raw = String::new();
-    s.read_to_string(&mut raw).expect("recv");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .expect("status code");
-    let payload = raw
-        .split_once("\r\n\r\n")
-        .expect("framed response")
-        .1
-        .to_string();
-    (status, payload)
 }
 
 #[test]
@@ -519,7 +471,7 @@ fn injected_faults_are_attributed_in_span_log_and_metrics() {
     );
     let server = HttpServer::bind(Arc::clone(&svc), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
 
     // Request 1: the injected panic answers a typed 500.
     let (status, _) = http_roundtrip(&mut stream, "/v1/schedule", &g2_body());
@@ -642,7 +594,7 @@ fn http_timeout_maps_to_504_and_keeps_the_connection() {
     );
     let server = HttpServer::bind(Arc::clone(&svc), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
 
     let (status, body) = http_roundtrip(&mut stream, "/v1/schedule", &unique_body(40));
     assert_eq!(status, 504);

@@ -4,6 +4,7 @@
 //! transitions and the typed `upstream_unavailable` budget.
 
 use batsched_service::fleet::SlotFaults;
+use batsched_service::http::client::{Conn, Response};
 use batsched_service::wire::fnv1a64;
 use batsched_service::{
     home_slot, route, FaultPlane, FaultRule, FaultSite, Fleet, FleetConfig, InProcessLauncher,
@@ -11,8 +12,7 @@ use batsched_service::{
 };
 use batsched_taskgraph::paper::g2;
 use proptest::prelude::*;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -124,67 +124,17 @@ fn body_homing_on(target: usize, size: usize) -> String {
     panic!("no deadline in range homes on slot {target}");
 }
 
-struct Response {
-    status: u16,
-    head: String,
-    body: String,
-}
-
-impl Response {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.head.lines().find_map(|l| {
-            let (n, v) = l.split_once(':')?;
-            n.eq_ignore_ascii_case(name).then(|| v.trim())
-        })
-    }
-}
-
 /// One request on a fresh connection; reads the framed response.
 fn post_schedule(addr: SocketAddr, body: &str) -> Response {
     request(addr, "POST", "/v1/schedule", body)
 }
 
 fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
-    let raw = format!(
-        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(raw.as_bytes()).expect("send");
-    let mut reader = BufReader::new(stream);
-    let mut head = String::new();
-    loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line).expect("read head line");
-        assert!(n > 0 || !head.is_empty(), "EOF before any response");
-        if n == 0 || line.trim_end().is_empty() {
-            break;
-        }
-        head.push_str(&line);
-    }
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable status line: {head:?}"));
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            name.eq_ignore_ascii_case("content-length")
-                .then(|| value.trim().parse().expect("numeric Content-Length"))
-        })
-        .expect("response carries Content-Length");
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("read body");
-    Response {
-        status,
-        head,
-        body: String::from_utf8(body).expect("UTF-8 body"),
-    }
+    let mut c = Conn::connect(addr, Duration::from_secs(30)).expect("connect");
+    let r = c.call(method, path, &[], body.as_bytes(), false);
+    let r = r.expect("exchange");
+    std::str::from_utf8(&r.body).expect("UTF-8 body");
+    r
 }
 
 fn readyz_status(addr: SocketAddr) -> u16 {
@@ -201,7 +151,7 @@ fn fleet_answers_and_pins_duplicates_to_one_worker() {
     for target in 0..3 {
         let body = body_homing_on(target, 3);
         let cold = post_schedule(addr, &body);
-        assert_eq!(cold.status, 200, "{}", cold.body);
+        assert_eq!(cold.status, 200, "{}", cold.text());
         assert_eq!(
             cold.header("X-Fleet-Worker"),
             Some(target.to_string()).as_deref()
@@ -238,7 +188,7 @@ fn fleet_answers_and_pins_duplicates_to_one_worker() {
 
     let doc = request(addr, "GET", "/v1/fleet", "");
     assert_eq!(doc.status, 200);
-    assert!(doc.body.contains("\"workers\""), "{}", doc.body);
+    assert!(doc.text().contains("\"workers\""), "{}", doc.text());
     fleet.shutdown();
 }
 
@@ -265,10 +215,10 @@ fn mid_body_drop_is_retried_exactly_once_on_a_survivor() {
     // The client sees exactly one complete, correct response: the router
     // absorbs the severed upstream exchange and fails over.
     let resp = post_schedule(addr, &poisoned);
-    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(resp.status, 200, "{}", resp.text());
     let survivor = resp.header("X-Fleet-Worker").expect("worker header");
     assert_ne!(survivor, "0", "answered by a failover worker");
-    assert!(resp.body.contains("\"sigma\""), "{}", resp.body);
+    assert!(resp.text().contains("\"sigma\""), "{}", resp.text());
 
     let status = fleet.status();
     assert_eq!(status.retries, 1, "exactly one failover retry");
@@ -311,7 +261,12 @@ fn stalled_worker_trips_the_breaker_and_is_restarted() {
     // failover, and together they trip the breaker (threshold 2).
     for _ in 0..2 {
         let resp = post_schedule(addr, &body);
-        assert_eq!(resp.status, 200, "failover hides the wedge: {}", resp.body);
+        assert_eq!(
+            resp.status,
+            200,
+            "failover hides the wedge: {}",
+            resp.text()
+        );
         assert_ne!(resp.header("X-Fleet-Worker"), Some("0"));
     }
 
@@ -329,7 +284,7 @@ fn stalled_worker_trips_the_breaker_and_is_restarted() {
 
     // Home routing resumes on the healthy incarnation.
     let resp = post_schedule(addr, &body);
-    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(resp.status, 200, "{}", resp.text());
     assert_eq!(resp.header("X-Fleet-Worker"), Some("0"));
     fleet.shutdown();
 }
@@ -352,7 +307,7 @@ fn killed_worker_loses_no_requests_and_respawns() {
             // Zero loss: every accepted request is answered exactly once —
             // served by a survivor or (never here, with two live workers
             // and budget 2) a typed 503.
-            assert_eq!(resp.status, 200, "{}", resp.body);
+            assert_eq!(resp.status, 200, "{}", resp.text());
             answered += 1;
         }
     }
@@ -378,7 +333,7 @@ fn drain_restarts_one_worker_without_dropping_the_fleet() {
     assert_eq!(readyz_status(addr), 200);
 
     let drained = request(addr, "POST", "/v1/fleet/drain/2", "");
-    assert_eq!(drained.status, 200, "{}", drained.body);
+    assert_eq!(drained.status, 200, "{}", drained.text());
 
     // While worker 2 cycles, /readyz reports the partial fleet…
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -395,7 +350,7 @@ fn drain_restarts_one_worker_without_dropping_the_fleet() {
     }
     // …but requests keep answering: worker 2's slice fails over.
     let resp = post_schedule(addr, &body_homing_on(2, 3));
-    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(resp.status, 200, "{}", resp.text());
     assert_ne!(resp.header("X-Fleet-Worker"), Some("2"));
 
     // The drained worker comes back and readiness recovers.
@@ -411,10 +366,14 @@ fn drain_restarts_one_worker_without_dropping_the_fleet() {
     // Refusals are typed: an out-of-range slot conflicts, a non-numeric
     // one is a bad request.
     let missing = request(addr, "POST", "/v1/fleet/drain/9", "");
-    assert_eq!(missing.status, 409, "{}", missing.body);
-    assert!(missing.body.contains("drain_rejected"), "{}", missing.body);
+    assert_eq!(missing.status, 409, "{}", missing.text());
+    assert!(
+        missing.text().contains("drain_rejected"),
+        "{}",
+        missing.text()
+    );
     let garbled = request(addr, "POST", "/v1/fleet/drain/nope", "");
-    assert_eq!(garbled.status, 400, "{}", garbled.body);
+    assert_eq!(garbled.status, 400, "{}", garbled.text());
     fleet.shutdown();
 }
 
@@ -436,8 +395,12 @@ fn unavailable_is_typed_when_every_worker_is_down() {
     // budget is unspendable, so the client gets the typed 503 — never a
     // dropped or hung connection.
     let resp = post_schedule(addr, &body);
-    assert_eq!(resp.status, 503, "{}", resp.body);
-    assert!(resp.body.contains("upstream_unavailable"), "{}", resp.body);
+    assert_eq!(resp.status, 503, "{}", resp.text());
+    assert!(
+        resp.text().contains("upstream_unavailable"),
+        "{}",
+        resp.text()
+    );
     assert!(fleet.status().unavailable >= 1);
 
     // Health stays answerable throughout, readiness reports the hole.

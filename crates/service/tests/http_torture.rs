@@ -4,12 +4,13 @@
 //! `Content-Length`, `Transfer-Encoding`, per-connection request caps and
 //! HTTP/1.0 semantics.
 
+use batsched_service::http::client::{Conn, Response};
 use batsched_service::http::{IDLE_TIMEOUT, MAX_HEAD_BYTES, MAX_REQUESTS_PER_CONNECTION};
 use batsched_service::wire::ScheduleResponse;
 use batsched_service::{HttpServer, ScheduleRequest, Service, ServiceConfig};
 use batsched_taskgraph::paper::{g2, g3};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::io::Write;
+use std::net::{Shutdown, SocketAddr};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,104 +25,58 @@ fn schedule_body(deadline: f64) -> String {
     serde_json::to_string(&ScheduleRequest::new(g2(), deadline)).expect("serialises")
 }
 
-/// A test client that speaks framed HTTP on one connection: reads each
-/// response by its `Content-Length`, so many responses can share the
-/// stream.
-struct Client {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-struct Response {
-    status: u16,
-    head: String,
-    body: String,
-}
+/// A test client on one connection: malformed requests go out as
+/// hand-built bytes, well-formed ones through the framed client, which
+/// also reads every response.
+struct Client(Conn);
 
 impl Client {
     fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("read timeout");
-        let reader = BufReader::new(stream.try_clone().expect("clone"));
-        Client { stream, reader }
+        Client(Conn::connect(addr, Duration::from_secs(30)).expect("connect"))
     }
 
     fn send_raw(&mut self, raw: &str) {
-        self.stream.write_all(raw.as_bytes()).expect("send");
+        self.0.stream().write_all(raw.as_bytes()).expect("send");
     }
 
+    /// Sends one well-formed request; `connection` is `keep-alive` or
+    /// `close`.
     fn request_raw(&mut self, method: &str, path: &str, body: &str, connection: &str) {
-        let raw = format!(
-            "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
-            body.len()
-        );
-        self.send_raw(&raw);
+        self.request_typed(method, path, None, body, connection);
     }
 
+    /// [`Client::request_raw`] with an optional `Content-Type`.
     fn request_typed(
         &mut self,
         method: &str,
         path: &str,
-        content_type: &str,
+        ct: Option<&str>,
         body: &str,
-        connection: &str,
+        conn: &str,
     ) {
-        let raw = format!(
-            "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
-            body.len()
-        );
-        self.send_raw(&raw);
+        let ct = ct.map(|ct| format!("Content-Type: {ct}"));
+        let headers: Vec<&str> = ct.iter().map(String::as_str).collect();
+        let keep_alive = conn == "keep-alive";
+        let sent = self
+            .0
+            .send(method, path, &headers, body.as_bytes(), keep_alive);
+        sent.expect("send");
     }
 
-    /// Reads one framed response (status line + headers + Content-Length
-    /// bytes of body). Panics on a closed stream.
+    /// Reads one framed response with a UTF-8 body. Panics on a closed
+    /// stream.
     fn read_response(&mut self) -> Response {
-        self.try_read_response().expect("connection closed early")
-    }
-
-    /// `None` when the server has closed the connection at a boundary.
-    fn try_read_response(&mut self) -> Option<Response> {
-        let mut head = String::new();
-        loop {
-            let mut line = String::new();
-            let n = self.reader.read_line(&mut line).expect("read head line");
-            if n == 0 {
-                assert!(head.is_empty(), "EOF mid-head: {head:?}");
-                return None;
-            }
-            if line.trim_end().is_empty() {
-                break;
-            }
-            head.push_str(&line);
-        }
-        let status: u16 = head
-            .split_whitespace()
-            .nth(1)
-            .and_then(|c| c.parse().ok())
-            .unwrap_or_else(|| panic!("unparseable status line: {head:?}"));
-        let content_length: usize = head
-            .lines()
-            .find_map(|l| {
-                let (name, value) = l.split_once(':')?;
-                name.eq_ignore_ascii_case("content-length")
-                    .then(|| value.trim().parse().expect("numeric Content-Length"))
-            })
-            .expect("response carries Content-Length");
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body).expect("read body");
-        Some(Response {
-            status,
-            head,
-            body: String::from_utf8(body).expect("UTF-8 body"),
-        })
+        let r = self.0.read_response().expect("read response");
+        let r = r.expect("connection closed early");
+        std::str::from_utf8(&r.body).expect("UTF-8 body");
+        r
     }
 
     /// Asserts the server has closed: the next read returns EOF.
     fn assert_closed(&mut self) {
+        let next = self.0.read_response().expect("clean EOF");
         assert!(
-            self.try_read_response().is_none(),
+            next.is_none(),
             "expected the server to close the connection"
         );
     }
@@ -139,22 +94,22 @@ fn keep_alive_pipelines_hit_miss_and_error_on_one_connection() {
     // connection; the client error must NOT poison the stream.
     c.request_raw("POST", "/v1/schedule", &miss_body, "keep-alive");
     let r = c.read_response();
-    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(r.status, 200, "{}", r.text());
     assert!(r.head.contains("X-Cache: miss"), "{}", r.head);
     assert!(r.head.contains("Connection: keep-alive"), "{}", r.head);
-    let first: ScheduleResponse = serde_json::from_str(&r.body).expect("schedule body");
+    let first: ScheduleResponse = serde_json::from_str(&r.text()).expect("schedule body");
 
     c.request_raw("POST", "/v1/schedule", &miss_body, "keep-alive");
     let r = c.read_response();
     assert_eq!(r.status, 200);
     assert!(r.head.contains("X-Cache: hit"), "{}", r.head);
-    let warm: ScheduleResponse = serde_json::from_str(&r.body).expect("schedule body");
+    let warm: ScheduleResponse = serde_json::from_str(&r.text()).expect("schedule body");
     assert_eq!(warm, first, "keep-alive hit replays identical content");
 
     c.request_raw("POST", "/v1/schedule", "{ nope", "keep-alive");
     let r = c.read_response();
     assert_eq!(r.status, 400);
-    assert!(r.body.contains("bad_json"), "{}", r.body);
+    assert!(r.text().contains("bad_json"), "{}", r.text());
     assert!(
         r.head.contains("Connection: keep-alive"),
         "a well-framed bad request keeps the connection: {}",
@@ -164,7 +119,7 @@ fn keep_alive_pipelines_hit_miss_and_error_on_one_connection() {
     c.request_raw("GET", "/v1/stats", "", "keep-alive");
     let r = c.read_response();
     assert_eq!(r.status, 200);
-    assert!(r.body.contains("\"cache_hits\":1"), "{}", r.body);
+    assert!(r.text().contains("\"cache_hits\":1"), "{}", r.text());
 
     // Explicit close is honoured: response announces it, then EOF.
     c.request_raw("GET", "/healthz", "", "close");
@@ -257,10 +212,10 @@ fn truncated_head_fails_fast_with_400() {
     // Head cut off mid-headers (no blank line), then half-close: must be
     // answered 400 immediately, not after the 10 s IO timeout burns down.
     c.send_raw("POST /v1/schedule HTTP/1.1\r\nContent-Length: 10\r\n");
-    c.stream.shutdown(Shutdown::Write).expect("half-close");
+    c.0.stream().shutdown(Shutdown::Write).expect("half-close");
     let r = c.read_response();
     assert_eq!(r.status, 400);
-    assert!(r.body.contains("bad_http"), "{}", r.body);
+    assert!(r.text().contains("bad_http"), "{}", r.text());
     assert!(r.head.contains("Connection: close"), "{}", r.head);
     c.assert_closed();
     assert!(
@@ -278,7 +233,7 @@ fn truncated_request_line_fails_fast_with_400() {
     let started = Instant::now();
     let mut c = Client::connect(addr);
     c.send_raw("POST /v1/sched"); // no line terminator at all
-    c.stream.shutdown(Shutdown::Write).expect("half-close");
+    c.0.stream().shutdown(Shutdown::Write).expect("half-close");
     let r = c.read_response();
     assert_eq!(r.status, 400);
     assert!(started.elapsed() < Duration::from_secs(5));
@@ -293,10 +248,10 @@ fn truncated_body_fails_fast_with_400() {
     let started = Instant::now();
     let mut c = Client::connect(addr);
     c.send_raw("POST /v1/schedule HTTP/1.1\r\nContent-Length: 500\r\n\r\n{\"v\":1");
-    c.stream.shutdown(Shutdown::Write).expect("half-close");
+    c.0.stream().shutdown(Shutdown::Write).expect("half-close");
     let r = c.read_response();
     assert_eq!(r.status, 400);
-    assert!(r.body.contains("bad_http"), "{}", r.body);
+    assert!(r.text().contains("bad_http"), "{}", r.text());
     assert!(
         started.elapsed() < Duration::from_secs(5),
         "truncated body must fail fast, took {:?}",
@@ -317,7 +272,7 @@ fn oversize_head_is_rejected_413() {
     c.send_raw(&format!("X-Filler: {filler}"));
     let r = c.read_response();
     assert_eq!(r.status, 413);
-    assert!(r.body.contains("too_large"), "{}", r.body);
+    assert!(r.text().contains("too_large"), "{}", r.text());
     c.assert_closed();
     drop(server);
     svc.shutdown();
@@ -334,7 +289,11 @@ fn duplicate_and_conflicting_content_length_are_rejected() {
         ));
         let r = c.read_response();
         assert_eq!(r.status, 400, "CL {a} vs {b}");
-        assert!(r.body.contains("duplicate Content-Length"), "{}", r.body);
+        assert!(
+            r.text().contains("duplicate Content-Length"),
+            "{}",
+            r.text()
+        );
         assert!(r.head.contains("Connection: close"), "{}", r.head);
         c.assert_closed();
         drop(server);
@@ -349,7 +308,7 @@ fn unparseable_content_length_is_rejected() {
     c.send_raw("POST /v1/schedule HTTP/1.1\r\nContent-Length: 10, 10\r\n\r\n");
     let r = c.read_response();
     assert_eq!(r.status, 400);
-    assert!(r.body.contains("bad Content-Length"), "{}", r.body);
+    assert!(r.text().contains("bad Content-Length"), "{}", r.text());
     c.assert_closed();
     drop(server);
     svc.shutdown();
@@ -366,9 +325,9 @@ fn transfer_encoding_is_refused_with_501() {
         let r = c.read_response();
         assert_eq!(r.status, 501, "TE {te:?}");
         assert!(
-            r.body.contains("unsupported_transfer_encoding"),
+            r.text().contains("unsupported_transfer_encoding"),
             "{}",
-            r.body
+            r.text()
         );
         assert!(r.head.contains("Connection: close"), "{}", r.head);
         c.assert_closed();
@@ -385,23 +344,18 @@ fn unknown_content_type_is_415_and_keeps_the_connection() {
     // Unknown media types are a client mistake, not a framing violation:
     // the typed 415 must not poison the keep-alive stream.
     for ct in ["text/plain", "application/xml", "application/json2"] {
-        c.request_typed("POST", "/v1/schedule", ct, &body, "keep-alive");
+        c.request_typed("POST", "/v1/schedule", Some(ct), &body, "keep-alive");
         let r = c.read_response();
         assert_eq!(r.status, 415, "{ct}");
-        assert!(r.body.contains("unsupported_media_type"), "{}", r.body);
+        assert!(r.text().contains("unsupported_media_type"), "{}", r.text());
         assert!(r.head.contains("Connection: keep-alive"), "{}", r.head);
     }
     // The SAME connection still serves real requests; a charset parameter
     // on application/json is fine.
-    c.request_typed(
-        "POST",
-        "/v1/schedule",
-        "application/json; charset=utf-8",
-        &body,
-        "keep-alive",
-    );
+    let json = Some("application/json; charset=utf-8");
+    c.request_typed("POST", "/v1/schedule", json, &body, "keep-alive");
     let r = c.read_response();
-    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(r.status, 200, "{}", r.text());
     c.request_raw("POST", "/v1/schedule", &body, "close");
     let r = c.read_response();
     assert_eq!(r.status, 200);
@@ -420,10 +374,12 @@ fn non_utf8_json_body_is_a_typed_400_not_a_framing_error() {
     // A well-framed body that is not UTF-8: semantic error, typed answer,
     // connection preserved.
     c.send_raw("POST /v1/schedule HTTP/1.1\r\nContent-Length: 4\r\nConnection: keep-alive\r\n\r\n");
-    c.stream.write_all(&[0xff, 0xfe, 0x01, 0x02]).expect("send");
+    c.0.stream()
+        .write_all(&[0xff, 0xfe, 0x01, 0x02])
+        .expect("send");
     let r = c.read_response();
     assert_eq!(r.status, 400);
-    assert!(r.body.contains("bad_json"), "{}", r.body);
+    assert!(r.text().contains("bad_json"), "{}", r.text());
     assert!(r.head.contains("Connection: keep-alive"), "{}", r.head);
     c.request_raw("GET", "/healthz", "", "close");
     assert_eq!(c.read_response().status, 200);
@@ -513,10 +469,10 @@ fn keep_alive_duplicate_stream_stays_on_one_connection_and_hits() {
         for (i, b) in bodies.iter().enumerate() {
             c.request_raw("POST", "/v1/schedule", b, "keep-alive");
             let r = c.read_response();
-            assert_eq!(r.status, 200, "round {round}: {}", r.body);
+            assert_eq!(r.status, 200, "round {round}: {}", r.text());
             match &first[i] {
-                None => first[i] = Some(r.body),
-                Some(expect) => assert_eq!(&r.body, expect, "round {round}"),
+                None => first[i] = Some(r.text().into_owned()),
+                Some(expect) => assert_eq!(&r.text(), expect, "round {round}"),
             }
         }
     }

@@ -1,16 +1,19 @@
 //! Observability contract tests: trace-id propagation over HTTP (client
 //! ids echoed — including on typed errors — and generated ids unique
 //! across keep-alive pipelining), the one-span-per-request contract with
-//! exact stage reconciliation, and property tests pinning the log-bucket
+//! exact stage reconciliation, the pinned `/v1/metrics` inventory and its
+//! agreement with `/v1/stats`, and property tests pinning the log-bucket
 //! histogram to a sorted-vec oracle.
 
+use batsched_service::http::client::{Conn, Response};
 use batsched_service::prelude::*;
 use batsched_service::{HistogramSnapshot, LogTarget, Service, BUCKET_BOUNDS_US};
 use batsched_taskgraph::paper::g2;
 use proptest::prelude::*;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::collections::BTreeSet;
+use std::net::SocketAddr;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn g2_body() -> String {
     serde_json::to_string(&ScheduleRequest::new(g2(), 75.0)).expect("serialises")
@@ -24,59 +27,24 @@ fn tmp_file(name: &str) -> std::path::PathBuf {
     p
 }
 
-/// Sends one framed request over `stream` with optional extra header
-/// lines; returns `(status, head, body)`. Keep-alive unless `close`.
-fn roundtrip(
-    stream: &mut TcpStream,
-    path: &str,
-    extra_headers: &[&str],
-    body: &str,
-    close: bool,
-) -> (u16, String, String) {
-    let connection = if close { "close" } else { "keep-alive" };
-    let extra: String = extra_headers.iter().map(|h| format!("{h}\r\n")).collect();
-    let req = format!(
-        "POST {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: {connection}\r\n{extra}\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).expect("send");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut head = String::new();
-    loop {
-        let mut line = String::new();
-        assert!(reader.read_line(&mut line).expect("head line") > 0, "eof");
-        if line.trim_end().is_empty() {
-            break;
-        }
-        head.push_str(&line);
-    }
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .expect("status code");
-    let len: usize = head
-        .lines()
-        .find_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            name.eq_ignore_ascii_case("content-length")
-                .then(|| value.trim().parse().expect("numeric length"))
-        })
-        .expect("Content-Length");
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload).expect("body");
-    (status, head, String::from_utf8(payload).expect("utf8"))
+fn connect(addr: SocketAddr) -> Conn {
+    Conn::connect(addr, Duration::from_secs(30)).expect("connect")
 }
 
-/// Pulls the echoed `X-Request-Id` out of a response head.
-fn request_id(head: &str) -> String {
-    head.lines()
-        .find_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            name.eq_ignore_ascii_case("x-request-id")
-                .then(|| value.trim().to_string())
-        })
-        .unwrap_or_else(|| panic!("no X-Request-Id in head: {head}"))
+/// Sends one framed request with optional extra header lines; keep-alive
+/// unless `close`. The response body must be UTF-8.
+fn roundtrip(c: &mut Conn, path: &str, headers: &[&str], body: &str, close: bool) -> Response {
+    let r = c.call("POST", path, headers, body.as_bytes(), !close);
+    let r = r.expect("exchange");
+    std::str::from_utf8(&r.body).expect("utf8");
+    r
+}
+
+/// The echoed `X-Request-Id`.
+fn request_id(r: &Response) -> String {
+    r.header("x-request-id")
+        .unwrap_or_else(|| panic!("no X-Request-Id in head: {}", r.head))
+        .to_string()
 }
 
 // ------------------------------------------------- trace-id propagation
@@ -85,43 +53,43 @@ fn request_id(head: &str) -> String {
 fn client_request_ids_are_echoed_even_on_typed_errors() {
     let svc = Arc::new(Service::start(ServiceConfig::default()));
     let server = HttpServer::bind(Arc::clone(&svc), "127.0.0.1:0").expect("bind");
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut stream = connect(server.local_addr());
 
     // A good request: the client's id comes back verbatim.
-    let (status, head, _) = roundtrip(
+    let r = roundtrip(
         &mut stream,
         "/v1/schedule",
         &["X-Request-Id: client-abc-123"],
         &g2_body(),
         false,
     );
-    assert_eq!(status, 200);
-    assert_eq!(request_id(&head), "client-abc-123");
+    assert_eq!(r.status, 200);
+    assert_eq!(request_id(&r), "client-abc-123");
 
     // A malformed request: the typed 400 still carries the client's id.
-    let (status, head, body) = roundtrip(
+    let r = roundtrip(
         &mut stream,
         "/v1/schedule",
         &["X-Request-Id: client-bad-7"],
         "{ nope",
         false,
     );
-    assert_eq!(status, 400);
-    let err: ErrorResponse = serde_json::from_str(&body).expect("typed error");
+    assert_eq!(r.status, 400);
+    let err: ErrorResponse = serde_json::from_str(&r.text()).expect("typed error");
     assert_eq!(err.error, "bad_json");
-    assert_eq!(request_id(&head), "client-bad-7");
+    assert_eq!(request_id(&r), "client-bad-7");
 
     // An unusable id (embedded whitespace) is ignored, not rejected: the
     // request succeeds under a server-generated id instead.
-    let (status, head, _) = roundtrip(
+    let r = roundtrip(
         &mut stream,
         "/v1/schedule",
         &["X-Request-Id: has a space"],
         &g2_body(),
         true,
     );
-    assert_eq!(status, 200);
-    let generated = request_id(&head);
+    assert_eq!(r.status, 200);
+    let generated = request_id(&r);
     assert_ne!(generated, "has a space");
     assert!(
         generated.contains('-'),
@@ -138,7 +106,7 @@ fn client_request_ids_are_echoed_even_on_typed_errors() {
 fn generated_ids_are_unique_across_keepalive_pipelining() {
     let svc = Arc::new(Service::start(ServiceConfig::default()));
     let server = HttpServer::bind(Arc::clone(&svc), "127.0.0.1:0").expect("bind");
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut stream = connect(server.local_addr());
 
     // The same body replayed down one connection: every response gets its
     // own id (the sequence part), while the hash prefix — derived from
@@ -146,9 +114,9 @@ fn generated_ids_are_unique_across_keepalive_pipelining() {
     let body = g2_body();
     let mut ids = Vec::new();
     for i in 0..8 {
-        let (status, head, _) = roundtrip(&mut stream, "/v1/schedule", &[], &body, i == 7);
-        assert_eq!(status, 200);
-        ids.push(request_id(&head));
+        let r = roundtrip(&mut stream, "/v1/schedule", &[], &body, i == 7);
+        assert_eq!(r.status, 200);
+        ids.push(request_id(&r));
     }
     let unique: std::collections::HashSet<&String> = ids.iter().collect();
     assert_eq!(unique.len(), ids.len(), "duplicate generated ids: {ids:?}");
@@ -178,17 +146,17 @@ fn one_span_per_request_with_exact_stage_reconciliation() {
         ..ServiceConfig::default()
     }));
     let server = HttpServer::bind(Arc::clone(&svc), "127.0.0.1:0").expect("bind");
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut stream = connect(server.local_addr());
 
-    let (status, head, _) = roundtrip(
+    let r = roundtrip(
         &mut stream,
         "/v1/schedule",
         &["X-Request-Id: span-contract-1"],
         &g2_body(),
         true,
     );
-    assert_eq!(status, 200);
-    assert_eq!(request_id(&head), "span-contract-1");
+    assert_eq!(r.status, 200);
+    assert_eq!(request_id(&r), "span-contract-1");
 
     drop(stream);
     server.stop();
@@ -275,6 +243,162 @@ fn jsonl_frontend_spans_one_line_per_request() {
         "identical bodies share a hash prefix"
     );
     std::fs::remove_file(&span_path).unwrap();
+}
+
+// ------------------------------------------------- telemetry surface pin
+
+/// Every series a standalone daemon's `/v1/metrics` exports, in exposition
+/// order: `name kind` plus each label set its samples carry (histogram
+/// `le` buckets aside). A scraper sees exactly this.
+const METRICS_INVENTORY: &[&str] = &[
+    "batsched_received_total counter",
+    "batsched_solved_total counter",
+    "batsched_cache_hits_total counter",
+    "batsched_disk_hits_total counter",
+    "batsched_cache_misses_total counter",
+    "batsched_client_errors_total counter",
+    "batsched_internal_errors_total counter",
+    "batsched_rejected_total counter",
+    "batsched_timeouts_total counter",
+    "batsched_worker_panics_total counter",
+    "batsched_worker_respawns_total counter",
+    "batsched_disk_errors_total counter",
+    "batsched_disk_breaker_trips_total counter",
+    "batsched_disk_rearms_total counter",
+    "batsched_fault_injected_total counter",
+    "batsched_spans_dropped_total counter",
+    "batsched_requests_by_format counter format=\"binary\" format=\"json\"",
+    "batsched_queue_depth gauge",
+    "batsched_workers_live gauge",
+    "batsched_workers_target gauge",
+    "batsched_disk_breaker_open gauge",
+    "batsched_cache_entries gauge",
+    "batsched_cache_capacity gauge",
+    "batsched_disk_entries gauge",
+    "batsched_ready gauge",
+    "batsched_solver_windows_total counter",
+    "batsched_solver_carry_hits_total counter",
+    "batsched_solver_carry_misses_total counter",
+    "batsched_solver_rows_full_total counter",
+    "batsched_solver_rows_carried_total counter",
+    "batsched_solver_journal_promotions_total counter",
+    "batsched_solver_journal_rollbacks_total counter",
+    "batsched_solver_sigma_evals_total counter",
+    "batsched_solver_sigma_reused_total counter",
+    "batsched_solver_sigma_fresh_total counter",
+    "batsched_request_duration_us histogram",
+    "batsched_stage_duration_us histogram stage=\"cache\" stage=\"disk\" stage=\"hash\" \
+     stage=\"parse\" stage=\"queue\" stage=\"read\" stage=\"serialize\" stage=\"solve\" \
+     stage=\"write\"",
+    "batsched_solve_cold_duration_us histogram",
+];
+
+/// `/v1/stats` fields and the `/v1/metrics` sample each must equal.
+const STATS_AS_METRICS: &[(&str, &str)] = &[
+    ("received", "batsched_received_total"),
+    (
+        "binary_requests",
+        "batsched_requests_by_format{format=\"binary\"}",
+    ),
+    ("solved", "batsched_solved_total"),
+    ("cache_hits", "batsched_cache_hits_total"),
+    ("disk_hits", "batsched_disk_hits_total"),
+    ("cache_misses", "batsched_cache_misses_total"),
+    ("client_errors", "batsched_client_errors_total"),
+    ("internal_errors", "batsched_internal_errors_total"),
+    ("rejected", "batsched_rejected_total"),
+    ("timeouts", "batsched_timeouts_total"),
+    ("worker_panics", "batsched_worker_panics_total"),
+    ("worker_respawns", "batsched_worker_respawns_total"),
+    ("disk_errors", "batsched_disk_errors_total"),
+    ("disk_breaker_trips", "batsched_disk_breaker_trips_total"),
+    ("disk_rearms", "batsched_disk_rearms_total"),
+    ("faults_injected", "batsched_fault_injected_total"),
+    ("spans_dropped", "batsched_spans_dropped_total"),
+    ("queue_depth", "batsched_queue_depth"),
+    ("workers_live", "batsched_workers_live"),
+    ("workers", "batsched_workers_target"),
+    ("cache_len", "batsched_cache_entries"),
+    ("cache_capacity", "batsched_cache_capacity"),
+    ("disk_entries", "batsched_disk_entries"),
+];
+
+/// The `name kind label-sets` line of every `# TYPE` in an exposition, in
+/// order.
+fn inventory(text: &str) -> Vec<String> {
+    let mut series: Vec<(String, BTreeSet<String>)> = Vec::new();
+    for line in text.lines() {
+        if let Some(declared) = line.strip_prefix("# TYPE ") {
+            series.push((declared.to_string(), BTreeSet::new()));
+            continue;
+        }
+        let (sample, _) = line.rsplit_once(' ').expect("`name value` sample");
+        let labels = sample.split_once('{').map_or("", |(_, l)| l);
+        let labels = labels.trim_end_matches('}').split(',');
+        let (_, sets) = series.last_mut().expect("sample after its # TYPE");
+        sets.extend(
+            labels
+                .filter(|l| !l.is_empty() && !l.starts_with("le="))
+                .map(String::from),
+        );
+    }
+    series
+        .into_iter()
+        .map(|(declared, sets)| {
+            let mut line = declared;
+            for set in sets {
+                line.push(' ');
+                line.push_str(&set);
+            }
+            line
+        })
+        .collect()
+}
+
+#[test]
+fn metrics_inventory_is_pinned_and_agrees_with_stats() {
+    let svc = Arc::new(Service::start(ServiceConfig::default()));
+    let server = HttpServer::bind(Arc::clone(&svc), "127.0.0.1:0").expect("bind");
+    let mut c = connect(server.local_addr());
+    // One request of each outcome: solved, hit, client error.
+    for (body, status) in [(g2_body(), 200), (g2_body(), 200), ("{ nope".into(), 400)] {
+        assert_eq!(
+            roundtrip(&mut c, "/v1/schedule", &[], &body, false).status,
+            status
+        );
+    }
+    let metrics = c
+        .call("GET", "/v1/metrics", &[], b"", true)
+        .expect("scrape");
+    let stats = c.call("GET", "/v1/stats", &[], b"", false).expect("stats");
+    drop(server);
+    svc.shutdown();
+
+    let metrics = String::from_utf8(metrics.body).expect("utf8 metrics");
+    let found = inventory(&metrics);
+    assert_eq!(found, METRICS_INVENTORY, "{metrics}");
+    let names: BTreeSet<&str> = found.iter().filter_map(|l| l.split(' ').next()).collect();
+    assert_eq!(names.len(), found.len(), "a # TYPE line repeats: {found:?}");
+
+    let stats = std::str::from_utf8(&stats.body).expect("utf8 stats");
+    let stats = serde::json::parse(stats).expect("stats JSON");
+    for (field, sample) in STATS_AS_METRICS {
+        let Some(serde_json::Value::Num(stat)) = stats.get(field) else {
+            panic!("stats lacks {field}: {stats:?}");
+        };
+        let exported = metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(sample)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no {sample} sample: {metrics}"));
+        assert_eq!(exported, stat.to_string(), "{field} vs {sample}");
+    }
+    for driven in ["solved", "cache_hits", "client_errors"] {
+        assert_eq!(
+            stats.get(driven),
+            Some(&serde_json::Value::Num(1.0)),
+            "{driven}"
+        );
+    }
 }
 
 // ---------------------------------------------- histogram vs oracle props

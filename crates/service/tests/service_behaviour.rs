@@ -3,6 +3,7 @@
 //! malformed-input robustness, backpressure, and the HTTP frontend.
 
 use batsched_core::SolverWorkspace;
+use batsched_service::http::client::Conn;
 use batsched_service::prelude::*;
 use batsched_service::wire::{self, ScheduleResponse};
 use batsched_service::Service;
@@ -13,6 +14,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn synth_graph(n_layers: usize, m: usize, seed: u64) -> TaskGraph {
     let params = TaskParams {
@@ -186,6 +188,9 @@ fn malformed_stream_yields_typed_errors_never_panics() {
     let cases: Vec<(String, &str)> = vec![
         ("".into(), "bad_json"),
         ("{".into(), "bad_json"),
+        // Nesting far past the parser's depth cap: a typed error, not a
+        // stack-overflow abort.
+        ("[".repeat(400_000), "bad_json"),
         ("[]".into(), "bad_request"),
         (ok.replace("\"v\":1", "\"v\":3"), "unsupported_version"),
         (
@@ -269,22 +274,11 @@ fn http_call(
     path: &str,
     body: &str,
 ) -> (u16, String, String) {
-    use std::io::{Read, Write};
-    let mut s = std::net::TcpStream::connect(addr).expect("connect");
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    s.write_all(req.as_bytes()).expect("send");
-    let mut raw = String::new();
-    s.read_to_string(&mut raw).expect("recv");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .expect("status code");
-    let (head, payload) = raw.split_once("\r\n\r\n").expect("header/body split");
-    (status, head.to_string(), payload.to_string())
+    let mut c = Conn::connect(addr, Duration::from_secs(30)).expect("connect");
+    let r = c.call(method, path, &[], body.as_bytes(), false);
+    let r = r.expect("exchange");
+    let text = String::from_utf8(r.body).expect("UTF-8 body");
+    (r.status, r.head, text)
 }
 
 #[test]
@@ -312,6 +306,10 @@ fn http_frontend_routes_and_shuts_down() {
     let (code, _, err) = http_call(addr, "POST", "/v1/schedule", "{ nope");
     assert_eq!(code, 400);
     assert!(err.contains("bad_json"));
+
+    let (code, _, err) = http_call(addr, "POST", "/v1/schedule", &"[".repeat(400_000));
+    assert_eq!(code, 400);
+    assert!(err.contains("bad_json"), "{err}");
 
     let (code, _, stats) = http_call(addr, "GET", "/v1/stats", "");
     assert_eq!(code, 200);
