@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI pipeline: formatting, lints, build, tests (both feature configs),
-# example compile-check, the service smoke test (daemon + loadgen burst),
+# CI pipeline: formatting, lints, build, tests, example and benchmark
+# compile-checks, the service smoke test (daemon + loadgen burst),
 # and the perf/service snapshots. Mirrors the recipes in ./justfile.
 #
 # `./ci.sh serve-smoke` runs only the daemon smoke test (used by
@@ -159,9 +159,6 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy -D warnings (parallel feature)"
-cargo clippy --workspace --all-targets --features parallel -- -D warnings
-
 echo "==> batsched-lint (invariant gates: panic-path, nested-lock, uncapped-wire-alloc, nondeterministic-iter, crate-hygiene)"
 # The workspace invariant linter (crates/lint): hard gate, zero findings
 # allowed — suppressions only via an annotated, machine-checked
@@ -175,11 +172,13 @@ cargo build --release
 echo "==> cargo build --release --examples (compile-check examples/)"
 cargo build --release --examples
 
+echo "==> perfbench build (the benchmark's own workspace, lockfile frozen)"
+# perfbench builds against the workspace crates by path: a public API it
+# uses changing, or its Cargo.lock needing a rewrite, fails here.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
-
-echo "==> cargo test (workspace, parallel feature)"
-cargo test --workspace -q --features parallel
 
 serve_smoke
 
@@ -189,11 +188,10 @@ metrics_smoke
 
 fleet_smoke
 
-echo "==> fleet drill (parallel feature, zero-loss floors enforced)"
-# The acceptance gate runs in both feature configs: the in-process fleet
-# drill (router + 3 workers, kill mid-burst) must lose zero requests with
-# the parallel solver kernels compiled in too.
-cargo run --release -q -p batsched-bench --features parallel --bin loadgen -- --fleet --quick --check
+echo "==> fleet drill (in-process, zero-loss floors enforced)"
+# The in-process fleet drill (router + 3 workers, kill mid-burst) must
+# lose zero requests.
+cargo run --release -q -p batsched-bench --bin loadgen -- --fleet --quick --check
 
 echo "==> perf smoke + snapshot (BENCH_scheduler.json, floors enforced)"
 # Quick-mode perf smoke: regenerates the snapshot and fails the pipeline if

@@ -125,14 +125,6 @@ impl SigmaEvaluator {
         self.dur.len()
     }
 
-    /// Globally unique identity of this evaluator instance. Scratches and
-    /// caches key their validity on it ([`SigmaScratch`] and
-    /// [`PrefixSigma`] do so internally); callers maintaining their own
-    /// evaluator-derived state can use the same guard.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Whether this evaluator was built over exactly the given entry
     /// catalogue (same order, bit-equal durations and currents). Lets a
     /// cache decide to reuse an evaluator for a repeated workload without

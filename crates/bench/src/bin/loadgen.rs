@@ -48,11 +48,10 @@
 //!   content hash), the dead worker must be respawned, and the fleet must
 //!   return to ready. `--check` fails the run on any lost request.
 //!
-//! All latency percentiles (p50/p95/p99) are computed through the
-//! service's own [`batsched_service::HistogramSnapshot`] — the same
-//! fixed-boundary log-bucket histogram `/v1/metrics` exposes — so the
-//! numbers in `BENCH_service.json` and the numbers a scrape reports are
-//! quantized identically.
+//! All latency percentiles (p50/p95/p99) are nearest-rank percentiles
+//! of the raw per-request samples, so `BENCH_service.json` reports
+//! measured latencies, not bucket interpolations (the 1–2–5 log-bucket
+//! histograms are the daemon's exported `/v1/metrics` series).
 //!
 //! Flags: `--quick` shrinks the grids (CI mode); `--check` enforces the
 //! keep-alive ≥ 1.5× and binary-admission ≥ 2× floors; `--wire` runs only
@@ -86,8 +85,8 @@ use batsched_service::wire::DEFAULT_MAX_ITERATIONS;
 use batsched_service::wire_bin::CONTENT_TYPE as BIN_CONTENT_TYPE;
 use batsched_service::{
     decode_request, decode_response, encode_request, home_slot, parse_request, Disposition,
-    ErrorResponse, FaultPlane, FaultRule, Fleet, FleetConfig, HistogramSnapshot, HttpServer,
-    InProcessLauncher, ModelSpec, ScheduleRequest, ScheduleResponse, Service, ServiceConfig,
+    ErrorResponse, FaultPlane, FaultRule, Fleet, FleetConfig, HttpServer, InProcessLauncher,
+    ModelSpec, ScheduleRequest, ScheduleResponse, Service, ServiceConfig,
 };
 use batsched_taskgraph::analysis::{max_makespan, min_makespan};
 use batsched_taskgraph::paper::{g2, g3, G2_TABLE4_DEADLINES, G3_TABLE4_DEADLINES};
@@ -150,13 +149,22 @@ fn round_robin(uniques: &[String], repeats: usize) -> Vec<String> {
     bodies
 }
 
-/// Folds per-request latencies into the service's log-bucket histogram.
-fn histogram_of<'a>(lat_us: impl IntoIterator<Item = &'a f64>) -> HistogramSnapshot {
-    let mut h = HistogramSnapshot::new();
-    for us in lat_us {
-        h.observe(us.max(0.0).round() as u64);
+/// Per-request latencies (µs), sorted for nearest-rank percentiles.
+struct Latencies(Vec<f64>);
+
+impl Latencies {
+    fn of<'a>(lat_us: impl IntoIterator<Item = &'a f64>) -> Self {
+        let mut sorted: Vec<f64> = lat_us.into_iter().copied().collect();
+        sorted.sort_by(f64::total_cmp);
+        Latencies(sorted)
     }
-    h
+
+    /// Nearest-rank `q`-quantile: the ⌈q·N⌉-th smallest sample (the
+    /// smallest for q = 0; 0 when there are no samples).
+    fn quantile(&self, q: f64) -> f64 {
+        let rank = (q.clamp(0.0, 1.0) * self.0.len() as f64).ceil() as usize;
+        self.0.get(rank.saturating_sub(1)).copied().unwrap_or(0.0)
+    }
 }
 
 #[derive(Debug, Serialize)]
@@ -314,7 +322,7 @@ fn drive(svc: &Service, bodies: &[String]) -> Vec<(f64, Disposition)> {
 }
 
 fn stream_report(results: &[(f64, Disposition)], total_secs: f64) -> StreamReport {
-    let hist = histogram_of(results.iter().map(|(us, _)| us));
+    let lat = Latencies::of(results.iter().map(|(us, _)| us));
     let ok = results
         .iter()
         .filter(|(_, d)| matches!(d, Disposition::Ok { .. }))
@@ -333,9 +341,9 @@ fn stream_report(results: &[(f64, Disposition)], total_secs: f64) -> StreamRepor
         } else {
             0.0
         },
-        p50_us: hist.quantile(0.50),
-        p95_us: hist.quantile(0.95),
-        p99_us: hist.quantile(0.99),
+        p50_us: lat.quantile(0.50),
+        p95_us: lat.quantile(0.95),
+        p99_us: lat.quantile(0.99),
     }
 }
 
@@ -606,14 +614,14 @@ fn run_warm_restart(quick: bool) -> WarmRestartReport {
     );
     assert!(bit_identical, "disk-tier bodies must be bit-identical");
     svc.shutdown();
-    let hist = histogram_of(&lat_us);
+    let lat = Latencies::of(&lat_us);
     let report = WarmRestartReport {
         requests: bodies.len(),
         cold_solves_first_run: cold_solves,
         disk_hits_after_restart: stats.disk_hits as usize,
         bit_identical,
-        disk_hit_p50_us: hist.quantile(0.5),
-        disk_hit_p95_us: hist.quantile(0.95),
+        disk_hit_p50_us: lat.quantile(0.5),
+        disk_hit_p95_us: lat.quantile(0.95),
     };
     std::fs::remove_file(&path).expect("cleanup warm-restart cache file");
     report
@@ -1238,18 +1246,18 @@ fn run_benchmark(quick: bool, check: bool) {
             hit.push(*us);
         }
     }
-    let cold_hist = histogram_of(&cold);
-    let hit_hist = histogram_of(&hit);
+    let cold = Latencies::of(&cold);
+    let hit = Latencies::of(&hit);
     let stats = svc.stats();
     let dup = DupReport {
         requests: results.len(),
         unique: seen.len(),
         cache_hits: stats.cache_hits as usize,
-        cold_p50_us: cold_hist.quantile(0.5),
-        cold_p99_us: cold_hist.quantile(0.99),
-        hit_p50_us: hit_hist.quantile(0.5),
-        hit_p99_us: hit_hist.quantile(0.99),
-        hit_speedup: cold_hist.quantile(0.5) / hit_hist.quantile(0.5).max(1e-9),
+        cold_p50_us: cold.quantile(0.5),
+        cold_p99_us: cold.quantile(0.99),
+        hit_p50_us: hit.quantile(0.5),
+        hit_p99_us: hit.quantile(0.99),
+        hit_speedup: cold.quantile(0.5) / hit.quantile(0.5).max(1e-9),
     };
     svc.shutdown();
     eprintln!(
@@ -1306,12 +1314,12 @@ fn run_benchmark(quick: bool, check: bool) {
                 *us
             })
             .collect();
-        let hist = histogram_of(&lat);
+        let lat = Latencies::of(&lat);
         let point = ScalingPoint {
             n,
             requests: bodies.len(),
-            cold_p50_us: hist.quantile(0.5),
-            cold_p95_us: hist.quantile(0.95),
+            cold_p50_us: lat.quantile(0.5),
+            cold_p95_us: lat.quantile(0.95),
         };
         eprintln!(
             "scaling   : n={n}, {} reqs, cold p50 {:.0} µs",

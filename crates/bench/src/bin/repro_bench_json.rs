@@ -30,8 +30,8 @@
 //!   stack vs. the retained per-leaf suffix-engine path, as orders/sec;
 //! * `schedule_run` — one full `batsched_core::schedule` call;
 //! * `sweep` — one `schedule_in` through a reused workspace with the
-//!   cross-row / cross-window carry on vs. forced off (the pre-carry
-//!   kernel), whose ratio is `speedup.row_carry`;
+//!   cross-row carry on vs. forced off (the pre-carry kernel), whose
+//!   ratio is `speedup.row_carry`;
 //! * `sweep_scaling` — one full window sweep (`EvaluateWindows`) on the
 //!   shared n-scaling instances (n ∈ {25, 50, 100, 200}, m = 8, 70%
 //!   relative slack) and the fitted growth exponent of the series — the
@@ -256,9 +256,9 @@ fn main() -> std::process::ExitCode {
         black_box(schedule(&g, deadline, &cfg).expect("feasible synthetic instance"));
     });
 
-    // Row/window-carry A/B on the full solver: one reused workspace with
-    // the carried sweep, one with the carry forced off (the pre-carry
-    // kernel: fresh O(n) row preparation, no cross-window reuse).
+    // Row-carry A/B on the full solver: one reused workspace with the
+    // carried sweep, one with the carry forced off (the pre-carry kernel:
+    // fresh O(n) row preparation).
     let mut ws_carried = SolverWorkspace::new();
     let sweep_carried = median_ns(samples.min(12), || {
         black_box(

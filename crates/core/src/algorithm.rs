@@ -108,7 +108,7 @@ impl SolverWorkspace {
         &mut self.refine.as_mut().expect("just ensured").1
     }
 
-    /// Disables the window sweep's cross-row / cross-window carry — the
+    /// Disables the window sweep's cross-row carry — the
     /// bench-only baseline switch (see
     /// [`EvalBuffers::disable_sweep_carry`]).
     #[doc(hidden)]

@@ -1,7 +1,6 @@
 //! Solver phase profiling: cumulative counters for the work the window
-//! search actually did — rows scored in full vs. served by the
-//! cross-window carry, repair-journal activity, σ-cache reuse, and
-//! windows evaluated.
+//! search actually did — windows evaluated, rows scored, repair-journal
+//! activity and σ-cache reuse.
 //!
 //! The counters are compile-always and disarmed-cheap: each is a plain
 //! `u64` add on a path that already does orders of magnitude more work
@@ -11,12 +10,6 @@
 //! atomics on the hot path. A serving worker snapshots
 //! [`SolverWorkspace::prof`](crate::algorithm::SolverWorkspace::prof)
 //! before and after a request and diffs with [`Prof::since`].
-//!
-//! With the `parallel` feature, `evaluate_windows` runs each window on a
-//! rayon worker holding its own thread-local buffers; those buffers'
-//! counters are not folded back into the caller's workspace, so a
-//! parallel build under-reports window/row counts (the sequential
-//! service path — the measured configuration — is exact).
 
 use serde::{Deserialize, Serialize};
 
@@ -27,7 +20,7 @@ use serde::{Deserialize, Serialize};
 macro_rules! prof_counters {
     ($($(#[$doc:meta])* $field:ident,)*) => {
         /// Cumulative solver-phase counters (see the module docs for the
-        /// counting sites and the `parallel`-feature caveat).
+        /// counting sites).
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
         pub struct Prof {
             $($(#[$doc])* pub $field: u64,)*
@@ -57,16 +50,12 @@ prof_counters! {
     /// weighted-sequence re-costing's implicit window reuse is *not*
     /// counted — only full window evaluations).
     windows,
-    /// Windows entered with a matching cross-window carry (the previous
-    /// window's per-row outcomes were reusable).
-    carry_hits,
-    /// Windows evaluated from scratch (no usable carry).
-    carry_misses,
     /// Sweep rows scored in full: every candidate column of the window
-    /// went through the suitability factors.
+    /// went through the suitability factors. Every row is, so a window
+    /// sweep of an `n`-task sequence adds `n − 1`.
     rows_full,
-    /// Sweep rows served by the carry fast path: only the window's new
-    /// fastest column was scored against the remembered winner.
+    /// Never incremented, so it reads 0: the sweep scores every row in
+    /// full. Kept because `perfbench`'s traced run reads it.
     rows_carried,
     /// Repair promotions recorded: one-shot journal entries plus, on the
     /// carried sweep, one per column step of each materialized repair
@@ -143,7 +132,7 @@ mod tests {
         let mut total = Prof::default();
         total.merge(&Prof {
             windows: 2,
-            carry_hits: 1,
+            rows_full: 1,
             ..Prof::default()
         });
         total.merge(&Prof {
@@ -152,7 +141,7 @@ mod tests {
             ..Prof::default()
         });
         assert_eq!(total.windows, 5);
-        assert_eq!(total.carry_hits, 1);
+        assert_eq!(total.rows_full, 1);
         assert_eq!(total.journal_promotions, 7);
     }
 }

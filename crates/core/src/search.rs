@@ -427,9 +427,6 @@ pub(crate) struct DpfScratch {
     /// Committed column of the tagged position's right neighbour
     /// (constant per sweep row; `usize::MAX` at the last position).
     ip1_col: usize,
-    /// Whether any candidate of the current row stopped at a repaired
-    /// state — the row's dirty marker for the cross-window carry.
-    row_repaired: bool,
     /// Profiling: repair promotions recorded (one-shot journal entries
     /// plus `run_len` per materialized sweep run). Cumulative; read
     /// through [`EvalBuffers::prof`].
@@ -514,7 +511,7 @@ impl DpfScratch {
     /// pinned last task set), an empty persistent run journal, and the
     /// window's run length. The per-task cumulative tables are built
     /// lazily on the first repair ([`Self::ensure_cum_tables`]) so a
-    /// fully-carried clean window never pays for them. The per-row state
+    /// repair-free window never pays for them. The per-row state
     /// then advances through [`Self::begin_row_carried`] /
     /// [`Self::advance_row`].
     fn begin_sweep(&mut self, ctx: &SearchContext<'_>, seq: &[TaskId], ws: usize) {
@@ -581,7 +578,6 @@ impl DpfScratch {
         self.rest_energy = bases.rest_energy;
         self.rising0 = rising0;
         self.ip1_col = col_ip1;
-        self.row_repaired = false;
         self.exhausted = false;
         let _ = ctx;
     }
@@ -732,6 +728,10 @@ impl DpfScratch {
     /// time loop stops at, and scores it in O(1): the DPF occupancy is
     /// closed-form (`r` tasks at the floor, at most one mid-run), the
     /// rising count comes from the `h` chain plus two pair corrections.
+    ///
+    /// Kept out of line: inlined into its one call site it folds the whole
+    /// sweep into `evaluate_windows` and made n=200 solves ~3% slower.
+    #[inline(never)]
     fn sweep_candidate(
         &mut self,
         ctx: &SearchContext<'_>,
@@ -778,9 +778,6 @@ impl DpfScratch {
                 }
             }
         };
-        if r > 0 || q.is_some() || !feasible {
-            self.row_repaired = true;
-        }
         let (re_r, h_r) = self.re_h[r];
         let (te, energy) = if let Some(q) = q {
             let qi = q.index() * stride;
@@ -1240,71 +1237,12 @@ pub(crate) struct ChooseBuffers {
     fixed_in_e: Vec<bool>,
 }
 
-/// What one `ChooseDesignPoints` row leaves behind for the next window:
-/// the committed column, the winning suitability, and whether the whole
-/// candidate row was repair-free (empty journal).
-#[derive(Debug, Clone, Copy, Default)]
-struct RowCarry {
-    col: usize,
-    best_b: f64,
-    repair_free: bool,
-}
-
-/// Cross-window carry: what `EvaluateWindows` remembers from window
-/// `ws + 1` when it evaluates window `ws` for the same sequence.
-///
-/// When a row's suffix state is unchanged from the previous window (every
-/// deeper row committed the same column and the pinned last column agrees)
-/// *and* the row was repair-free there, every old candidate's factor
-/// breakdown is bit-identical in the new window: SR/CR/ENR depend only on
-/// the (identical) base chains, the repaired assignment is the unrepaired
-/// one, and the DPF occupancy sum is exactly zero in both windows (all
-/// free prefix positions sit at column `m−1`, which carries no weight).
-/// The row then reduces to scoring the *one* new candidate — the window's
-/// new fastest column — against the remembered winner. Rows with repairs,
-/// or below the first changed choice, are re-evaluated in full; the dirty
-/// set is keyed on the promotion journal (`repair_free`).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct WindowCarry {
-    valid: bool,
-    /// Identity of the evaluator (hence the run's `SearchContext`) the
-    /// records belong to — evaluator ids are globally unique, so a carry
-    /// can never leak across runs, graphs or battery models.
-    eval_id: u64,
-    ws: usize,
-    deadline: f64,
-    mask: FactorMask,
-    seq: Vec<TaskId>,
-    last_col: usize,
-    /// Previous window's per-row records, indexed by position.
-    rows: Vec<RowCarry>,
-    /// Scratch for the window being evaluated (swapped into `rows`).
-    next: Vec<RowCarry>,
-}
-
-impl WindowCarry {
-    /// Whether the stored records describe window `ws + 1` of exactly this
-    /// search state.
-    fn matches(&self, ctx: &SearchContext<'_>, seq: &[TaskId], ws: usize) -> bool {
-        self.valid
-            && self.eval_id == ctx.eval.id()
-            && self.ws == ws + 1
-            && self.deadline.to_bits() == ctx.deadline.to_bits()
-            && self.mask == ctx.mask
-            && self.seq == seq
-    }
-}
-
 /// `ChooseDesignPoints` (Fig. 1): positional assignment for `seq` within the
 /// window `[ws ..= m−1]`, left in `buffers.choose.assign`.
 ///
-/// The sweep carries its row state incrementally (see [`DpfScratch`] and
-/// [`RowBases`]) and, when `buffers` last evaluated window `ws + 1` of the
-/// same search state, reuses the previous window's per-row outcomes to
-/// skip re-scoring rows the one-column widening cannot change (see
-/// [`WindowCarry`]). Results are bit-identical to evaluating the window in
-/// isolation — the carry only skips work whose outcome is provably the
-/// same bits.
+/// The sweep carries its row state incrementally from row to row (see
+/// [`DpfScratch`] and [`RowBases`]) and scores every candidate column of
+/// every row; results are bit-identical to the retained naive reference.
 ///
 /// # Errors
 ///
@@ -1324,19 +1262,10 @@ pub(crate) fn choose_design_points_into(
     let EvalBuffers {
         dpf: scratch,
         choose,
-        carry,
         carry_disabled,
         sweep_prof,
         ..
     } = buffers;
-    let carried = !*carry_disabled && carry.matches(ctx, seq, ws);
-    if carried {
-        sweep_prof.carry_hits += 1;
-    } else {
-        sweep_prof.carry_misses += 1;
-    }
-    // Invalidate while mutating; re-validated only on success.
-    carry.valid = false;
     let ChooseBuffers {
         assign,
         pos_of,
@@ -1366,7 +1295,7 @@ pub(crate) fn choose_design_points_into(
 
     if *carry_disabled {
         // Carry-disabled baseline (bench-only): fresh O(n) row preparation
-        // per position, no cross-window reuse — the pre-carry kernel.
+        // per position — the pre-carry kernel.
         fixed_in_e.clear();
         fixed_in_e.resize(tasks, false);
         fixed_in_e[seq[n - 1].index()] = true;
@@ -1394,15 +1323,8 @@ pub(crate) fn choose_design_points_into(
     }
 
     if n < 2 {
-        // Nothing to sweep; no carry to record either.
         return Ok(());
     }
-
-    carry.next.clear();
-    carry.next.resize(n, RowCarry::default());
-    // `clean` = the suffix state (committed columns deeper than the current
-    // row, plus the pinned last column) is identical to window ws+1's.
-    let mut clean = carried && last_col == carry.last_col;
 
     let first = n - 2;
     scratch.begin_sweep(ctx, seq, ws);
@@ -1417,74 +1339,34 @@ pub(crate) fn choose_design_points_into(
 
     for i in (0..=first).rev() {
         scratch.begin_row_carried(ctx, seq, i, bases, rising0, col_ip1);
-        let prev = if carried {
-            carry.rows[i]
-        } else {
-            RowCarry::default()
-        };
-        // The one suitability computation both arms below share — any
-        // change here changes fast and full rows together, which the
-        // carry's bit-identity contract depends on.
-        let score = |scratch: &mut DpfScratch, j: usize| {
+        sweep_prof.rows_full += 1;
+        let mut best: Option<(usize, f64)> = None;
+        // Candidates ascending so the repair journal extends
+        // monotonically; `<=` keeps the leanest (largest) column on
+        // ties, matching the paper's descending scan.
+        for j in ws..m {
             let ttemp = tsum + ctx.d(seq[i], j);
             let sr = (d - ttemp) / d;
             let cr = ctx
                 .stats
                 .current_ratio(batsched_battery::units::MilliAmps::new(ctx.i(seq[i], j)));
             let (enr, cif, dpf) = scratch.sweep_candidate(ctx, seq, pos_of, j);
-            FactorBreakdown {
+            let b = FactorBreakdown {
                 sr,
                 cr,
                 enr,
                 cif,
                 dpf,
             }
-            .total(ctx.mask)
-        };
-        let fast = clean && prev.repair_free && bases.rest_te + ctx.d(seq[i], ws) <= d + TIME_EPS;
-        if fast {
-            sweep_prof.rows_carried += 1;
-        } else {
-            sweep_prof.rows_full += 1;
+            .total(ctx.mask);
+            if best.is_none_or(|(_, bb)| b <= bb) {
+                best = Some((j, b));
+            }
         }
-        let (j, b, repair_free) = if fast {
-            // Every candidate the previous window scored reproduces the
-            // same bits here; only the window's new fastest column can
-            // change the winner, and only by strictly beating it (the
-            // descending scan keeps the leanest column on ties).
-            let b_new = score(scratch, ws);
-            debug_assert!(!scratch.row_repaired, "fast rows never repair");
-            if b_new < prev.best_b {
-                (ws, b_new, true)
-            } else {
-                (prev.col, prev.best_b, true)
-            }
-        } else {
-            let mut best: Option<(usize, f64)> = None;
-            // Candidates ascending so the repair journal extends
-            // monotonically; `<=` keeps the leanest (largest) column on
-            // ties, matching the paper's descending scan.
-            for j in ws..m {
-                let b = score(scratch, j);
-                if best.is_none_or(|(_, bb)| b <= bb) {
-                    best = Some((j, b));
-                }
-            }
-            let (j, b) = best.expect("window contains at least one column");
-            // A row is repair-free when no candidate stopped at a repaired
-            // state — position 0 rows always qualify (no free tasks exist,
-            // so even infeasible verdicts carry to the next window).
-            (j, b, !scratch.row_repaired || i == 0)
-        };
+        let (j, b) = best.expect("window contains at least one column");
         if !b.is_finite() {
             return Err(SchedulerError::WindowSearchFailed { window_start: ws });
         }
-        clean = clean && j == prev.col;
-        carry.next[i] = RowCarry {
-            col: j,
-            best_b: b,
-            repair_free,
-        };
         assign[i] = j;
         tsum += ctx.d(seq[i], j);
         if i > 0 {
@@ -1503,18 +1385,6 @@ pub(crate) fn choose_design_points_into(
             col_ip1 = assign[i];
         }
     }
-
-    carry.eval_id = ctx.eval.id();
-    carry.ws = ws;
-    carry.deadline = d;
-    carry.mask = ctx.mask;
-    carry.last_col = last_col;
-    if !carried {
-        carry.seq.clear();
-        carry.seq.extend_from_slice(seq);
-    }
-    std::mem::swap(&mut carry.rows, &mut carry.next);
-    carry.valid = true;
     Ok(())
 }
 
@@ -1724,8 +1594,8 @@ impl WindowRecord {
 
 /// Reusable per-run evaluation buffers: the entry-id sequence buffer, the
 /// σ-engine scratch, and the window-search working state (the incremental
-/// DPF kernel's journal + prefix sums, the `ChooseDesignPoints` assignment
-/// buffers, and the cross-window [`WindowCarry`] records). One allocation
+/// DPF kernel's journal + prefix sums and the `ChooseDesignPoints`
+/// assignment buffers). One allocation
 /// set per scheduling run — and zero steady-state allocations when reused
 /// across runs via [`SolverWorkspace`](crate::algorithm::SolverWorkspace).
 #[derive(Debug, Clone, Default)]
@@ -1734,7 +1604,6 @@ pub struct EvalBuffers {
     pub(crate) sigma: SigmaScratch,
     pub(crate) dpf: DpfScratch,
     pub(crate) choose: ChooseBuffers,
-    pub(crate) carry: WindowCarry,
     pub(crate) carry_disabled: bool,
     /// The window-sweep counters; the journal/σ-cache counters live in
     /// their own scratch structures and are composed by
@@ -1750,8 +1619,7 @@ impl EvalBuffers {
 
     /// Snapshot of the cumulative solver-phase counters accumulated by
     /// every search that ran through these buffers (see
-    /// [`crate::prof::Prof`] for what each counter means and the
-    /// `parallel`-feature caveat).
+    /// [`crate::prof::Prof`] for what each counter means).
     pub fn prof(&self) -> crate::prof::Prof {
         let (sigma_evals, sigma_reused, sigma_fresh) = self.sigma.cache_stats();
         crate::prof::Prof {
@@ -1764,8 +1632,8 @@ impl EvalBuffers {
         }
     }
 
-    /// Disables the cross-row / cross-window carry, forcing the fresh
-    /// per-row preparation path. Bench-only: this is how `repro_bench_json`
+    /// Disables the cross-row carry, forcing the fresh per-row
+    /// preparation path. Bench-only: this is how `repro_bench_json`
     /// reconstructs the pre-carry baseline for `speedup.row_carry`. The
     /// disabled path accumulates its row sums per row instead of carrying
     /// them, so its results can differ from the carried path in final-bit
@@ -1773,7 +1641,6 @@ impl EvalBuffers {
     #[doc(hidden)]
     pub fn disable_sweep_carry(&mut self) {
         self.carry_disabled = true;
-        self.carry.valid = false;
     }
 }
 
@@ -1810,10 +1677,6 @@ fn evaluate_one_window(
 /// every window from there down to the full matrix, and returns all records
 /// plus the index of the cheapest.
 ///
-/// With the `parallel` feature the windows are evaluated concurrently
-/// (they are independent searches); record order and the cheapest-window
-/// tie-break are identical to the sequential path.
-///
 /// # Errors
 ///
 /// * [`SchedulerError::DeadlineInfeasible`] when even column 0 misses `d`.
@@ -1837,45 +1700,10 @@ pub(crate) fn evaluate_windows(
         ws_start -= 1;
     }
 
-    #[cfg(feature = "parallel")]
-    let records: Vec<WindowRecord> = {
-        // The parallel path keeps one buffer set per worker thread instead;
-        // the caller's carry-disable switch (bench baseline) must still
-        // reach them.
-        let carry_disabled = buffers.carry_disabled;
-        use rayon::prelude::*;
-        use std::cell::RefCell;
-        // One buffer set per worker thread, reused across windows and
-        // across calls — keeps the one-allocation-per-run property on the
-        // parallel path too.
-        thread_local! {
-            static BUFFERS: RefCell<EvalBuffers> = RefCell::new(EvalBuffers::new());
-        }
-        let results: Vec<Result<WindowRecord, SchedulerError>> = (0..ws_start + 1)
-            .into_par_iter()
-            .map(|k| {
-                let ws = ws_start - k; // preserve the sequential order
-                BUFFERS.with(|b| {
-                    let b = &mut *b.borrow_mut();
-                    if b.carry_disabled != carry_disabled {
-                        b.carry_disabled = carry_disabled;
-                        b.carry.valid = false;
-                    }
-                    evaluate_one_window(ctx, seq, ws, b)
-                })
-            })
-            .collect();
-        results.into_iter().collect::<Result<Vec<_>, _>>()?
-    };
-
-    #[cfg(not(feature = "parallel"))]
-    let records: Vec<WindowRecord> = {
-        let mut records = Vec::with_capacity(ws_start + 1);
-        for ws in (0..=ws_start).rev() {
-            records.push(evaluate_one_window(ctx, seq, ws, buffers)?);
-        }
-        records
-    };
+    let mut records = Vec::with_capacity(ws_start + 1);
+    for ws in (0..=ws_start).rev() {
+        records.push(evaluate_one_window(ctx, seq, ws, buffers)?);
+    }
 
     let mut best: Option<(usize, f64)> = None;
     for (idx, r) in records.iter().enumerate() {
@@ -2100,7 +1928,7 @@ impl<'g> DiagSearch<'g> {
         evaluate_windows(&self.ctx, seq, &mut self.buffers)
     }
 
-    /// Disables the cross-row / cross-window carry in this handle's
+    /// Disables the cross-row carry in this handle's
     /// buffers (the bench baseline; see [`EvalBuffers::disable_sweep_carry`]).
     pub fn disable_sweep_carry(&mut self) {
         self.buffers.disable_sweep_carry();

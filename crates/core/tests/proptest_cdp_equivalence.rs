@@ -6,12 +6,9 @@
 //! clone-and-rescan reference implementations. No tolerance: the two paths
 //! share their floating-point accumulation, so any difference is a
 //! bookkeeping bug in the persistent run journal, the carried row chains,
-//! the cross-window carry, or the resumed-promotion logic. The
-//! descending-window loops drive consecutive `ws+1 → ws` evaluations
-//! through one buffer set, so the cross-window carry (clean-row fast path
-//! and dirty-row re-evaluation) is exercised on every case. Runs under
-//! both feature configurations (the `parallel` sweep reuses per-thread
-//! kernels).
+//! or the resumed-promotion logic. The descending-window loops drive
+//! consecutive `ws+1 → ws` evaluations through one buffer set, so no state
+//! a window leaves in the reused buffers may leak into the next.
 
 use batsched_battery::units::Minutes;
 use batsched_core::search::DiagSearch;
@@ -73,8 +70,8 @@ proptest! {
         }
     }
 
-    /// One full `EvaluateWindows` sweep — with its cross-window carry —
-    /// produces bit-identical `WindowRecord` vectors (window starts,
+    /// One full `EvaluateWindows` sweep through one buffer set produces
+    /// bit-identical `WindowRecord` vectors (window starts,
     /// assignments, σ costs and makespans) to evaluating every window in
     /// isolation through the retained naive reference.
     #[test]
@@ -114,9 +111,8 @@ proptest! {
         }
     }
 
-    /// Interleaving two different sequences across descending windows must
-    /// reject the stale carry (it describes the other sequence) and still
-    /// match the reference bit-for-bit.
+    /// Interleaving two different sequences across descending windows
+    /// through one buffer set still matches the reference bit-for-bit.
     #[test]
     fn interleaved_sequences_never_reuse_a_stale_carry(
         g in arb_graph(),
@@ -179,12 +175,11 @@ proptest! {
     }
 }
 
-/// Adversarial cross-window carry coverage: hunt (deterministically) for
-/// instances where widening the window by one column *changes* some row's
-/// chosen column — the case where the carried fast path must yield to the
-/// new candidate or re-evaluate dirty rows — and demand bit-identity with
-/// the reference on every window of every such instance. Fails if the
-/// hunt finds no such instance (the test would be vacuous).
+/// Adversarial window coverage: hunt (deterministically) for instances
+/// where widening the window by one column *changes* some row's chosen
+/// column, and demand bit-identity with the reference on every window of
+/// every such instance. Fails if the hunt finds no such instance (the test
+/// would be vacuous).
 #[test]
 fn window_widening_that_changes_choices_stays_bit_identical() {
     let cfg = SchedulerConfig::paper();

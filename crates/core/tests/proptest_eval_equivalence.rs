@@ -3,7 +3,7 @@
 //! random topological orders, random assignments and single-column swaps,
 //! [`EngineCost`] must match [`battery_cost_of`] and every window the
 //! search emits must carry the same σ the naive evaluation assigns it —
-//! all to ≤ 1e-9 relative error, with and without the `parallel` feature.
+//! all to ≤ 1e-9 relative error.
 
 use batsched_battery::rv::RvModel;
 use batsched_battery::units::Minutes;

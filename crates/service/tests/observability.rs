@@ -277,8 +277,6 @@ const METRICS_INVENTORY: &[&str] = &[
     "batsched_disk_entries gauge",
     "batsched_ready gauge",
     "batsched_solver_windows_total counter",
-    "batsched_solver_carry_hits_total counter",
-    "batsched_solver_carry_misses_total counter",
     "batsched_solver_rows_full_total counter",
     "batsched_solver_rows_carried_total counter",
     "batsched_solver_journal_promotions_total counter",

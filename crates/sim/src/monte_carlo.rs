@@ -70,8 +70,8 @@ enum TrialOutcome {
 
 impl MissionSampler {
     /// Stable per-trial seed: trials are independent streams so the
-    /// campaign produces identical results whether trials run sequentially
-    /// or in parallel.
+    /// campaign produces identical results however its trials are split
+    /// across threads.
     fn trial_seed(&self, trial: usize) -> u64 {
         self.seed ^ (trial as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
@@ -132,13 +132,15 @@ impl MissionSampler {
         }
     }
 
-    fn tally(&self, outcomes: Vec<TrialOutcome>) -> MonteCarloReport {
-        let samples = outcomes.len();
+    /// Folds outcomes in trial order into the report.
+    fn tally(&self, outcomes: impl IntoIterator<Item = TrialOutcome>) -> MonteCarloReport {
+        let mut samples = 0usize;
         let mut successes = 0usize;
         let mut depletions = 0usize;
         let mut deadline_misses = 0usize;
         let mut makespan_sum = 0.0;
         for o in outcomes {
+            samples += 1;
             match o {
                 TrialOutcome::Success { makespan } => {
                     successes += 1;
@@ -164,38 +166,49 @@ impl MissionSampler {
 
     /// Runs the campaign for `schedule` on `g` under `model`.
     ///
-    /// Trials use independent per-trial RNG streams, so the report is
-    /// identical with and without the `parallel` feature.
-    #[cfg(not(feature = "parallel"))]
-    pub fn run<M: BatteryModel + ?Sized>(
-        &self,
-        g: &TaskGraph,
-        schedule: &Schedule,
-        model: &M,
-    ) -> MonteCarloReport {
-        let outcomes = (0..self.samples.max(1))
-            .map(|i| self.trial(g, schedule, model, i))
-            .collect();
-        self.tally(outcomes)
-    }
-
-    /// Runs the campaign for `schedule` on `g` under `model`, with trials
-    /// spread across all cores.
-    ///
-    /// Trials use independent per-trial RNG streams, so the report is
-    /// identical with and without the `parallel` feature.
-    #[cfg(feature = "parallel")]
+    /// Trials are split into ordered, contiguous chunks, one scoped thread
+    /// per core that [`std::thread::available_parallelism`] reports (in
+    /// the calling thread when it reports one). Each trial draws from its
+    /// own RNG stream and the outcomes are tallied in trial order, so the
+    /// report is bit-identical to the sequential fold on any core count.
     pub fn run<M: BatteryModel + Sync + ?Sized>(
         &self,
         g: &TaskGraph,
         schedule: &Schedule,
         model: &M,
     ) -> MonteCarloReport {
-        use rayon::prelude::*;
-        let outcomes = (0..self.samples.max(1))
-            .into_par_iter()
-            .map(|i| self.trial(g, schedule, model, i))
-            .collect();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.run_on(g, schedule, model, cores)
+    }
+
+    /// [`Self::run`] over at most `threads` threads.
+    fn run_on<M: BatteryModel + Sync + ?Sized>(
+        &self,
+        g: &TaskGraph,
+        schedule: &Schedule,
+        model: &M,
+        threads: usize,
+    ) -> MonteCarloReport {
+        let samples = self.samples.max(1);
+        let threads = threads.clamp(1, samples);
+        let trial = |i| self.trial(g, schedule, model, i);
+        if threads == 1 {
+            return self.tally((0..samples).map(trial));
+        }
+        let chunk = samples.div_ceil(threads);
+        let outcomes: Vec<TrialOutcome> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..samples)
+                .step_by(chunk)
+                .map(|lo| {
+                    let hi = (lo + chunk).min(samples);
+                    scope.spawn(move || (lo..hi).map(trial).collect::<Vec<_>>())
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        });
         self.tally(outcomes)
     }
 }
@@ -270,6 +283,24 @@ mod tests {
             report.successes + report.deadline_misses + report.depletions,
             report.samples
         );
+    }
+
+    #[test]
+    fn fan_out_equals_the_sequential_fold() {
+        let (g, plan, model) = setup();
+        // `{:?}` prints each f64 in its shortest round-trip form (and NaN,
+        // the mean of zero successes, as "NaN"): equal text, equal bits.
+        for samples in [0, 1, 7, 64] {
+            let s = sampler(20_000.0, 74.0, 0.05, samples);
+            let sequential = s.tally((0..samples.max(1)).map(|i| s.trial(&g, &plan, &model, i)));
+            assert_eq!(sequential.samples, samples.max(1));
+            let expected = format!("{sequential:?}");
+            assert_eq!(format!("{:?}", s.run(&g, &plan, &model)), expected);
+            for threads in [1, 2, 3, 8] {
+                let fanned = s.run_on(&g, &plan, &model, threads);
+                assert_eq!(format!("{fanned:?}"), expected, "threads={threads}");
+            }
+        }
     }
 
     #[test]

@@ -8,10 +8,9 @@ ci:
 fmt:
     cargo fmt --all
 
-# Lints with warnings denied, both feature configurations.
+# Lints with warnings denied.
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
-    cargo clippy --workspace --all-targets --features parallel -- -D warnings
 
 # Workspace invariant linter (crates/lint): panic-path, nested-lock,
 # uncapped-wire-alloc, nondeterministic-iter, crate-hygiene. Zero
@@ -20,10 +19,9 @@ clippy:
 lint:
     cargo run --release -q -p batsched-lint --bin batsched-lint
 
-# Full test suite, both feature configurations.
+# Full test suite.
 test:
     cargo test --workspace -q
-    cargo test --workspace -q --features parallel
 
 # Criterion runtime benches (quick mode).
 bench:
