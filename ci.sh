@@ -203,8 +203,9 @@ cargo run --release -q -p batsched-bench --bin repro_bench_json -- --quick --che
 
 echo "==> wire-format A/B (binary admission floor enforced)"
 # --wire --check admits the n-scaling instances in both wire formats:
-# the fused single-pass binary decode+hash must produce the same cache
-# key as the JSON path and beat JSON parse+hash by >= 2x at n=200.
+# the single-pass binary decode plus the content hash must produce the
+# same cache key as the JSON path and beat JSON parse+hash by >= 2x at
+# n=200.
 cargo run --release -q -p batsched-bench --bin loadgen -- --wire --quick --check
 
 echo "==> service load snapshot (BENCH_service.json, keep-alive floor enforced)"

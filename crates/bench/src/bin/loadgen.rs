@@ -20,10 +20,10 @@
 //!   size under the carried window-sweep kernel;
 //! * **wire** — the admission A/B on the same n-scaling instances: each
 //!   request is admitted `iters` times as JSON (`parse_request` + the
-//!   streaming content hash) and as binary (`decode_request`, whose
-//!   single-pass decoder folds the hash into the byte walk), asserting the
-//!   two spellings produce the same cache key; `--check` fails the run
-//!   unless the fused binary path wins by ≥ 2× at n = 200;
+//!   streaming content hash) and as binary (`decode_request`: the
+//!   single-pass binary decode, then the same content hash), asserting
+//!   the two spellings produce the same cache key; `--check` fails the run
+//!   unless binary decode + hash wins by ≥ 2× at n = 200;
 //! * **warm_restart** — a disk-backed service answers a unique stream
 //!   cold, shuts down (compacting its cache file), restarts, and must
 //!   answer the same stream entirely from the disk tier with bit-identical
@@ -485,8 +485,8 @@ fn run_keepalive_ab(quick: bool) -> KeepAliveReport {
 /// The wire-format admission A/B on the shared n-scaling instances: each
 /// request is admitted repeatedly as JSON (`parse_request` plus the
 /// streaming canonical content hash — everything the service does before
-/// the cache lookup) and as binary (`decode_request`, whose single pass
-/// folds the hash into the decode walk). The two spellings must produce
+/// the cache lookup) and as binary (`decode_request`: the single-pass
+/// binary decode plus the same content hash). The two spellings must produce
 /// the same cache key; with `check`, the binary path must win by ≥ 2× on
 /// the largest instance.
 fn run_wire(quick: bool, check: bool) -> Vec<WirePoint> {
@@ -537,7 +537,7 @@ fn run_wire(quick: bool, check: bool) -> Vec<WirePoint> {
             keys_match,
         };
         eprintln!(
-            "wire      : n={n}, JSON admit {:.0} µs vs binary {:.0} µs → {:.1}× ({} vs {} bytes)",
+            "wire      : n={n}, JSON parse+hash {:.0} µs vs binary decode+hash {:.0} µs → {:.1}× ({} vs {} bytes)",
             point.json_admit_us,
             point.bin_admit_us,
             point.speedup,
@@ -547,7 +547,7 @@ fn run_wire(quick: bool, check: bool) -> Vec<WirePoint> {
         if check && n == 200 {
             assert!(
                 point.speedup >= 2.0,
-                "fused binary admission must beat JSON parse+hash by ≥ 2× at n=200, got {:.2}×",
+                "binary decode+hash must beat JSON parse+hash by ≥ 2× at n=200, got {:.2}×",
                 point.speedup
             );
         }
@@ -557,7 +557,7 @@ fn run_wire(quick: bool, check: bool) -> Vec<WirePoint> {
 }
 
 /// The warm-restart scenario: a disk-backed service answers a unique
-/// stream cold, shuts down (compacting its JSONL tier), restarts, and
+/// stream cold, shuts down (compacting its cache file), restarts, and
 /// must answer the same stream entirely from disk with bit-identical
 /// bodies.
 fn run_warm_restart(quick: bool) -> WarmRestartReport {

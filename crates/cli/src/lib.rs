@@ -51,7 +51,7 @@ USAGE:
   batsched dot  <graph.json>
   batsched serve (--http <addr> | --jsonl)
                [--workers <n>] [--queue <n>] [--cache <n>]
-               [--shards <n>] [--disk-cache <path>] [--disk-format <v1|v2>]
+               [--shards <n>] [--disk-cache <path>]
                [--request-timeout <ms>] [--fsync <never|always|N>]
                [--disk-breaker <n>] [--disk-probe-ms <ms>]
                [--idle-timeout-ms <ms>] [--max-requests-per-conn <n>]
@@ -79,10 +79,7 @@ and POST /v1/shutdown on the given address (port 0 picks a free port; the
 bound address is printed to stderr). --cache sizes the in-memory result
 cache (entries, split over --shards independently locked shards);
 --disk-cache persists results to an append-only record file so a restarted
-daemon answers previously-seen requests warm; --disk-format picks the
-record encoding new appends use (v2, the compact binary default, or v1
-JSONL for compat — both formats always load, and compaction rewrites the
-file in the chosen format); --fsync picks its durability
+daemon answers previously-seen requests warm; --fsync picks its durability
 policy (never, always, or sync every N appends — default every 8).
 --request-timeout bounds each request's queue-to-reply time; expired
 requests answer a typed `timeout` error (HTTP 504) instead of hanging.
@@ -175,7 +172,7 @@ impl Opts {
 ///
 /// [`CliError`] when a `--key` that expects a value trails the list.
 pub fn parse_args(args: &[String]) -> Result<Opts, CliError> {
-    const VALUE_OPTS: [&str; 35] = [
+    const VALUE_OPTS: [&str; 34] = [
         "deadline",
         "algo",
         "beta",
@@ -190,7 +187,6 @@ pub fn parse_args(args: &[String]) -> Result<Opts, CliError> {
         "cache",
         "shards",
         "disk-cache",
-        "disk-format",
         "request-timeout",
         "fsync",
         "fault",
@@ -503,17 +499,6 @@ fn fsync_policy(opts: &Opts) -> Result<batsched_service::FsyncPolicy, CliError> 
     }
 }
 
-/// Parses `--disk-format v1|v2` into a [`batsched_service::DiskFormat`].
-fn disk_format(opts: &Opts) -> Result<batsched_service::DiskFormat, CliError> {
-    use batsched_service::DiskFormat;
-    match opts.get("disk-format") {
-        None => Ok(DiskFormat::default()),
-        Some("v1") => Ok(DiskFormat::V1),
-        Some("v2") => Ok(DiskFormat::V2),
-        Some(raw) => Err(err(format!("--disk-format expects v1 or v2, got '{raw}'"))),
-    }
-}
-
 fn cmd_serve(opts: &Opts, out: &mut String) -> Result<(), CliError> {
     use batsched_service::{
         FaultPlane, FaultRule, HttpServer, Level, LogTarget, Service, ServiceConfig, StartError,
@@ -535,7 +520,6 @@ fn cmd_serve(opts: &Opts, out: &mut String) -> Result<(), CliError> {
         cache_capacity: sizing(opts, "cache", 256, 1)?,
         cache_shards: sizing(opts, "shards", 8, 1)?,
         disk_path: opts.get("disk-cache").map(std::path::PathBuf::from),
-        disk_format: disk_format(opts)?,
         request_timeout,
         fsync_policy: fsync_policy(opts)?,
         disk_breaker_threshold: u32::try_from(sizing(opts, "disk-breaker", 3, 1)?)
@@ -667,12 +651,11 @@ fn cmd_fleet(opts: &Opts, out: &mut String) -> Result<(), CliError> {
     launcher.disk_base = opts.get("disk-cache").map(std::path::PathBuf::from);
     // Worker-level serve options pass through verbatim; each worker adds
     // its own --http 127.0.0.1:0, --worker-id and --disk-cache shard.
-    const PASS_THROUGH: [&str; 14] = [
+    const PASS_THROUGH: [&str; 13] = [
         "workers",
         "queue",
         "cache",
         "shards",
-        "disk-format",
         "request-timeout",
         "fsync",
         "disk-breaker",
@@ -893,8 +876,6 @@ mod tests {
         assert!(e.0.contains("invalid service config"), "{e}");
         let e = run(&sv(&["serve", "--jsonl", "--fsync", "sometimes"]), &mut out).unwrap_err();
         assert!(e.0.contains("never, always"), "{e}");
-        let e = run(&sv(&["serve", "--jsonl", "--disk-format", "v3"]), &mut out).unwrap_err();
-        assert!(e.0.contains("v1 or v2"), "{e}");
         let e = run(&sv(&["serve", "--jsonl", "--fsync", "0"]), &mut out).unwrap_err();
         assert!(e.0.contains("at least 1"), "{e}");
         let e = run(
@@ -1001,16 +982,6 @@ mod tests {
         assert_eq!(policy(&["--fsync", "always"]).unwrap(), FsyncPolicy::Always);
         assert_eq!(policy(&["--fsync", "16"]).unwrap(), FsyncPolicy::EveryN(16));
         assert!(policy(&["--fsync", "0"]).is_err());
-    }
-
-    #[test]
-    fn disk_format_option_parses_all_forms() {
-        use batsched_service::DiskFormat;
-        let fmt = |args: &[&str]| disk_format(&parse_args(&sv(args)).unwrap());
-        assert_eq!(fmt(&[]).unwrap(), DiskFormat::V2);
-        assert_eq!(fmt(&["--disk-format", "v1"]).unwrap(), DiskFormat::V1);
-        assert_eq!(fmt(&["--disk-format", "v2"]).unwrap(), DiskFormat::V2);
-        assert!(fmt(&["--disk-format", "jsonl"]).is_err());
     }
 
     #[test]

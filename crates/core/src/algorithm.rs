@@ -274,7 +274,7 @@ mod tests {
         // Table 3, row S1, column "Win 4:5": σ = 16353 mA·min, Δ = 228.3 min
         // — reproduced exactly (our wider windows differ in under-specified
         // tie-breaks and land *cheaper*, so the best window may be another;
-        // see EXPERIMENTS.md).
+        // `repro_table3` prints every cell next to the paper's).
         let g = g3();
         let sol = schedule(&g, Minutes::new(G3_EXAMPLE_DEADLINE), &paper_cfg()).unwrap();
         let it1 = &sol.trace[0];

@@ -4,14 +4,17 @@
 //! Two record formats coexist in one file, distinguished by the first
 //! byte of each record:
 //!
-//! * **v1** (JSONL, the compat format): one line per record,
-//!   `{"key":"<16-hex>","body":"<response>"}` — always starts with `{`;
-//! * **v2** (binary, the default): `0x00 'B' '2'` tag, key as 8 LE bytes,
-//!   blob length as 4 LE bytes, then the [`crate::wire_bin`] response
-//!   encoding, terminated by `\n`. A raw `0x00` can never open a valid v1
-//!   line (JSON escapes control bytes), so the dispatch is unambiguous.
-//!   v2 records are materially smaller and index without parsing any
-//!   JSON, shrinking both the file and the load-on-start scan.
+//! * **v2** (binary, what `put` writes): `0x00 'B' '2'` tag, key as 8 LE
+//!   bytes, blob length as 4 LE bytes, then the [`crate::wire_bin`]
+//!   response encoding, terminated by `\n`. v2 records are materially
+//!   smaller and index without parsing any JSON, shrinking both the file
+//!   and the load-on-start scan;
+//! * **v1** (JSONL): one line per record,
+//!   `{"key":"<16-hex>","body":"<response>"}` — always starts with `{`.
+//!   Files from releases that wrote only v1 still load, and bodies that
+//!   cannot be stored as v2 are written this way. A raw `0x00` can never
+//!   open a valid v1 line (JSON escapes control bytes), so the dispatch is
+//!   unambiguous.
 //!
 //! On open the file is scanned once to build a key → record-span index
 //! (last record per key wins); bodies stay on disk and are read on
@@ -21,11 +24,11 @@
 //! through an append handle and are flushed per record, so a crash loses
 //! at most the record being written. [`DiskTier::compact`] rewrites the
 //! file with exactly one record per live key (temp file + atomic rename)
-//! in the tier's configured format — compacting a [`DiskFormat::V2`] tier
-//! upgrades any v1 records in place; the service runs it on graceful
-//! shutdown so restarts load a dense file.
+//! the way `put` writes them, so compaction upgrades v1 response records
+//! to v2; the service runs it on graceful shutdown so restarts load a
+//! dense file.
 //!
-//! A v2 `put` only stores bodies that survive a decode→re-render
+//! A v2 record only stores bodies that survive a decode→re-render
 //! bit-identity check (the cache contract is bit-identical replay);
 //! anything else — hostile or free-form bodies included — falls back to a
 //! v1 line, which stores arbitrary strings.
@@ -35,7 +38,7 @@
 //! requests, not with traffic.
 
 use crate::faults::{FaultPlane, FaultSite};
-use crate::wire::ScheduleResponse;
+use crate::wire::{key_hex, ScheduleResponse};
 use crate::wire_bin;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -63,19 +66,6 @@ impl Default for FsyncPolicy {
     fn default() -> Self {
         FsyncPolicy::EveryN(8)
     }
-}
-
-/// Which record format [`DiskTier::put`] and [`DiskTier::compact`] write.
-/// Both formats always *load*; this only chooses what new records look
-/// like.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DiskFormat {
-    /// JSONL records (`{"key":...,"body":...}` lines) — the compat format
-    /// every prior release wrote.
-    V1,
-    /// Compact binary records (the [`crate::wire_bin`] response encoding).
-    #[default]
-    V2,
 }
 
 /// First bytes of a v2 record: a byte no valid JSON line can start with,
@@ -117,17 +107,15 @@ pub struct DiskTier {
     fsync: FsyncPolicy,
     /// Appends since the last fsync (drives [`FsyncPolicy::EveryN`]).
     unsynced: u32,
-    /// Record format written by `put`/`compact` (both formats load).
-    format: DiskFormat,
     /// Injection probes for chaos tests; disarmed in production.
     faults: FaultPlane,
 }
 
 impl DiskTier {
     /// Opens (creating if absent) the cache file at `path` and indexes its
-    /// records, with the default fsync policy, record format, and a
-    /// disarmed fault plane. Malformed or truncated records are skipped,
-    /// not fatal — a crash mid-append must not brick the tier.
+    /// records, with the default fsync policy and a disarmed fault plane.
+    /// Malformed or truncated records are skipped, not fatal — a crash
+    /// mid-append must not brick the tier.
     ///
     /// # Errors
     ///
@@ -136,8 +124,7 @@ impl DiskTier {
         Self::open_with(path, FsyncPolicy::default(), FaultPlane::disarmed())
     }
 
-    /// Opens the tier with an explicit fsync policy and fault plane, in
-    /// the default record format.
+    /// Opens the tier with an explicit fsync policy and fault plane.
     ///
     /// # Errors
     ///
@@ -146,21 +133,6 @@ impl DiskTier {
         path: impl Into<PathBuf>,
         fsync: FsyncPolicy,
         faults: FaultPlane,
-    ) -> io::Result<DiskTier> {
-        Self::open_with_format(path, fsync, faults, DiskFormat::default())
-    }
-
-    /// Opens the tier with every knob explicit, including the record
-    /// format new appends are written in.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-system failures (unreachable path, permissions).
-    pub fn open_with_format(
-        path: impl Into<PathBuf>,
-        fsync: FsyncPolicy,
-        faults: FaultPlane,
-        format: DiskFormat,
     ) -> io::Result<DiskTier> {
         let path = path.into();
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
@@ -183,7 +155,6 @@ impl DiskTier {
             end: valid_end,
             fsync,
             unsynced: 0,
-            format,
             faults,
         })
     }
@@ -191,11 +162,6 @@ impl DiskTier {
     /// The file this tier persists to.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// The record format new appends and compactions are written in.
-    pub fn format(&self) -> DiskFormat {
-        self.format
     }
 
     /// Number of distinct keys on disk.
@@ -246,7 +212,7 @@ impl DiskTier {
         }
         self.faults
             .disk_gate(FaultSite::DiskAppend, &key_hex(key))?;
-        let record = encode_record(self.format, key, body);
+        let record = encode_record(key, body);
         self.writer.write_all(&record)?;
         self.writer.flush()?;
         match self.fsync {
@@ -272,8 +238,8 @@ impl DiskTier {
     }
 
     /// Rewrites the file with exactly one record per live key, dropping
-    /// duplicates and torn records, in the tier's configured format — so
-    /// compacting a [`DiskFormat::V2`] tier upgrades v1 lines in place.
+    /// duplicates and torn records, each re-encoded the way `put` writes
+    /// it — so compaction upgrades v1 response lines to v2 in place.
     /// Writes a sibling temp file first and renames it over the original,
     /// so a crash mid-compaction leaves either the old file or the new
     /// one — never a half file.
@@ -299,7 +265,7 @@ impl DiskTier {
                 if stored != key {
                     continue;
                 }
-                let record = encode_record(self.format, key, &body);
+                let record = encode_record(key, &body);
                 tmp.write_all(&record)?;
                 new_index.insert(
                     key,
@@ -345,29 +311,28 @@ impl DiskTier {
     }
 }
 
-fn key_hex(key: u64) -> String {
-    format!("{key:016x}")
-}
-
-/// Renders one record in `format`. V2 only stores bodies that replay
-/// bit-identically through the binary response codec (decode→re-render
-/// must reproduce `body` exactly); anything else falls back to a v1 line,
-/// which can hold an arbitrary string.
-fn encode_record(format: DiskFormat, key: u64, body: &str) -> Vec<u8> {
-    if format == DiskFormat::V2 {
-        if let Ok(resp) = serde_json::from_str::<ScheduleResponse>(body) {
-            if serde_json::to_string(&resp).as_deref() == Ok(body) {
-                let blob = wire_bin::encode_response(&resp);
-                let mut out = Vec::with_capacity(V2_HEADER_LEN + blob.len() + 1);
-                out.extend_from_slice(&V2_TAG);
-                out.extend_from_slice(&key.to_le_bytes());
-                out.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-                out.extend_from_slice(&blob);
-                out.push(b'\n');
-                return out;
-            }
+/// Renders one record. V2 only stores bodies that replay bit-identically
+/// through the binary response codec (decode→re-render must reproduce
+/// `body` exactly); anything else falls back to a v1 line, which can hold
+/// an arbitrary string.
+fn encode_record(key: u64, body: &str) -> Vec<u8> {
+    if let Ok(resp) = serde_json::from_str::<ScheduleResponse>(body) {
+        if serde_json::to_string(&resp).as_deref() == Ok(body) {
+            let blob = wire_bin::encode_response(&resp);
+            let mut out = Vec::with_capacity(V2_HEADER_LEN + blob.len() + 1);
+            out.extend_from_slice(&V2_TAG);
+            out.extend_from_slice(&key.to_le_bytes());
+            out.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+            out.extend_from_slice(&blob);
+            out.push(b'\n');
+            return out;
         }
     }
+    v1_line(key, body)
+}
+
+/// Renders one v1 (JSONL) record line.
+fn v1_line(key: u64, body: &str) -> Vec<u8> {
     let rec = DiskRecord {
         key: key_hex(key),
         body: body.to_string(),
@@ -504,7 +469,7 @@ mod tests {
     }
 
     /// A canonical response body: round-trips bit-identically through
-    /// serde, so a V2 tier stores it as a binary record.
+    /// serde, so `put` stores it as a binary record.
     fn sample_response_json() -> String {
         let resp = ScheduleResponse {
             v: 1,
@@ -599,7 +564,7 @@ mod tests {
         let mut t = DiskTier::open(&path).unwrap();
         t.put(1, "plain v1 body").unwrap();
         let clean_len = std::fs::metadata(&path).unwrap().len();
-        let record = encode_record(DiskFormat::V2, 2, &resp_json);
+        let record = encode_record(2, &resp_json);
         assert_eq!(record[..3], V2_TAG, "fixture must be a real v2 record");
         drop(t);
         // Append every strict prefix of a v2 record and confirm open()
@@ -655,13 +620,12 @@ mod tests {
         let path = tmp_path("v2_round_trip");
         let body = sample_response_json();
         let mut t = DiskTier::open(&path).unwrap();
-        assert_eq!(t.format(), DiskFormat::V2, "V2 is the default");
         t.put(5, &body).unwrap();
         // The record on disk really is binary, and smaller than the JSONL
         // line the v1 format would have written.
         let raw = std::fs::read(&path).unwrap();
         assert_eq!(raw[..3], V2_TAG);
-        assert!(raw.len() < encode_record(DiskFormat::V1, 5, &body).len());
+        assert!(raw.len() < v1_line(5, &body).len());
         assert_eq!(t.get(5).unwrap().as_deref(), Some(body.as_str()));
         drop(t);
         let mut t = DiskTier::open(&path).unwrap();
@@ -689,19 +653,11 @@ mod tests {
     fn mixed_v1_v2_file_loads_and_compaction_upgrades_bit_identically() {
         let path = tmp_path("v1_upgrade");
         let body = sample_response_json();
-        // Write one record per format plus a free-form v1 body, by hand,
-        // the way an old binary would have left the file.
-        let mut t = DiskTier::open_with_format(
-            &path,
-            FsyncPolicy::default(),
-            FaultPlane::disarmed(),
-            DiskFormat::V1,
-        )
-        .unwrap();
-        assert_eq!(t.format(), DiskFormat::V1);
-        t.put(1, &body).unwrap();
-        t.put(2, "free-form").unwrap();
-        drop(t);
+        // Write a v1 response line and a free-form v1 body by hand, the
+        // way a release that wrote only v1 would have left the file.
+        let mut legacy = v1_line(1, &body);
+        legacy.extend(v1_line(2, "free-form"));
+        std::fs::write(&path, &legacy).unwrap();
         let mut t = DiskTier::open(&path).unwrap();
         t.put(3, &body).unwrap(); // lands as v2 in the same file
         assert_eq!(t.len(), 3);
@@ -709,8 +665,8 @@ mod tests {
         assert_eq!(t.get(2).unwrap().as_deref(), Some("free-form"));
         assert_eq!(t.get(3).unwrap().as_deref(), Some(body.as_str()));
         let before = std::fs::metadata(&path).unwrap().len();
-        // Compacting the V2 tier upgrades the v1 response record; bodies
-        // replay bit-identically afterwards and the file shrinks.
+        // Compaction upgrades the v1 response record; bodies replay
+        // bit-identically afterwards and the file shrinks.
         t.compact().unwrap();
         assert!(std::fs::metadata(&path).unwrap().len() < before);
         assert_eq!(t.get(1).unwrap().as_deref(), Some(body.as_str()));

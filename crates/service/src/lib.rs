@@ -6,19 +6,20 @@
 //!
 //! The pieces, bottom-up:
 //!
-//! * [`wire`] — the versioned JSON request/response format with a stable
-//!   canonical rendering and FNV-1a content hash (the cache key), hashed
-//!   in one streaming pass (no canonical String is materialised);
+//! * [`wire`] — the versioned JSON request/response format and the one
+//!   canonical rendering of a request, whose FNV-1a hash is the cache key
+//!   (hashed in one streaming pass; no canonical String is materialised);
 //! * [`wire_bin`] — the binary wire format (`application/x-batsched-bin`):
-//!   a length-prefixed encoding whose single-pass decoder folds canonical
-//!   content hashing into the same byte walk, so binary and JSON spellings
-//!   of one request share a cache key byte-for-byte;
+//!   a length-prefixed encoding with a single-pass, hash-free decoder;
+//!   both formats key through [`wire`], so binary and JSON spellings of
+//!   one request share a cache key byte-for-byte;
 //! * [`cache`] — the memory cache tier: an O(1) intrusive-list LRU,
 //!   sharded across independently locked shards by content-hash bits
 //!   (hit = bit-identical replay);
-//! * [`disk`] — the persistent cache tier: an append-only JSONL file,
-//!   indexed on start and compacted on shutdown, so a restarted daemon
-//!   answers previously-seen requests warm;
+//! * [`disk`] — the persistent cache tier: an append-only record file
+//!   (binary v2 records; legacy v1 JSONL lines still load), indexed on
+//!   start and compacted on shutdown, so a restarted daemon answers
+//!   previously-seen requests warm;
 //! * [`service`] — bounded job queue + worker threads, each with a
 //!   reusable [`batsched_core::SolverWorkspace`] (σ-engine scratch *and*
 //!   the window search's incremental-DPF journal and assignment buffers,
@@ -84,7 +85,7 @@ pub mod wire;
 pub mod wire_bin;
 
 pub use cache::{LruCache, ShardedCache};
-pub use disk::{DiskFormat, DiskTier, FsyncPolicy};
+pub use disk::{DiskTier, FsyncPolicy};
 pub use faults::{FaultPlane, FaultRule, FaultSite};
 pub use fleet::{
     home_slot, route, shard_path, Fleet, FleetConfig, FleetConfigError, FleetStartError,
@@ -106,7 +107,7 @@ pub use wire_bin::{decode_request, decode_response, encode_request, encode_respo
 
 /// Convenient glob-import of the types almost every embedder needs.
 pub mod prelude {
-    pub use crate::disk::{DiskFormat, FsyncPolicy};
+    pub use crate::disk::FsyncPolicy;
     pub use crate::faults::{FaultPlane, FaultRule, FaultSite};
     pub use crate::fleet::{Fleet, FleetConfig, InProcessLauncher, ProcessLauncher};
     pub use crate::http::HttpServer;

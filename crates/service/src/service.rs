@@ -26,7 +26,7 @@
 //!   cold solve.
 
 use crate::cache::ShardedCache;
-use crate::disk::{DiskFormat, DiskTier, FsyncPolicy};
+use crate::disk::{DiskTier, FsyncPolicy};
 use crate::faults::FaultPlane;
 use crate::logfmt::{Level, LogTarget, SpanLog};
 use crate::metrics::{self, Histogram, Kind, Read, Series};
@@ -61,8 +61,6 @@ pub struct ServiceConfig {
     /// Append-only record file backing the disk cache tier; `None` keeps
     /// the cache memory-only (cold after every restart).
     pub disk_path: Option<PathBuf>,
-    /// Record format the disk tier writes (both formats always load).
-    pub disk_format: DiskFormat,
     /// Queue-to-reply deadline; an expired request answers a typed
     /// `timeout` error. `None` (the default) never expires requests.
     pub request_timeout: Option<Duration>,
@@ -102,7 +100,6 @@ impl Default for ServiceConfig {
             cache_capacity: 256,
             cache_shards: 8,
             disk_path: None,
-            disk_format: DiskFormat::default(),
             request_timeout: None,
             fsync_policy: FsyncPolicy::default(),
             disk_breaker_threshold: 3,
@@ -796,11 +793,10 @@ impl Service {
         let rx = Arc::new(Mutex::new(rx));
         let disk = match &cfg.disk_path {
             None => None,
-            Some(path) => Some(Mutex::new(DiskTier::open_with_format(
+            Some(path) => Some(Mutex::new(DiskTier::open_with(
                 path,
                 cfg.fsync_policy,
                 faults.clone(),
-                cfg.disk_format,
             )?)),
         };
         let logger = match &cfg.log_json {
@@ -1290,51 +1286,32 @@ fn answer(
         tel.bump(Counter::CacheHits);
         return finish(Disposition::Ok { cached: true }, cached, trace);
     }
-    // Admission: JSON parses then hashes in a separate (streaming) pass;
-    // the binary decoder folds the canonical hash into its single byte
-    // walk, so `hash_us` stays 0 — the hash came for free.
-    let (req, key) = match format {
-        WireFormat::Json => {
-            let t = Instant::now();
-            let parsed = std::str::from_utf8(body)
-                .map_err(|_| wire::WireError::Syntax {
-                    message: "body is not UTF-8".into(),
-                })
-                .and_then(wire::parse_request);
-            trace.parse_us += us(t);
-            let req = match parsed {
-                Ok(req) => req,
-                Err(e) => {
-                    tel.bump(Counter::ClientErrors);
-                    return finish(
-                        Disposition::ClientError,
-                        ErrorResponse::from_wire(&e).to_json(),
-                        trace,
-                    );
-                }
-            };
-            let t = Instant::now();
-            let key = req.content_hash();
-            trace.hash_us += us(t);
-            (req, key)
-        }
-        WireFormat::Binary => {
-            let t = Instant::now();
-            let decoded = wire_bin::decode_request(body);
-            trace.parse_us += us(t);
-            match decoded {
-                Ok(pair) => pair,
-                Err(e) => {
-                    tel.bump(Counter::ClientErrors);
-                    return finish(
-                        Disposition::ClientError,
-                        ErrorResponse::from_wire(&e).to_json(),
-                        trace,
-                    );
-                }
-            }
+    // Admission: decode the request in its wire format, then key it. The
+    // key is computed here once and carried through to the response.
+    let t = Instant::now();
+    let parsed = match format {
+        WireFormat::Json => std::str::from_utf8(body)
+            .map_err(|_| wire::WireError::Syntax {
+                message: "body is not UTF-8".into(),
+            })
+            .and_then(wire::parse_request),
+        WireFormat::Binary => wire_bin::decode(body),
+    };
+    trace.parse_us += us(t);
+    let req = match parsed {
+        Ok(req) => req,
+        Err(e) => {
+            tel.bump(Counter::ClientErrors);
+            return finish(
+                Disposition::ClientError,
+                ErrorResponse::from_wire(&e).to_json(),
+                trace,
+            );
         }
     };
+    let t = Instant::now();
+    let key = req.content_hash();
+    trace.hash_us += us(t);
     let t = Instant::now();
     let canonical_hit = shared.cache.get(key);
     trace.cache_us += us(t);
@@ -1385,7 +1362,7 @@ fn answer(
         panic!("injected solver panic");
     }
     let t = Instant::now();
-    let solved = solve(&req, ws);
+    let solved = solve_keyed(&req, key, ws);
     trace.solve_us += us(t);
     match solved {
         Ok(resp) => {
@@ -1437,6 +1414,16 @@ pub fn solve(
     req: &ScheduleRequest,
     ws: &mut SolverWorkspace,
 ) -> Result<ScheduleResponse, ErrorResponse> {
+    solve_keyed(req, req.content_hash(), ws)
+}
+
+/// [`solve`] for a request whose content hash the caller already holds,
+/// so the service keys each request once.
+pub(crate) fn solve_keyed(
+    req: &ScheduleRequest,
+    key: u64,
+    ws: &mut SolverWorkspace,
+) -> Result<ScheduleResponse, ErrorResponse> {
     let config = wire::scheduler_config(req);
     let sol = schedule_in(&req.graph, Minutes::new(req.deadline), &config, ws)
         .map_err(|e| ErrorResponse::from_scheduler(&e))?;
@@ -1457,7 +1444,7 @@ pub fn solve(
     };
     Ok(ScheduleResponse {
         v: WIRE_VERSION,
-        key: req.key(),
+        key: wire::key_hex(key),
         model: spec.name().to_string(),
         order: sol.schedule.order().iter().map(|t| t.index()).collect(),
         assignment: sol

@@ -211,17 +211,23 @@ impl ScheduleRequest {
 
     /// The content hash as the 16-hex-digit cache key echoed in responses.
     pub fn key(&self) -> String {
-        format!("{:016x}", self.content_hash())
+        key_hex(self.content_hash())
     }
+}
+
+/// A content hash spelled as the 16-hex-digit `key` responses echo and
+/// v1 disk records store.
+pub(crate) fn key_hex(key: u64) -> String {
+    format!("{key:016x}")
 }
 
 /// Streams the canonical rendering of `req` — byte-identical to
 /// [`ScheduleRequest::canonical_json`] — into any [`fmt::Write`] sink,
 /// walking the request in place: no graph clone, no value tree, no
 /// intermediate `String`. Feeding an [`Fnv`] sink turns canonical hashing
-/// into a single pass over the request, and the binary decoder
-/// ([`crate::wire_bin`]) emits exactly these fragments during its byte
-/// walk so both formats hash identically.
+/// into a single pass over the request. This is the only writer of the
+/// canonical form: both wire formats decode to a [`ScheduleRequest`] and
+/// key through it, so they hash identically.
 ///
 /// # Errors
 ///
@@ -292,7 +298,7 @@ pub fn render_canonical<W: fmt::Write>(req: &ScheduleRequest, out: &mut W) -> fm
 /// The canonical rendering of one [`ModelSpec`] — byte-identical to how
 /// the derived `Serialize` spells it (unit variants as strings, data
 /// variants as single-key objects with fields in declaration order).
-pub(crate) fn render_canonical_model<W: fmt::Write>(spec: &ModelSpec, out: &mut W) -> fmt::Result {
+fn render_canonical_model<W: fmt::Write>(spec: &ModelSpec, out: &mut W) -> fmt::Result {
     match spec {
         ModelSpec::Rv { beta, terms } => {
             out.write_str("{\"Rv\":{\"beta\":")?;
@@ -327,7 +333,7 @@ pub(crate) fn render_canonical_model<W: fmt::Write>(spec: &ModelSpec, out: &mut 
 /// Writes `s` as a JSON string literal, escaping exactly like the vendored
 /// serde renderer (so streamed output stays byte-identical to
 /// `serde_json::to_string`).
-pub(crate) fn put_escaped<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
+fn put_escaped<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
     out.write_char('"')?;
     for c in s.chars() {
         match c {
@@ -345,7 +351,7 @@ pub(crate) fn put_escaped<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
 
 /// Writes a number exactly like the vendored serde renderer: shortest
 /// round-trip for finite values, `null` for non-finite ones.
-pub(crate) fn put_num<W: fmt::Write>(x: f64, out: &mut W) -> fmt::Result {
+fn put_num<W: fmt::Write>(x: f64, out: &mut W) -> fmt::Result {
     if x.is_finite() {
         write!(out, "{x}")
     } else {
@@ -354,8 +360,8 @@ pub(crate) fn put_num<W: fmt::Write>(x: f64, out: &mut W) -> fmt::Result {
 }
 
 /// Incremental FNV-1a 64 hasher that doubles as a [`fmt::Write`] sink, so
-/// canonical hashing streams through [`render_canonical`] (or the binary
-/// decoder's fused byte walk) without materialising the document.
+/// canonical hashing streams through [`render_canonical`] without
+/// materialising the document.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv(u64);
 

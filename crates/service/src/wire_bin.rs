@@ -5,15 +5,13 @@
 //!
 //! The decoder is a **single pass with no intermediate tree**: each field
 //! is read straight out of the input buffer into the `TaskGraph` builder's
-//! buffers, and the canonical content hash is folded into the same byte
-//! walk — as each field is decoded, the exact canonical-JSON fragment it
-//! corresponds to is streamed into an incremental [`Fnv`] hasher. Because
-//! the format requires design points sorted by ascending duration and a
-//! strictly sorted edge table (the orders the graph builder normalises
-//! to), the builder's stable sort is a no-op and the fused hash equals
-//! [`ScheduleRequest::content_hash`] of the decoded request byte-for-byte:
-//! `decode(encode(r)).key() == r.key()` for every valid request, in either
-//! format.
+//! buffers. Because the format requires design points sorted by ascending
+//! duration and a strictly sorted edge table (the orders the graph builder
+//! normalises to), the builder's stable sort is a no-op and
+//! `decode(encode(r)) == r` for every valid request. The decoder knows
+//! nothing of the canonical form: the cache key is
+//! [`ScheduleRequest::content_hash`] of the decoded request, the same one
+//! function the JSON path calls, so both formats key identically.
 //!
 //! Hostile input never panics or over-allocates: every declared count is
 //! capped against the bytes actually remaining before any allocation, and
@@ -21,10 +19,7 @@
 //! while semantic violations reuse the JSON path's typed errors
 //! (`invalid_deadline`, `invalid_graph`, …) so clients see one taxonomy.
 
-use crate::wire::{
-    put_escaped, put_num, render_canonical_model, Fnv, ModelSpec, ScheduleRequest,
-    ScheduleResponse, WireError, DEFAULT_MAX_ITERATIONS, WIRE_VERSION,
-};
+use crate::wire::{ModelSpec, ScheduleRequest, ScheduleResponse, WireError, WIRE_VERSION};
 use batsched_battery::units::{MilliAmps, Minutes, Volts};
 use batsched_taskgraph::io::IoError;
 use batsched_taskgraph::{DesignPoint, TaskGraph, TaskNode};
@@ -238,16 +233,11 @@ pub fn encode_request(req: &ScheduleRequest) -> Vec<u8> {
     out
 }
 
-/// Decodes and fully validates one binary request in a single fused pass,
-/// returning the request together with its canonical content hash (equal
-/// to [`ScheduleRequest::content_hash`], computed during the same byte
-/// walk — the JSON path's separate parse-then-hash passes collapse into
-/// one here).
-///
-/// Format invariants beyond framing: design points sorted by ascending
-/// duration within each task, and the edge table strictly sorted by
-/// `(from, to)` — the graph builder's normalised orders, which is what
-/// makes hashing-while-decoding sound.
+/// Decodes and fully validates one binary request, returning it with its
+/// canonical content hash ([`ScheduleRequest::content_hash`]) — the pair
+/// the JSON path gets from [`crate::wire::parse_request`] followed by
+/// `content_hash()`. The service decodes with the crate-private,
+/// hash-free `decode` and hashes once itself.
 ///
 /// # Errors
 ///
@@ -255,22 +245,33 @@ pub fn encode_request(req: &ScheduleRequest) -> Vec<u8> {
 /// errors ([`WireError::Graph`], [`WireError::InvalidDeadline`], …) for
 /// semantic ones.
 pub fn decode_request(buf: &[u8]) -> Result<(ScheduleRequest, u64), WireError> {
+    let req = decode(buf)?;
+    let key = req.content_hash();
+    Ok((req, key))
+}
+
+/// Decodes and fully validates one binary request in a single pass with no
+/// intermediate tree.
+///
+/// Format invariants beyond framing: design points sorted by ascending
+/// duration within each task, and the edge table strictly sorted by
+/// `(from, to)` — the graph builder's normalised orders, so each request
+/// has exactly one binary encoding (the layout `docs/WIRE.md` promises).
+///
+/// # Errors
+///
+/// [`WireError::Binary`] for framing problems; the JSON path's typed
+/// errors ([`WireError::Graph`], [`WireError::InvalidDeadline`], …) for
+/// semantic ones.
+pub(crate) fn decode(buf: &[u8]) -> Result<ScheduleRequest, WireError> {
     let mut r = Reader::new(buf);
     check_header(&mut r, KIND_REQUEST, "request")?;
-    let mut h = Fnv::new();
-    h.update(b"{\"v\":1,\"graph\":{\"tasks\":[");
 
     let task_count = r.u32("task count")? as usize;
     r.cap_count(task_count, 4, "task")?;
     let mut tasks = Vec::with_capacity(task_count);
-    for i in 0..task_count {
-        if i > 0 {
-            h.update(b",");
-        }
+    for _ in 0..task_count {
         let name = r.str("task name")?;
-        h.update(b"{\"name\":");
-        let _ = put_escaped(name, &mut h);
-        h.update(b",\"points\":[");
         let point_count = r.u16("point count")? as usize;
         r.cap_count(point_count, 24, "design point")?;
         let mut points = Vec::with_capacity(point_count);
@@ -301,35 +302,23 @@ pub fn decode_request(buf: &[u8]) -> Result<(ScheduleRequest, u64), WireError> {
                 )));
             }
             prev_duration = duration;
-            if j > 0 {
-                h.update(b",");
-            }
-            h.update(b"{\"duration\":");
-            let _ = put_num(duration, &mut h);
-            h.update(b",\"current\":");
-            let _ = put_num(current, &mut h);
-            h.update(b",\"voltage\":");
-            let _ = put_num(voltage, &mut h);
-            h.update(b"}");
             points.push(DesignPoint::with_voltage(
                 MilliAmps::new(current),
                 Minutes::new(duration),
                 Volts::new(voltage),
             ));
         }
-        h.update(b"]}");
         tasks.push(TaskNode {
             name: name.to_string(),
             points,
         });
     }
 
-    h.update(b"],\"edges\":[");
     let edge_count = r.u32("edge count")? as usize;
     r.cap_count(edge_count, 8, "edge")?;
     let mut edges = Vec::with_capacity(edge_count);
     let mut prev_edge: Option<(usize, usize)> = None;
-    for e in 0..edge_count {
+    for _ in 0..edge_count {
         let u = r.u32("edge source")? as usize;
         let v = r.u32("edge target")? as usize;
         if u >= task_count || v >= task_count {
@@ -343,25 +332,14 @@ pub fn decode_request(buf: &[u8]) -> Result<(ScheduleRequest, u64), WireError> {
             }
         }
         prev_edge = Some((u, v));
-        if e > 0 {
-            h.update(b",");
-        }
-        h.update(b"[");
-        let _ = put_num(u as f64, &mut h);
-        h.update(b",");
-        let _ = put_num(v as f64, &mut h);
-        h.update(b"]");
         edges.push((u, v));
     }
 
-    h.update(b"]},\"deadline\":");
     let deadline = r.f64("deadline")?;
-    let _ = put_num(deadline, &mut h);
     if !(deadline.is_finite() && deadline > 0.0) {
         return Err(WireError::InvalidDeadline { deadline });
     }
 
-    h.update(b",\"model\":");
     let model = match r.u8("model tag")? {
         0 => None,
         1 => {
@@ -382,34 +360,21 @@ pub fn decode_request(buf: &[u8]) -> Result<(ScheduleRequest, u64), WireError> {
         4 => Some(ModelSpec::Ideal),
         tag => return Err(berr(format!("unknown model tag {tag:#04x}"))),
     };
-    let default_model;
-    let spec = match &model {
-        Some(s) => s,
-        None => {
-            default_model = ModelSpec::default_rv();
-            &default_model
-        }
-    };
-    let _ = render_canonical_model(spec, &mut h);
-    spec.build()?; // validate parameters now, with a typed error
+    if let Some(spec) = &model {
+        spec.build()?; // validate parameters now, with a typed error
+    }
 
-    h.update(b",\"capacity\":");
     let capacity = match r.u8("capacity flag")? {
         0 => None,
         1 => Some(r.f64("capacity")?),
         f => return Err(berr(format!("capacity flag must be 0 or 1, got {f}"))),
     };
-    match capacity {
-        Some(c) if !(c.is_finite() && c > 0.0) => {
+    if let Some(c) = capacity {
+        if !(c.is_finite() && c > 0.0) {
             return Err(WireError::InvalidCapacity { capacity: c });
         }
-        Some(c) => {
-            let _ = put_num(c, &mut h);
-        }
-        None => h.update(b"null"),
     }
 
-    h.update(b",\"max_iterations\":");
     let max_iterations = match r.u8("max_iterations flag")? {
         0 => None,
         1 => {
@@ -425,11 +390,6 @@ pub fn decode_request(buf: &[u8]) -> Result<(ScheduleRequest, u64), WireError> {
         }
         f => return Err(berr(format!("max_iterations flag must be 0 or 1, got {f}"))),
     };
-    let _ = put_num(
-        max_iterations.unwrap_or(DEFAULT_MAX_ITERATIONS) as f64,
-        &mut h,
-    );
-    h.update(b"}");
 
     if r.remaining() != 0 {
         return Err(berr(format!(
@@ -440,17 +400,14 @@ pub fn decode_request(buf: &[u8]) -> Result<(ScheduleRequest, u64), WireError> {
 
     let graph = TaskGraph::from_parts(tasks, edges, true)
         .map_err(|e| WireError::Graph(IoError::Graph(e)))?;
-    Ok((
-        ScheduleRequest {
-            v: WIRE_VERSION,
-            graph,
-            deadline,
-            model,
-            capacity,
-            max_iterations,
-        },
-        h.finish(),
-    ))
+    Ok(ScheduleRequest {
+        v: WIRE_VERSION,
+        graph,
+        deadline,
+        model,
+        capacity,
+        max_iterations,
+    })
 }
 
 fn push_str16(out: &mut Vec<u8>, s: &str) {
@@ -598,12 +555,12 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_preserves_the_request_and_fuses_the_canonical_hash() {
+    fn round_trip_preserves_the_request_and_its_canonical_hash() {
         for req in requests() {
             let bin = encode_request(&req);
             let (decoded, hash) = decode_request(&bin).unwrap();
             assert_eq!(decoded, req);
-            assert_eq!(hash, req.content_hash(), "fused hash must equal key");
+            assert_eq!(hash, req.content_hash(), "decoded hash must equal key");
             // Cross-format: the JSON spelling of the same request keys
             // identically.
             let json = serde_json::to_string(&req).unwrap();

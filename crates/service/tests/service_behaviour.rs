@@ -113,6 +113,29 @@ fn cache_hit_is_bit_identical_to_recompute() {
 
 // --------------------------------------------------------- concurrency
 
+/// Both wire formats key a request with the same one canonical hash, and
+/// the trace times it as `hash_us`: a cold n=200 binary request must show
+/// a non-zero hash stage, not a free one.
+#[test]
+fn cold_binary_request_reports_its_hash_time() {
+    let svc = Service::start(ServiceConfig::default());
+    let g = synth_graph(50, 8, 3);
+    assert_eq!(g.task_count(), 200);
+    let req = request_for(&g, loose_deadline(&g));
+    let reply = svc.call_bytes(encode_request(&req), WireFormat::Binary);
+    assert_eq!(
+        reply.disposition,
+        Disposition::Ok { cached: false },
+        "{}",
+        reply.body
+    );
+    assert_eq!(reply.trace.format, WireFormat::Binary);
+    assert!(reply.trace.hash_us > 0, "{:?}", reply.trace);
+    let resp: ScheduleResponse = serde_json::from_str(&reply.body).expect("parses");
+    assert_eq!(resp.key, req.key());
+    svc.shutdown();
+}
+
 #[test]
 fn concurrent_clients_each_get_valid_schedules() {
     let svc = Arc::new(Service::start(ServiceConfig {

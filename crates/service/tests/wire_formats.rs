@@ -1,18 +1,20 @@
 //! Cross-format wire contract tests: a request must mean the same thing —
 //! and hash to the same cache key — whether it arrives as JSON or as the
 //! binary wire format, the binary decoder must be unpanickable under
-//! mutation, and a disk tier written by either format (or an old v1-only
-//! daemon) must answer the other format bit-identically after a restart.
+//! mutation, and a disk tier written through either format (or left as
+//! v1 lines by an old daemon) must answer the other format bit-identically
+//! after a restart.
 
-use batsched_service::disk::{DiskFormat, DiskTier};
+use batsched_service::disk::DiskTier;
 use batsched_service::wire::{parse_request, ModelSpec, ScheduleRequest, ScheduleResponse};
 use batsched_service::{
-    decode_request, decode_response, encode_request, Disposition, FaultPlane, FsyncPolicy, Service,
-    ServiceConfig, WireFormat,
+    decode_request, decode_response, encode_request, Disposition, Service, ServiceConfig,
+    WireFormat,
 };
 use batsched_taskgraph::paper::{g2, g3};
 use batsched_taskgraph::{DesignPoint, TaskGraph};
 use proptest::prelude::*;
+use std::path::Path;
 
 /// Deterministic xorshift so one drawn seed expands into a whole graph.
 struct Rng(u64);
@@ -94,10 +96,10 @@ fn request_from_seed(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The tentpole contract: for arbitrary requests, the binary encoding
-    /// round-trips exactly, its fused single-pass hash equals the
-    /// streaming JSON hash, and both admission paths (serde JSON parse,
-    /// binary decode) agree on the cache key byte-for-byte.
+    /// The cross-format contract: for arbitrary requests, the binary
+    /// encoding round-trips exactly, the hash `decode_request` returns
+    /// equals the streaming JSON hash, and both admission paths (serde
+    /// JSON parse, binary decode) agree on the cache key byte-for-byte.
     #[test]
     fn json_and_binary_admissions_agree_on_request_and_key(
         seed in 0u64..u64::MAX / 2,
@@ -112,18 +114,18 @@ proptest! {
         let parsed = parse_request(&json).expect("own JSON parses");
         prop_assert_eq!(&parsed, &req);
 
-        // Binary path: exact round trip, hash fused into the decode.
+        // Binary path: exact round trip, then the same canonical hash.
         let bin = encode_request(&req);
-        let (decoded, fused_hash) = decode_request(&bin).expect("own encoding decodes");
+        let (decoded, bin_hash) = decode_request(&bin).expect("own encoding decodes");
         prop_assert_eq!(&decoded, &req);
-        prop_assert_eq!(fused_hash, req.content_hash(), "fused hash != streamed hash");
+        prop_assert_eq!(bin_hash, req.content_hash(), "binary hash != streamed hash");
         prop_assert_eq!(decoded.key(), parsed.key(), "cache keys diverge across formats");
 
         // And the canonical rendering oracle agrees with the streamed hash.
         let oracle = req.canonical_json();
         let mut h = batsched_service::wire::Fnv::new();
         h.update(oracle.as_bytes());
-        prop_assert_eq!(h.finish(), fused_hash, "canonical JSON oracle diverged");
+        prop_assert_eq!(h.finish(), bin_hash, "canonical JSON oracle diverged");
     }
 
     /// Unpanickable decoder: flipping any single byte of a valid encoding
@@ -218,22 +220,47 @@ fn disk_path(name: &str) -> std::path::PathBuf {
     p
 }
 
+/// Rewrites the cache file as hand-written v1 JSONL lines, the way a
+/// release that wrote only v1 records would have left it.
+fn write_v1_file(path: &Path, records: &[(u64, String)]) {
+    let lines: String = records
+        .iter()
+        .map(|(key, body)| {
+            let body = serde_json::to_string(body).expect("serialises");
+            format!("{{\"key\":\"{key:016x}\",\"body\":{body}}}\n")
+        })
+        .collect();
+    std::fs::write(path, lines).expect("write v1 file");
+}
+
 /// The acceptance-criteria warm restart: a disk tier populated through
 /// JSON requests answers the binary spelling of the same requests
-/// bit-identically after a restart — and vice versa — in both disk
-/// formats.
+/// bit-identically after a restart — and vice versa — whether the file
+/// holds the v2 records the daemon writes or v1 lines an older release
+/// left.
 #[test]
 fn warm_restart_answers_the_other_wire_format_bit_identically() {
-    for fmt in [DiskFormat::V1, DiskFormat::V2] {
-        let path = disk_path(&format!("warm_restart_{fmt:?}"));
+    for fmt in ["V1", "V2"] {
+        let path = disk_path(&format!("warm_restart_{fmt}"));
         let reqs = [
             ScheduleRequest::new(g2(), 75.0),
             ScheduleRequest::new(g3(), 230.0),
         ];
         let cfg = || ServiceConfig {
             disk_path: Some(path.clone()),
-            disk_format: fmt,
             ..ServiceConfig::default()
+        };
+        // In the V1 case, replace the shut-down daemon's file with v1
+        // lines holding the same keys and bodies.
+        let seed_v1 = |bodies: &[String]| {
+            if fmt == "V1" {
+                let records: Vec<(u64, String)> = reqs
+                    .iter()
+                    .map(|r| r.content_hash())
+                    .zip(bodies.iter().cloned())
+                    .collect();
+                write_v1_file(&path, &records);
+            }
         };
 
         // Populate via JSON, remember the cold bodies.
@@ -244,13 +271,14 @@ fn warm_restart_answers_the_other_wire_format_bit_identically() {
                 let reply = svc.call(serde_json::to_string(r).expect("serialises"));
                 assert!(
                     matches!(reply.disposition, Disposition::Ok { cached: false }),
-                    "{fmt:?}: {}",
+                    "{fmt}: {}",
                     reply.body
                 );
                 reply.body
             })
             .collect();
         svc.shutdown(); // compacts the tier on the way out
+        seed_v1(&cold);
 
         // Restart: binary requests must be disk-warm hits with identical
         // bodies (solved == 0 proves nothing was recomputed).
@@ -259,12 +287,12 @@ fn warm_restart_answers_the_other_wire_format_bit_identically() {
             let reply = svc.call_bytes(encode_request(r), WireFormat::Binary);
             assert!(
                 matches!(reply.disposition, Disposition::Ok { cached: true }),
-                "{fmt:?}: {}",
+                "{fmt}: {}",
                 reply.body
             );
-            assert_eq!(&reply.body, expect, "{fmt:?}: warm body diverged");
+            assert_eq!(&reply.body, expect, "{fmt}: warm body diverged");
         }
-        assert_eq!(svc.stats().solved, 0, "{fmt:?}: restart must not re-solve");
+        assert_eq!(svc.stats().solved, 0, "{fmt}: restart must not re-solve");
         svc.shutdown();
 
         // And the reverse direction: a binary-populated tier serving JSON.
@@ -276,9 +304,10 @@ fn warm_restart_answers_the_other_wire_format_bit_identically() {
                 reply.disposition,
                 Disposition::Ok { cached: false }
             ));
-            assert_eq!(&reply.body, expect, "{fmt:?}: binary cold body diverged");
+            assert_eq!(&reply.body, expect, "{fmt}: binary cold body diverged");
         }
         svc.shutdown();
+        seed_v1(&cold);
         let svc = Service::try_start(cfg()).expect("restart json");
         for (r, expect) in reqs.iter().zip(&cold) {
             let reply = svc.call(serde_json::to_string(r).expect("serialises"));
@@ -286,7 +315,7 @@ fn warm_restart_answers_the_other_wire_format_bit_identically() {
                 reply.disposition,
                 Disposition::Ok { cached: true }
             ));
-            assert_eq!(&reply.body, expect, "{fmt:?}: warm JSON body diverged");
+            assert_eq!(&reply.body, expect, "{fmt}: warm JSON body diverged");
         }
         svc.shutdown();
         std::fs::remove_file(&path).expect("cleanup");
@@ -313,22 +342,11 @@ fn legacy_v1_file_upgrades_through_compaction_bit_identically() {
     svc.shutdown();
 
     // Write the file the way the previous release did: v1 lines only.
-    {
-        let mut tier = DiskTier::open_with_format(
-            &path,
-            FsyncPolicy::default(),
-            FaultPlane::disarmed(),
-            DiskFormat::V1,
-        )
-        .expect("open v1");
-        for (k, body) in &bodies {
-            tier.put(*k, body).expect("put");
-        }
-    }
+    write_v1_file(&path, &bodies);
     let v1_len = std::fs::metadata(&path).expect("meta").len();
 
-    // A default (v2) tier loads it, replays bit-identically, and its
-    // compaction shrinks the file by re-encoding responses as binary.
+    // The tier loads it, replays bit-identically, and its compaction
+    // shrinks the file by re-encoding responses as binary.
     let mut tier = DiskTier::open(&path).expect("open v2");
     assert_eq!(tier.len(), bodies.len());
     for (k, body) in &bodies {

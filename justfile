@@ -49,8 +49,8 @@ service-bench:
     cargo run --release -p batsched-bench --bin loadgen -- --check
 
 # Binary-vs-JSON admission A/B on the n-scaling instances: both wire
-# formats must produce one cache key, and the fused single-pass binary
-# decode+hash must beat JSON parse+hash by >= 2x at n=200.
+# formats must produce one cache key, and the single-pass binary decode
+# plus the content hash must beat JSON parse+hash by >= 2x at n=200.
 wire:
     cargo run --release -p batsched-bench --bin loadgen -- --wire --check
 

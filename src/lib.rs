@@ -38,7 +38,7 @@
 //!
 //! The reproduction harness (`cargo run -p batsched-bench --bin
 //! repro_table4` and friends) regenerates every table and figure of the
-//! paper; `EXPERIMENTS.md` records paper-vs-measured for each.
+//! paper and prints the published numbers next to ours.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

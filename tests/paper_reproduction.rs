@@ -1,6 +1,7 @@
 //! Golden reproduction tests: every number this suite pins down was either
-//! printed in the paper or derived from it by hand. See `EXPERIMENTS.md`
-//! for the full paper-vs-measured record including the known deviations.
+//! printed in the paper or derived from it by hand. The `repro_*` bins of
+//! `batsched-bench` print the full paper-vs-ours tables side by side,
+//! known deviations included (`repro_table4` for the headline result).
 
 use batsched::baselines::{KhanVemuri, RakhmatovDp, Scheduler};
 use batsched::battery::rv::RvModel;
