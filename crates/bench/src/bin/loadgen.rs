@@ -20,7 +20,7 @@
 //!   size under the carried window-sweep kernel;
 //! * **wire** — the admission A/B on the same n-scaling instances: each
 //!   request is admitted `iters` times as JSON (`parse_request` + the
-//!   streaming content hash) and as binary (`decode_request`: the
+//!   content hash) and as binary (`decode_request`: the
 //!   single-pass binary decode, then the same content hash), asserting
 //!   the two spellings produce the same cache key; `--check` fails the run
 //!   unless binary decode + hash wins by ≥ 2× at n = 200;
@@ -484,7 +484,7 @@ fn run_keepalive_ab(quick: bool) -> KeepAliveReport {
 
 /// The wire-format admission A/B on the shared n-scaling instances: each
 /// request is admitted repeatedly as JSON (`parse_request` plus the
-/// streaming canonical content hash — everything the service does before
+/// canonical content hash — everything the service does before
 /// the cache lookup) and as binary (`decode_request`: the single-pass
 /// binary decode plus the same content hash). The two spellings must produce
 /// the same cache key; with `check`, the binary path must win by ≥ 2× on

@@ -1,49 +1,35 @@
 //! The disk cache tier: an append-only file of `{key, body}` records so a
 //! restarted daemon serves previously computed answers as warm hits.
 //!
-//! Two record formats coexist in one file, distinguished by the first
-//! byte of each record:
-//!
-//! * **v2** (binary, what `put` writes): `0x00 'B' '2'` tag, key as 8 LE
-//!   bytes, blob length as 4 LE bytes, then the [`crate::wire_bin`]
-//!   response encoding, terminated by `\n`. v2 records are materially
-//!   smaller and index without parsing any JSON, shrinking both the file
-//!   and the load-on-start scan;
-//! * **v1** (JSONL): one line per record,
-//!   `{"key":"<16-hex>","body":"<response>"}` — always starts with `{`.
-//!   Files from releases that wrote only v1 still load, and bodies that
-//!   cannot be stored as v2 are written this way. A raw `0x00` can never
-//!   open a valid v1 line (JSON escapes control bytes), so the dispatch is
-//!   unambiguous.
+//! A record is one byte frame: the tag `0x00 'B' '3'`, the key as 8 LE
+//! bytes, the body length as 4 LE bytes, the response body verbatim, then
+//! `\n`. Bodies are stored exactly as the cache replays them, so a disk
+//! hit is bit-identical to the response that was computed. The tag doubles
+//! as the key-scheme version: files written by older builds (JSONL lines,
+//! or `\0B2` records keyed by an earlier scheme) have no valid record
+//! prefix, so the open-time repair below truncates them to empty — their
+//! keys could never hit again anyway.
 //!
 //! On open the file is scanned once to build a key → record-span index
 //! (last record per key wins); bodies stay on disk and are read on
 //! demand, so the tier's memory cost is the index, not the payloads. A
 //! torn tail — the daemon was killed mid-append — is truncated back to
-//! the last whole record, so the next append starts clean. Writes go
-//! through an append handle and are flushed per record, so a crash loses
-//! at most the record being written. [`DiskTier::compact`] rewrites the
-//! file with exactly one record per live key (temp file + atomic rename)
-//! the way `put` writes them, so compaction upgrades v1 response records
-//! to v2; the service runs it on graceful shutdown so restarts load a
-//! dense file.
-//!
-//! A v2 record only stores bodies that survive a decode→re-render
-//! bit-identity check (the cache contract is bit-identical replay);
-//! anything else — hostile or free-form bodies included — falls back to a
-//! v1 line, which stores arbitrary strings.
+//! the last whole record, so the next append starts clean; the repair logs
+//! the path and the number of bytes it discarded. Writes go through an
+//! append handle and are flushed per record, so a crash loses at most the
+//! record being written. [`DiskTier::compact`] rewrites the file with
+//! exactly one record per live key (temp file + atomic rename); the
+//! service runs it on graceful shutdown so restarts load a dense file.
 //!
 //! Responses are pure functions of the canonical key, so a key that is
 //! already present is never re-appended — the file grows with *distinct*
 //! requests, not with traffic.
 
 use crate::faults::{FaultPlane, FaultSite};
-use crate::wire::{key_hex, ScheduleResponse};
-use crate::wire_bin;
-use serde::{Deserialize, Serialize};
+use crate::wire::key_hex;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// When appended records are fsynced to stable storage. Flushing (which
@@ -68,34 +54,25 @@ impl Default for FsyncPolicy {
     }
 }
 
-/// First bytes of a v2 record: a byte no valid JSON line can start with,
-/// then a human-greppable format marker.
-const V2_TAG: [u8; 3] = [0x00, b'B', b'2'];
+/// First bytes of every record: a NUL, then a human-greppable marker that
+/// names the key scheme. Changing the key scheme changes the tag.
+const TAG: [u8; 3] = [0x00, b'B', b'3'];
 
-/// v2 fixed header: 3-byte tag + 8-byte key + 4-byte blob length.
-const V2_HEADER_LEN: usize = 15;
+/// Fixed header: 3-byte tag + 8-byte key + 4-byte body length.
+const HEADER_LEN: u64 = 15;
 
-/// One persisted cache record (a single JSONL line).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct DiskRecord {
-    /// Canonical content hash, 16 hex digits (the response `key` format).
-    key: String,
-    /// The complete serialised response body, replayed bit-identically.
-    body: String,
-}
-
-/// Byte span of one record line within the cache file.
+/// Byte span of one whole record within the cache file.
 #[derive(Debug, Clone, Copy)]
 struct Span {
     offset: u64,
-    len: u32,
+    len: u64,
 }
 
 /// The persistent result-cache tier behind the in-memory shards.
 #[derive(Debug)]
 pub struct DiskTier {
     path: PathBuf,
-    /// Append handle; all writes are whole flushed lines.
+    /// Append handle; all writes are whole flushed records.
     writer: BufWriter<File>,
     /// Independent read handle for on-demand body loads.
     reader: File,
@@ -114,8 +91,8 @@ pub struct DiskTier {
 impl DiskTier {
     /// Opens (creating if absent) the cache file at `path` and indexes its
     /// records, with the default fsync policy and a disarmed fault plane.
-    /// Malformed or truncated records are skipped, not fatal — a crash
-    /// mid-append must not brick the tier.
+    /// Everything past the last whole record is truncated, not fatal — a
+    /// crash mid-append must not brick the tier.
     ///
     /// # Errors
     ///
@@ -138,14 +115,20 @@ impl DiskTier {
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         let reader = File::open(&path)?;
         let (index, valid_end, file_end) = index_file(&path)?;
-        // Repair a torn tail (crash mid-append): truncate back to the last
-        // whole record so the next append starts a clean one. The repair
-        // is fsynced unconditionally — it happens once per boot and losing
-        // it would re-tear the tail on the next crash.
+        // Repair a torn tail (crash mid-append) or a file from an older
+        // build: truncate back to the last whole record so the next append
+        // starts a clean one. The repair is fsynced unconditionally — it
+        // happens once per boot and losing it would re-tear the tail on
+        // the next crash.
         if file_end > valid_end {
             faults.disk_gate(FaultSite::DiskWrite, "torn-tail-repair")?;
             file.set_len(valid_end)?;
             file.sync_data()?;
+            eprintln!(
+                "batsched-service: disk-cache {}: discarded {} bytes past the last whole record",
+                path.display(),
+                file_end - valid_end
+            );
         }
         Ok(DiskTier {
             path,
@@ -175,7 +158,7 @@ impl DiskTier {
     }
 
     /// Reads the body stored for `key`, if any. A record that no longer
-    /// parses (torn by an unclean shutdown mid-compaction) is dropped from
+    /// frames (torn by an unclean shutdown mid-compaction) is dropped from
     /// the index and reported as a miss — only real I/O failures are
     /// errors, so the caller's breaker can tell "the disk is sick" apart
     /// from "we never stored that".
@@ -205,14 +188,15 @@ impl DiskTier {
     /// # Errors
     ///
     /// Propagates write failures (and injected [`FaultSite::DiskAppend`]
-    /// faults); the index is only updated after the record is flushed.
+    /// faults), and refuses a body longer than `u32::MAX` bytes; the index
+    /// is only updated after the record is flushed.
     pub fn put(&mut self, key: u64, body: &str) -> io::Result<()> {
         if self.index.contains_key(&key) {
             return Ok(());
         }
         self.faults
             .disk_gate(FaultSite::DiskAppend, &key_hex(key))?;
-        let record = encode_record(key, body);
+        let record = encode_record(key, body)?;
         self.writer.write_all(&record)?;
         self.writer.flush()?;
         match self.fsync {
@@ -226,23 +210,22 @@ impl DiskTier {
                 }
             }
         }
+        let len = record.len() as u64;
         self.index.insert(
             key,
             Span {
                 offset: self.end,
-                len: record.len() as u32,
+                len,
             },
         );
-        self.end += record.len() as u64;
+        self.end += len;
         Ok(())
     }
 
     /// Rewrites the file with exactly one record per live key, dropping
-    /// duplicates and torn records, each re-encoded the way `put` writes
-    /// it — so compaction upgrades v1 response lines to v2 in place.
-    /// Writes a sibling temp file first and renames it over the original,
-    /// so a crash mid-compaction leaves either the old file or the new
-    /// one — never a half file.
+    /// duplicates and torn records. Writes a sibling temp file first and
+    /// renames it over the original, so a crash mid-compaction leaves
+    /// either the old file or the new one — never a half file.
     ///
     /// # Errors
     ///
@@ -265,13 +248,13 @@ impl DiskTier {
                 if stored != key {
                     continue;
                 }
-                let record = encode_record(key, &body);
+                let record = encode_record(key, &body)?;
                 tmp.write_all(&record)?;
                 new_index.insert(
                     key,
                     Span {
                         offset,
-                        len: record.len() as u32,
+                        len: record.len() as u64,
                     },
                 );
                 offset += record.len() as u64;
@@ -292,9 +275,8 @@ impl DiskTier {
         Ok(())
     }
 
-    /// Reads one record (either format). I/O failures are errors; a record
-    /// that no longer parses is `Ok(None)` (stale index entry, not a sick
-    /// disk).
+    /// Reads one record. I/O failures are errors; a record that no longer
+    /// frames is `Ok(None)` (stale index entry, not a sick disk).
     fn read_span(&mut self, span: Span) -> io::Result<Option<(u64, String)>> {
         self.reader.seek(SeekFrom::Start(span.offset))?;
         let mut raw = vec![0u8; span.len as usize];
@@ -311,149 +293,85 @@ impl DiskTier {
     }
 }
 
-/// Renders one record. V2 only stores bodies that replay bit-identically
-/// through the binary response codec (decode→re-render must reproduce
-/// `body` exactly); anything else falls back to a v1 line, which can hold
-/// an arbitrary string.
-fn encode_record(key: u64, body: &str) -> Vec<u8> {
-    if let Ok(resp) = serde_json::from_str::<ScheduleResponse>(body) {
-        if serde_json::to_string(&resp).as_deref() == Ok(body) {
-            let blob = wire_bin::encode_response(&resp);
-            let mut out = Vec::with_capacity(V2_HEADER_LEN + blob.len() + 1);
-            out.extend_from_slice(&V2_TAG);
-            out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-            out.extend_from_slice(&blob);
-            out.push(b'\n');
-            return out;
-        }
-    }
-    v1_line(key, body)
+/// Frames one record around `body`, verbatim.
+fn encode_record(key: u64, body: &str) -> io::Result<Vec<u8>> {
+    let len = u32::try_from(body.len()).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "response body too large for a disk record",
+        )
+    })?;
+    let mut out = Vec::with_capacity(HEADER_LEN as usize + body.len() + 1);
+    out.extend_from_slice(&TAG);
+    out.extend_from_slice(&key.to_le_bytes());
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(body.as_bytes());
+    out.push(b'\n');
+    Ok(out)
 }
 
-/// Renders one v1 (JSONL) record line.
-fn v1_line(key: u64, body: &str) -> Vec<u8> {
-    let rec = DiskRecord {
-        key: key_hex(key),
-        body: body.to_string(),
-    };
-    // lint:allow(panic-path): serialising DiskRecord (two owned strings) cannot
-    // fail; this runs before the bytes ever reach the append path.
-    let mut line = serde_json::to_string(&rec).expect("records serialise");
-    line.push('\n');
-    line.into_bytes()
-}
-
-/// Splits a v2 record header into `(key, blob length)`; `None` when the
-/// tag does not match. All access is checked — disk bytes are untrusted
-/// input and must never panic the reading thread.
-fn parse_v2_header(header: &[u8]) -> Option<(u64, u64)> {
-    if !header.starts_with(&V2_TAG) {
+/// Splits a record header into `(key, body length)`; `None` when the tag
+/// does not match. All access is checked — disk bytes are untrusted input
+/// and must never panic the reading thread.
+fn parse_header(header: &[u8]) -> Option<(u64, u32)> {
+    if !header.starts_with(&TAG) {
         return None;
     }
     let key = u64::from_le_bytes(header.get(3..11)?.try_into().ok()?);
-    let len = u64::from(u32::from_le_bytes(header.get(11..15)?.try_into().ok()?));
+    let len = u32::from_le_bytes(header.get(11..15)?.try_into().ok()?);
     Some((key, len))
 }
 
-/// Parses one whole record in either format, returning its key and the
-/// body as the canonical JSON string the cache replays.
+/// Parses one whole record, returning its key and body. `None` unless the
+/// bytes frame exactly one record holding a UTF-8 body.
 fn parse_record(raw: &[u8]) -> Option<(u64, String)> {
-    if raw.first() == Some(&0u8) {
-        if raw.len() < V2_HEADER_LEN + 1 || raw.last() != Some(&b'\n') {
-            return None;
-        }
-        let (key, len) = parse_v2_header(raw.get(..V2_HEADER_LEN)?)?;
-        let len = len as usize;
-        if raw.len() != V2_HEADER_LEN + len + 1 {
-            return None;
-        }
-        let resp = wire_bin::decode_response(raw.get(V2_HEADER_LEN..V2_HEADER_LEN + len)?).ok()?;
-        Some((key, serde_json::to_string(&resp).ok()?))
-    } else {
-        let line = std::str::from_utf8(raw).ok()?;
-        let rec: DiskRecord = serde_json::from_str(line.trim_end()).ok()?;
-        Some((u64::from_str_radix(&rec.key, 16).ok()?, rec.body))
+    let (key, len) = parse_header(raw)?;
+    let body = raw.get(HEADER_LEN as usize..)?.strip_suffix(b"\n")?;
+    if body.len() != len as usize {
+        return None;
     }
+    Some((key, String::from_utf8(body.to_vec()).ok()?))
 }
 
 /// Scans the whole file once, returning the last-wins span index, the end
-/// of the last whole record (where appends continue after the torn tail,
-/// if any, is truncated), and the file's current length.
+/// of the last whole record (where appends continue once everything past
+/// it is truncated), and the file's current length.
 ///
-/// v1 lines are framed by `\n`; a malformed-but-terminated line mid-file
-/// is skipped and scanning continues. v2 records are framed by their
-/// declared length; an incomplete header/blob or a record that does not
-/// end in `\n` (torn append) stops the scan there, as does a v1 tail with
-/// no `\n` — everything past that point is the torn tail.
+/// Records are framed by their declared length: a bad tag, an incomplete
+/// header or body, or a record that does not end in `\n` stops the scan
+/// there, and everything past that point is discarded at open.
 fn index_file(path: &Path) -> io::Result<(HashMap<u64, Span>, u64, u64)> {
     let file = File::open(path)?;
     let file_end = file.metadata()?.len();
     let mut reader = BufReader::new(file);
     let mut index = HashMap::new();
     let mut offset = 0u64;
-    let mut raw = Vec::new();
-    loop {
-        let first = {
-            let buf = reader.fill_buf()?;
-            match buf.first() {
-                Some(&b) => b,
-                None => break,
-            }
-        };
-        if first == 0x00 {
-            // v2: fixed header, then a length-framed blob + newline. Any
-            // framing shortfall is a torn tail — stop scanning here.
-            let mut header = [0u8; V2_HEADER_LEN];
-            if reader.read_exact(&mut header).is_err() {
-                break;
-            }
-            let Some((key, len)) = parse_v2_header(&header) else {
-                break;
-            };
-            let remaining = file_end - offset - V2_HEADER_LEN as u64;
-            if len + 1 > remaining {
-                break;
-            }
-            raw.resize(len as usize + 1, 0);
-            if reader.read_exact(&mut raw).is_err() || raw.last() != Some(&b'\n') {
-                break;
-            }
-            let total = V2_HEADER_LEN as u64 + len + 1;
-            index.insert(
-                key,
-                Span {
-                    offset,
-                    len: total as u32,
-                },
-            );
-            offset += total;
-        } else {
-            raw.clear();
-            let n = reader.read_until(b'\n', &mut raw)?;
-            if n == 0 || raw.last() != Some(&b'\n') {
-                break;
-            }
-            if let Some(key) = parse_line_key(&raw) {
-                index.insert(
-                    key,
-                    Span {
-                        offset,
-                        len: n as u32,
-                    },
-                );
-            }
-            offset += n as u64;
+    let mut header = [0u8; HEADER_LEN as usize];
+    while offset < file_end {
+        if reader.read_exact(&mut header).is_err() {
+            break;
         }
+        let Some((key, body_len)) = parse_header(&header) else {
+            break;
+        };
+        let span = Span {
+            offset,
+            len: HEADER_LEN + u64::from(body_len) + 1,
+        };
+        if span.len > file_end - offset {
+            break;
+        }
+        // Skip the body unread and check only its closing newline; `get`
+        // re-frames the whole record on demand.
+        reader.seek_relative(i64::from(body_len))?;
+        let mut newline = [0u8; 1];
+        if reader.read_exact(&mut newline).is_err() || newline != [b'\n'] {
+            break;
+        }
+        index.insert(key, span);
+        offset += span.len;
     }
     Ok((index, offset, file_end))
-}
-
-/// Parses just the key out of a v1 record line (the body is left on disk).
-fn parse_line_key(raw: &[u8]) -> Option<u64> {
-    let line = std::str::from_utf8(raw).ok()?;
-    let rec: DiskRecord = serde_json::from_str(line.trim_end()).ok()?;
-    u64::from_str_radix(&rec.key, 16).ok()
 }
 
 #[cfg(test)]
@@ -463,31 +381,13 @@ mod tests {
     fn tmp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("batsched_disk_tests");
         std::fs::create_dir_all(&dir).expect("temp dir");
-        let p = dir.join(format!("{name}_{}.jsonl", std::process::id()));
+        let p = dir.join(format!("{name}_{}.records", std::process::id()));
         let _ = std::fs::remove_file(&p);
         p
     }
 
-    /// A canonical response body: round-trips bit-identically through
-    /// serde, so `put` stores it as a binary record.
-    fn sample_response_json() -> String {
-        let resp = ScheduleResponse {
-            v: 1,
-            key: "00aabbccddeeff11".into(),
-            model: "rv".into(),
-            order: vec![0, 2, 1],
-            assignment: vec![1, 0, 3],
-            sigma: 1234.5678,
-            makespan: 74.9,
-            deadline: 75.0,
-            direct_charge: 1111.25,
-            model_cost: 1300.0625,
-            survives: Some(true),
-            lifetime: None,
-            iterations: 12,
-        };
-        serde_json::to_string(&resp).unwrap()
-    }
+    /// A response body shaped like the ones the service stores.
+    const RESPONSE_JSON: &str = r#"{"v":1,"key":"00aabbccddeeff11","model":"rv","order":[0,2,1],"assignment":[1,0,3],"sigma":1234.5678,"makespan":74.9,"deadline":75,"direct_charge":1111.25,"model_cost":1300.0625,"survives":true,"lifetime":null,"iterations":12}"#;
 
     #[test]
     fn put_get_and_reload_round_trip() {
@@ -558,16 +458,14 @@ mod tests {
     }
 
     #[test]
-    fn torn_v2_record_is_truncated_at_every_cut() {
-        let path = tmp_path("torn_v2");
-        let resp_json = sample_response_json();
+    fn torn_record_is_truncated_at_every_cut() {
+        let path = tmp_path("torn_record");
         let mut t = DiskTier::open(&path).unwrap();
-        t.put(1, "plain v1 body").unwrap();
+        t.put(1, "plain body").unwrap();
         let clean_len = std::fs::metadata(&path).unwrap().len();
-        let record = encode_record(2, &resp_json);
-        assert_eq!(record[..3], V2_TAG, "fixture must be a real v2 record");
+        let record = encode_record(2, RESPONSE_JSON).unwrap();
         drop(t);
-        // Append every strict prefix of a v2 record and confirm open()
+        // Append every strict prefix of a record and confirm open()
         // truncates back to the clean boundary instead of mis-framing.
         for cut in 1..record.len() {
             {
@@ -575,13 +473,13 @@ mod tests {
                 f.write_all(&record[..cut]).unwrap();
             }
             let mut t = DiskTier::open(&path).unwrap();
-            assert_eq!(t.len(), 1, "cut {cut}: torn v2 record dropped");
+            assert_eq!(t.len(), 1, "cut {cut}: torn record dropped");
             assert_eq!(
                 std::fs::metadata(&path).unwrap().len(),
                 clean_len,
                 "cut {cut}: truncated"
             );
-            assert_eq!(t.get(1).unwrap().as_deref(), Some("plain v1 body"));
+            assert_eq!(t.get(1).unwrap().as_deref(), Some("plain body"));
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -616,33 +514,32 @@ mod tests {
     }
 
     #[test]
-    fn v2_records_replay_bit_identically_and_reload() {
-        let path = tmp_path("v2_round_trip");
-        let body = sample_response_json();
+    fn records_replay_bit_identically_and_reload() {
+        let path = tmp_path("replay");
         let mut t = DiskTier::open(&path).unwrap();
-        t.put(5, &body).unwrap();
-        // The record on disk really is binary, and smaller than the JSONL
-        // line the v1 format would have written.
-        let raw = std::fs::read(&path).unwrap();
-        assert_eq!(raw[..3], V2_TAG);
-        assert!(raw.len() < v1_line(5, &body).len());
-        assert_eq!(t.get(5).unwrap().as_deref(), Some(body.as_str()));
+        t.put(5, RESPONSE_JSON).unwrap();
+        // The file holds exactly one frame: header, the body verbatim, `\n`.
+        let mut expected = TAG.to_vec();
+        expected.extend_from_slice(&5u64.to_le_bytes());
+        expected.extend_from_slice(&(RESPONSE_JSON.len() as u32).to_le_bytes());
+        expected.extend_from_slice(RESPONSE_JSON.as_bytes());
+        expected.push(b'\n');
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
+        assert_eq!(t.get(5).unwrap().as_deref(), Some(RESPONSE_JSON));
         drop(t);
         let mut t = DiskTier::open(&path).unwrap();
-        assert_eq!(t.get(5).unwrap().as_deref(), Some(body.as_str()));
+        assert_eq!(t.get(5).unwrap().as_deref(), Some(RESPONSE_JSON));
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn v2_put_falls_back_to_v1_for_non_response_bodies() {
-        let path = tmp_path("v2_fallback");
+    fn hostile_bodies_round_trip_verbatim() {
+        let path = tmp_path("hostile");
         let mut t = DiskTier::open(&path).unwrap();
-        // Not a ScheduleResponse — must still round-trip exactly via v1.
-        let hostile = "\u{0}B2 not json \n weird";
+        // A body that itself looks like a record tag plus newlines.
+        let hostile = "\u{0}B3 not json \n weird";
         t.put(9, hostile).unwrap();
         assert_eq!(t.get(9).unwrap().as_deref(), Some(hostile));
-        let raw = std::fs::read(&path).unwrap();
-        assert_eq!(raw[0], b'{', "fallback record is a v1 JSONL line");
         drop(t);
         let mut t = DiskTier::open(&path).unwrap();
         assert_eq!(t.get(9).unwrap().as_deref(), Some(hostile));
@@ -650,33 +547,24 @@ mod tests {
     }
 
     #[test]
-    fn mixed_v1_v2_file_loads_and_compaction_upgrades_bit_identically() {
-        let path = tmp_path("v1_upgrade");
-        let body = sample_response_json();
-        // Write a v1 response line and a free-form v1 body by hand, the
-        // way a release that wrote only v1 would have left the file.
-        let mut legacy = v1_line(1, &body);
-        legacy.extend(v1_line(2, "free-form"));
-        std::fs::write(&path, &legacy).unwrap();
+    fn a_file_from_an_older_build_is_discarded_at_open() {
+        let path = tmp_path("older_build");
+        // A JSONL line followed by a `\0B2` record, both keyed by an
+        // earlier key scheme.
+        let mut old = b"{\"key\":\"0000000000000001\",\"body\":\"free-form\"}\n".to_vec();
+        old.extend_from_slice(&[0x00, b'B', b'2']);
+        old.extend_from_slice(&2u64.to_le_bytes());
+        old.extend_from_slice(&4u32.to_le_bytes());
+        old.extend_from_slice(b"blob\n");
+        std::fs::write(&path, &old).unwrap();
         let mut t = DiskTier::open(&path).unwrap();
-        t.put(3, &body).unwrap(); // lands as v2 in the same file
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.get(1).unwrap().as_deref(), Some(body.as_str()));
-        assert_eq!(t.get(2).unwrap().as_deref(), Some("free-form"));
-        assert_eq!(t.get(3).unwrap().as_deref(), Some(body.as_str()));
-        let before = std::fs::metadata(&path).unwrap().len();
-        // Compaction upgrades the v1 response record; bodies replay
-        // bit-identically afterwards and the file shrinks.
-        t.compact().unwrap();
-        assert!(std::fs::metadata(&path).unwrap().len() < before);
-        assert_eq!(t.get(1).unwrap().as_deref(), Some(body.as_str()));
-        assert_eq!(t.get(2).unwrap().as_deref(), Some("free-form"));
-        assert_eq!(t.get(3).unwrap().as_deref(), Some(body.as_str()));
+        assert_eq!(t.len(), 0, "no record of an older scheme is indexed");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0, "truncated");
+        t.put(3, RESPONSE_JSON).unwrap();
         drop(t);
         let mut t = DiskTier::open(&path).unwrap();
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.get(1).unwrap().as_deref(), Some(body.as_str()));
-        assert_eq!(t.get(2).unwrap().as_deref(), Some("free-form"));
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.get(3).unwrap().as_deref(), Some(RESPONSE_JSON));
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -6,18 +6,17 @@
 //!
 //! The pieces, bottom-up:
 //!
-//! * [`wire`] — the versioned JSON request/response format and the one
-//!   canonical rendering of a request, whose FNV-1a hash is the cache key
-//!   (hashed in one streaming pass; no canonical String is materialised);
+//! * [`wire`] — the versioned JSON request/response format and the cache
+//!   key: FNV-1a over the binary encoding of a request's canonical twin;
 //! * [`wire_bin`] — the binary wire format (`application/x-batsched-bin`):
-//!   a length-prefixed encoding with a single-pass, hash-free decoder;
-//!   both formats key through [`wire`], so binary and JSON spellings of
-//!   one request share a cache key byte-for-byte;
+//!   a length-prefixed encoding with a single-pass, hash-free decoder.
+//!   Each request has one encoding, which is also the canonical form, so
+//!   binary and JSON spellings of one request share a cache key;
 //! * [`cache`] — the memory cache tier: an O(1) intrusive-list LRU,
 //!   sharded across independently locked shards by content-hash bits
 //!   (hit = bit-identical replay);
-//! * [`disk`] — the persistent cache tier: an append-only record file
-//!   (binary v2 records; legacy v1 JSONL lines still load), indexed on
+//! * [`disk`] — the persistent cache tier: an append-only file of
+//!   length-framed records holding response bodies verbatim, indexed on
 //!   start and compacted on shutdown, so a restarted daemon answers
 //!   previously-seen requests warm;
 //! * [`service`] — bounded job queue + worker threads, each with a

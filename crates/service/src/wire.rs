@@ -1,19 +1,21 @@
-//! The canonical wire format: versioned JSON request/response types with a
-//! stable content hash.
+//! The JSON wire format: versioned request/response types with a stable
+//! content hash.
 //!
 //! A request carries a task graph (validated through the typed
 //! [`batsched_taskgraph::io`] path — this is untrusted input), a deadline,
 //! an optional battery-model choice and optional algorithm knobs. Two
-//! requests that *mean* the same thing — regardless of field order,
-//! whitespace, or whether defaults are spelled out — share one **canonical
-//! rendering** and therefore one content hash, which is what the result
-//! cache keys on.
+//! requests that *mean* the same thing — regardless of wire format, field
+//! order, whitespace, or whether defaults are spelled out — share one
+//! **canonical form** and therefore one content hash, which is what the
+//! result cache keys on. The canonical form is the binary encoding
+//! ([`crate::wire_bin::encode_request`]) of [`ScheduleRequest::canonical`].
 //!
 //! Responses are plain data; the `cached` signal deliberately lives in
 //! transport metadata (the HTTP `X-Cache` header, the
 //! [`crate::service::Disposition`]) and *not* in the body, so a cache hit
 //! is bit-identical to the recomputed response.
 
+use crate::wire_bin;
 use batsched_battery::model::BatteryModel;
 use batsched_battery::rv::{DATE05_BETA, DATE05_TERMS};
 use batsched_battery::units::MilliAmps;
@@ -186,27 +188,14 @@ impl ScheduleRequest {
         }
     }
 
-    /// Compact JSON of [`Self::canonical`] — the byte string the content
-    /// hash is computed over. Deterministic: struct fields serialise in
-    /// declaration order and `f64`s print shortest-round-trip.
-    ///
-    /// This is the *reference* rendering (it clones the graph and builds a
-    /// full value tree); the hot paths hash through [`render_canonical`]
-    /// instead, and tests assert the two stay byte-identical.
-    pub fn canonical_json(&self) -> String {
-        // lint:allow(panic-path): the canonical value tree is built from an
-        // already-validated request; serialising it cannot fail.
-        serde_json::to_string(&self.canonical()).expect("requests always serialise")
-    }
-
-    /// FNV-1a 64 content hash of the canonical rendering, streamed — no
-    /// graph clone, no value tree, no intermediate `String`.
+    /// The cache key: FNV-1a 64 over the binary encoding of
+    /// [`Self::canonical`]. That encoding spells every number as its f64
+    /// bits and every list in the graph's normalised order, so it is exact
+    /// and unique; both wire formats decode to a [`ScheduleRequest`] and
+    /// key through this one function. Key values are opaque and may change
+    /// between releases.
     pub fn content_hash(&self) -> u64 {
-        let mut h = Fnv::new();
-        // lint:allow(panic-path): the FNV sink's Write impl is infallible;
-        // the Result exists only to satisfy io::Write.
-        render_canonical(self, &mut h).expect("hash sink never fails");
-        h.finish()
+        fnv1a64(&wire_bin::encode_request(&self.canonical()))
     }
 
     /// The content hash as the 16-hex-digit cache key echoed in responses.
@@ -215,187 +204,9 @@ impl ScheduleRequest {
     }
 }
 
-/// A content hash spelled as the 16-hex-digit `key` responses echo and
-/// v1 disk records store.
+/// A content hash spelled as the 16-hex-digit `key` responses echo.
 pub(crate) fn key_hex(key: u64) -> String {
     format!("{key:016x}")
-}
-
-/// Streams the canonical rendering of `req` — byte-identical to
-/// [`ScheduleRequest::canonical_json`] — into any [`fmt::Write`] sink,
-/// walking the request in place: no graph clone, no value tree, no
-/// intermediate `String`. Feeding an [`Fnv`] sink turns canonical hashing
-/// into a single pass over the request. This is the only writer of the
-/// canonical form: both wire formats decode to a [`ScheduleRequest`] and
-/// key through it, so they hash identically.
-///
-/// # Errors
-///
-/// Only what the sink itself reports; `String` and [`Fnv`] sinks never
-/// fail.
-pub fn render_canonical<W: fmt::Write>(req: &ScheduleRequest, out: &mut W) -> fmt::Result {
-    out.write_str("{\"v\":")?;
-    put_num(f64::from(WIRE_VERSION), out)?;
-    out.write_str(",\"graph\":{\"tasks\":[")?;
-    for (i, id) in req.graph.task_ids().enumerate() {
-        if i > 0 {
-            out.write_char(',')?;
-        }
-        let t = req.graph.task(id);
-        out.write_str("{\"name\":")?;
-        put_escaped(&t.name, out)?;
-        out.write_str(",\"points\":[")?;
-        for (j, p) in t.points.iter().enumerate() {
-            if j > 0 {
-                out.write_char(',')?;
-            }
-            out.write_str("{\"duration\":")?;
-            put_num(p.duration.value(), out)?;
-            out.write_str(",\"current\":")?;
-            put_num(p.current.value(), out)?;
-            out.write_str(",\"voltage\":")?;
-            put_num(p.voltage.value(), out)?;
-            out.write_char('}')?;
-        }
-        out.write_str("]}")?;
-    }
-    out.write_str("],\"edges\":[")?;
-    for (i, (a, b)) in req.graph.edges().enumerate() {
-        if i > 0 {
-            out.write_char(',')?;
-        }
-        out.write_char('[')?;
-        put_num(a.index() as f64, out)?;
-        out.write_char(',')?;
-        put_num(b.index() as f64, out)?;
-        out.write_char(']')?;
-    }
-    out.write_str("]},\"deadline\":")?;
-    put_num(req.deadline, out)?;
-    out.write_str(",\"model\":")?;
-    let default_model;
-    let spec = match &req.model {
-        Some(s) => s,
-        None => {
-            default_model = ModelSpec::default_rv();
-            &default_model
-        }
-    };
-    render_canonical_model(spec, out)?;
-    out.write_str(",\"capacity\":")?;
-    match req.capacity {
-        Some(c) => put_num(c, out)?,
-        None => out.write_str("null")?,
-    }
-    out.write_str(",\"max_iterations\":")?;
-    put_num(
-        req.max_iterations.unwrap_or(DEFAULT_MAX_ITERATIONS) as f64,
-        out,
-    )?;
-    out.write_char('}')
-}
-
-/// The canonical rendering of one [`ModelSpec`] — byte-identical to how
-/// the derived `Serialize` spells it (unit variants as strings, data
-/// variants as single-key objects with fields in declaration order).
-fn render_canonical_model<W: fmt::Write>(spec: &ModelSpec, out: &mut W) -> fmt::Result {
-    match spec {
-        ModelSpec::Rv { beta, terms } => {
-            out.write_str("{\"Rv\":{\"beta\":")?;
-            put_num(*beta, out)?;
-            out.write_str(",\"terms\":")?;
-            put_num(*terms as f64, out)?;
-            out.write_str("}}")
-        }
-        ModelSpec::Kibam { c, k, alpha } => {
-            out.write_str("{\"Kibam\":{\"c\":")?;
-            put_num(*c, out)?;
-            out.write_str(",\"k\":")?;
-            put_num(*k, out)?;
-            out.write_str(",\"alpha\":")?;
-            put_num(*alpha, out)?;
-            out.write_str("}}")
-        }
-        ModelSpec::Peukert {
-            exponent,
-            reference,
-        } => {
-            out.write_str("{\"Peukert\":{\"exponent\":")?;
-            put_num(*exponent, out)?;
-            out.write_str(",\"reference\":")?;
-            put_num(*reference, out)?;
-            out.write_str("}}")
-        }
-        ModelSpec::Ideal => out.write_str("\"Ideal\""),
-    }
-}
-
-/// Writes `s` as a JSON string literal, escaping exactly like the vendored
-/// serde renderer (so streamed output stays byte-identical to
-/// `serde_json::to_string`).
-fn put_escaped<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
-    out.write_char('"')?;
-    for c in s.chars() {
-        match c {
-            '"' => out.write_str("\\\"")?,
-            '\\' => out.write_str("\\\\")?,
-            '\n' => out.write_str("\\n")?,
-            '\r' => out.write_str("\\r")?,
-            '\t' => out.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
-            c => out.write_char(c)?,
-        }
-    }
-    out.write_char('"')
-}
-
-/// Writes a number exactly like the vendored serde renderer: shortest
-/// round-trip for finite values, `null` for non-finite ones.
-fn put_num<W: fmt::Write>(x: f64, out: &mut W) -> fmt::Result {
-    if x.is_finite() {
-        write!(out, "{x}")
-    } else {
-        out.write_str("null")
-    }
-}
-
-/// Incremental FNV-1a 64 hasher that doubles as a [`fmt::Write`] sink, so
-/// canonical hashing streams through [`render_canonical`] without
-/// materialising the document.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv(u64);
-
-impl Fnv {
-    /// A hasher at the FNV-1a offset basis.
-    pub fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds `bytes` into the running hash.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.update(s.as_bytes());
-        Ok(())
-    }
 }
 
 /// Typed failure modes of [`parse_request`].
@@ -520,6 +331,24 @@ pub fn parse_request(doc: &str) -> Result<ScheduleRequest, WireError> {
     }
 
     let graph = io::graph_from_value(req_field("graph")?).map_err(WireError::Graph)?;
+    // The binary encoding is the canonical form, and it counts name bytes
+    // and design points in 16 bits: a graph it cannot spell exactly would
+    // have no unique key, so it is not admitted.
+    let cap = usize::from(u16::MAX);
+    if let Some(t) = graph
+        .task_ids()
+        .map(|id| graph.task(id))
+        .find(|t| t.name.len() > cap || t.points.len() > cap)
+    {
+        return Err(WireError::Graph(IoError::Shape {
+            message: format!(
+                "task names are capped at {cap} bytes and design points at {cap} per task; \
+                 a task has {} bytes and {} points",
+                t.name.len(),
+                t.points.len()
+            ),
+        }));
+    }
 
     let deadline: f64 =
         serde::Deserialize::from_value(req_field("deadline")?).map_err(|e| bad("deadline", &e))?;
@@ -669,14 +498,17 @@ impl ErrorResponse {
     }
 }
 
-/// FNV-1a 64-bit — small, dependency-free, stable across platforms. Not
-/// cryptographic: it is only ever an *index*, never a proof of identity —
-/// the cache's raw-bytes fast path re-verifies the stored document
-/// byte-for-byte before replaying, so an (accidental or adversarial)
-/// collision costs a cache miss, never a wrong answer. Canonical-key
-/// collisions between *semantically different* requests would conflate
-/// their cache slots; at 64 bits and few-hundred-entry caches that risk
-/// is accepted and documented in `docs/SERVICE.md`.
+/// FNV-1a 64-bit — small, dependency-free, stable across platforms. It
+/// hashes the canonical binary encoding into the cache key
+/// ([`ScheduleRequest::content_hash`]) and raw bodies into the cache's
+/// alias index, fleet routing and trace ids. Not cryptographic: it is only
+/// ever an *index*, never a proof of identity — the cache's raw-bytes fast
+/// path re-verifies the stored document byte-for-byte before replaying, so
+/// an (accidental or adversarial) collision costs a cache miss, never a
+/// wrong answer. Canonical-key collisions between *semantically different*
+/// requests would conflate their cache slots; at 64 bits and
+/// few-hundred-entry caches that risk is accepted and documented in
+/// `docs/SERVICE.md`.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -717,8 +549,8 @@ mod tests {
         let terse = ScheduleRequest::new(g, 75.0);
         assert_eq!(spelled.content_hash(), terse.content_hash());
 
-        // Reordered fields in the document hash identically after parsing.
-        let doc = terse.canonical_json();
+        // Spelled-out defaults in the document hash identically after parsing.
+        let doc = serde_json::to_string(&terse.canonical()).unwrap();
         let parsed = parse_request(&doc).unwrap();
         assert_eq!(parsed.content_hash(), terse.content_hash());
     }
@@ -827,27 +659,34 @@ mod tests {
         // Standard FNV-1a test vectors.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        let mut inc = Fnv::new();
-        assert_eq!(inc.finish(), fnv1a64(b""));
-        inc.update(b"a");
-        assert_eq!(inc.finish(), fnv1a64(b"a"));
     }
 
     #[test]
-    fn streaming_canonical_rendering_matches_the_reference_oracle() {
+    fn the_key_hashes_the_binary_encoding_of_the_canonical_twin() {
+        use batsched_battery::units::{MilliAmps, Minutes, Volts};
         use batsched_taskgraph::paper::g3;
-        // Every optional-field / model combination must render through the
-        // streaming path byte-identically to the serde value-tree oracle —
-        // and therefore hash to the same key.
-        let mut requests = vec![
+        use batsched_taskgraph::DesignPoint;
+        // A graph whose task name needs JSON escaping and is not ASCII.
+        let mut b = TaskGraph::builder();
+        b.task(
+            "quote\" back\\slash \n\t ctrl\u{1} ünïcödé",
+            vec![DesignPoint::with_voltage(
+                MilliAmps::new(100.0),
+                Minutes::new(1.5),
+                Volts::new(1.0),
+            )],
+        );
+        let hostile = b.build().unwrap();
+        // Every model kind, plus defaults left out and spelled out.
+        let mut terse = vec![
             ScheduleRequest::new(g2(), 75.0),
             ScheduleRequest::new(g3(), 230.5),
+            ScheduleRequest::new(hostile, 10.0),
         ];
-        let mut spelled = ScheduleRequest::new(g2(), 75.25);
-        spelled.model = Some(ModelSpec::default_rv());
-        spelled.capacity = Some(40_000.0);
-        spelled.max_iterations = Some(7);
-        requests.push(spelled);
+        let mut capped = ScheduleRequest::new(g2(), 75.25);
+        capped.capacity = Some(40_000.0);
+        capped.max_iterations = Some(7);
+        terse.push(capped);
         for model in [
             ModelSpec::Ideal,
             ModelSpec::Kibam {
@@ -862,37 +701,41 @@ mod tests {
         ] {
             let mut r = ScheduleRequest::new(g2(), 75.0);
             r.model = Some(model);
-            requests.push(r);
+            terse.push(r);
         }
-        for req in &requests {
-            let oracle = req.canonical_json();
-            let mut streamed = String::new();
-            render_canonical(req, &mut streamed).unwrap();
-            assert_eq!(streamed, oracle);
-            assert_eq!(req.content_hash(), fnv1a64(oracle.as_bytes()));
+        let mut keys = std::collections::BTreeSet::new();
+        for req in &terse {
+            let spelled = req.canonical();
+            assert_eq!(
+                req.content_hash(),
+                fnv1a64(&wire_bin::encode_request(&spelled))
+            );
+            assert_eq!(spelled.content_hash(), req.content_hash(), "twins split");
+            // The JSON spelling of either twin keys the same.
+            for twin in [req, &spelled] {
+                let parsed = parse_request(&serde_json::to_string(twin).unwrap()).unwrap();
+                assert_eq!(parsed.content_hash(), req.content_hash());
+            }
+            keys.insert(req.content_hash());
         }
+        assert_eq!(keys.len(), terse.len(), "distinct requests share a key");
     }
 
     #[test]
-    fn streaming_rendering_escapes_hostile_task_names() {
+    fn graphs_the_binary_encoding_cannot_spell_are_not_admitted() {
         use batsched_battery::units::{MilliAmps, Minutes, Volts};
-        use batsched_taskgraph::{DesignPoint, TaskGraph};
+        use batsched_taskgraph::DesignPoint;
         let mut b = TaskGraph::builder();
         b.task(
-            "quote\" back\\slash \n\t ctrl\u{1} ünïcödé",
+            "x".repeat(usize::from(u16::MAX) + 1),
             vec![DesignPoint::with_voltage(
                 MilliAmps::new(100.0),
                 Minutes::new(1.5),
                 Volts::new(1.0),
             )],
         );
-        let g = b.build().unwrap();
-        let req = ScheduleRequest::new(g, 10.0);
-        let mut streamed = String::new();
-        render_canonical(&req, &mut streamed).unwrap();
-        assert_eq!(streamed, req.canonical_json());
-        // The rendering must also survive a JSON round trip.
-        let parsed = parse_request(&streamed).unwrap();
-        assert_eq!(parsed.content_hash(), req.content_hash());
+        let req = ScheduleRequest::new(b.build().unwrap(), 10.0);
+        let e = parse_request(&serde_json::to_string(&req).unwrap()).unwrap_err();
+        assert_eq!(e.code(), "invalid_graph", "{e}");
     }
 }

@@ -8,10 +8,11 @@
 //! buffers. Because the format requires design points sorted by ascending
 //! duration and a strictly sorted edge table (the orders the graph builder
 //! normalises to), the builder's stable sort is a no-op and
-//! `decode(encode(r)) == r` for every valid request. The decoder knows
-//! nothing of the canonical form: the cache key is
-//! [`ScheduleRequest::content_hash`] of the decoded request, the same one
-//! function the JSON path calls, so both formats key identically.
+//! `decode(encode(r)) == r` for every valid request. Each request has
+//! exactly one encoding, so [`encode_request`] doubles as the canonical
+//! form: the cache key ([`ScheduleRequest::content_hash`]) hashes the
+//! encoding of the request's canonical twin, and both wire formats key
+//! through that one function.
 //!
 //! Hostile input never panics or over-allocates: every declared count is
 //! capped against the bytes actually remaining before any allocation, and
@@ -422,8 +423,7 @@ fn push_index_vec(out: &mut Vec<u8>, xs: &[usize]) {
     }
 }
 
-/// Encodes a response (`Accept`-negotiated on the HTTP frontend; also the
-/// disk tier's v2 record body).
+/// Encodes a response (`Accept`-negotiated on the HTTP frontend).
 pub fn encode_response(resp: &ScheduleResponse) -> Vec<u8> {
     let mut out = Vec::with_capacity(
         96 + resp.key.len() + resp.model.len() + 4 * (resp.order.len() + resp.assignment.len()),

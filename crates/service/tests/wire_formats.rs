@@ -1,12 +1,12 @@
 //! Cross-format wire contract tests: a request must mean the same thing —
 //! and hash to the same cache key — whether it arrives as JSON or as the
 //! binary wire format, the binary decoder must be unpanickable under
-//! mutation, and a disk tier written through either format (or left as
-//! v1 lines by an old daemon) must answer the other format bit-identically
-//! after a restart.
+//! mutation, and a disk tier written through either format must answer
+//! the other format bit-identically after a restart.
 
-use batsched_service::disk::DiskTier;
-use batsched_service::wire::{parse_request, ModelSpec, ScheduleRequest, ScheduleResponse};
+use batsched_service::wire::{
+    fnv1a64, parse_request, ModelSpec, ScheduleRequest, ScheduleResponse,
+};
 use batsched_service::{
     decode_request, decode_response, encode_request, Disposition, Service, ServiceConfig,
     WireFormat,
@@ -14,7 +14,6 @@ use batsched_service::{
 use batsched_taskgraph::paper::{g2, g3};
 use batsched_taskgraph::{DesignPoint, TaskGraph};
 use proptest::prelude::*;
-use std::path::Path;
 
 /// Deterministic xorshift so one drawn seed expands into a whole graph.
 struct Rng(u64);
@@ -98,7 +97,7 @@ proptest! {
 
     /// The cross-format contract: for arbitrary requests, the binary
     /// encoding round-trips exactly, the hash `decode_request` returns
-    /// equals the streaming JSON hash, and both admission paths (serde
+    /// equals the JSON path's hash, and both admission paths (serde
     /// JSON parse, binary decode) agree on the cache key byte-for-byte.
     #[test]
     fn json_and_binary_admissions_agree_on_request_and_key(
@@ -109,7 +108,7 @@ proptest! {
     ) {
         let req = request_from_seed(seed, n_tasks, n_points, model_kind);
 
-        // JSON path: serde round trip and the streaming content hash.
+        // JSON path: serde round trip and the content hash.
         let json = serde_json::to_string(&req).expect("serialises");
         let parsed = parse_request(&json).expect("own JSON parses");
         prop_assert_eq!(&parsed, &req);
@@ -118,14 +117,12 @@ proptest! {
         let bin = encode_request(&req);
         let (decoded, bin_hash) = decode_request(&bin).expect("own encoding decodes");
         prop_assert_eq!(&decoded, &req);
-        prop_assert_eq!(bin_hash, req.content_hash(), "binary hash != streamed hash");
+        prop_assert_eq!(bin_hash, req.content_hash(), "binary hash != JSON hash");
         prop_assert_eq!(decoded.key(), parsed.key(), "cache keys diverge across formats");
 
-        // And the canonical rendering oracle agrees with the streamed hash.
-        let oracle = req.canonical_json();
-        let mut h = batsched_service::wire::Fnv::new();
-        h.update(oracle.as_bytes());
-        prop_assert_eq!(h.finish(), bin_hash, "canonical JSON oracle diverged");
+        // And the canonical form oracle agrees with the hash.
+        let oracle = fnv1a64(&encode_request(&req.canonical()));
+        prop_assert_eq!(oracle, bin_hash, "canonical form oracle diverged");
     }
 
     /// Unpanickable decoder: flipping any single byte of a valid encoding
@@ -220,160 +217,79 @@ fn disk_path(name: &str) -> std::path::PathBuf {
     p
 }
 
-/// Rewrites the cache file as hand-written v1 JSONL lines, the way a
-/// release that wrote only v1 records would have left it.
-fn write_v1_file(path: &Path, records: &[(u64, String)]) {
-    let lines: String = records
-        .iter()
-        .map(|(key, body)| {
-            let body = serde_json::to_string(body).expect("serialises");
-            format!("{{\"key\":\"{key:016x}\",\"body\":{body}}}\n")
-        })
-        .collect();
-    std::fs::write(path, lines).expect("write v1 file");
-}
-
 /// The acceptance-criteria warm restart: a disk tier populated through
 /// JSON requests answers the binary spelling of the same requests
-/// bit-identically after a restart — and vice versa — whether the file
-/// holds the v2 records the daemon writes or v1 lines an older release
-/// left.
+/// bit-identically after a restart — and vice versa.
 #[test]
 fn warm_restart_answers_the_other_wire_format_bit_identically() {
-    for fmt in ["V1", "V2"] {
-        let path = disk_path(&format!("warm_restart_{fmt}"));
-        let reqs = [
-            ScheduleRequest::new(g2(), 75.0),
-            ScheduleRequest::new(g3(), 230.0),
-        ];
-        let cfg = || ServiceConfig {
-            disk_path: Some(path.clone()),
-            ..ServiceConfig::default()
-        };
-        // In the V1 case, replace the shut-down daemon's file with v1
-        // lines holding the same keys and bodies.
-        let seed_v1 = |bodies: &[String]| {
-            if fmt == "V1" {
-                let records: Vec<(u64, String)> = reqs
-                    .iter()
-                    .map(|r| r.content_hash())
-                    .zip(bodies.iter().cloned())
-                    .collect();
-                write_v1_file(&path, &records);
-            }
-        };
+    let path = disk_path("warm_restart");
+    let reqs = [
+        ScheduleRequest::new(g2(), 75.0),
+        ScheduleRequest::new(g3(), 230.0),
+    ];
+    let cfg = || ServiceConfig {
+        disk_path: Some(path.clone()),
+        ..ServiceConfig::default()
+    };
 
-        // Populate via JSON, remember the cold bodies.
-        let svc = Service::try_start(cfg()).expect("start");
-        let cold: Vec<String> = reqs
-            .iter()
-            .map(|r| {
-                let reply = svc.call(serde_json::to_string(r).expect("serialises"));
-                assert!(
-                    matches!(reply.disposition, Disposition::Ok { cached: false }),
-                    "{fmt}: {}",
-                    reply.body
-                );
-                reply.body
-            })
-            .collect();
-        svc.shutdown(); // compacts the tier on the way out
-        seed_v1(&cold);
-
-        // Restart: binary requests must be disk-warm hits with identical
-        // bodies (solved == 0 proves nothing was recomputed).
-        let svc = Service::try_start(cfg()).expect("restart");
-        for (r, expect) in reqs.iter().zip(&cold) {
-            let reply = svc.call_bytes(encode_request(r), WireFormat::Binary);
+    // Populate via JSON, remember the cold bodies.
+    let svc = Service::try_start(cfg()).expect("start");
+    let cold: Vec<String> = reqs
+        .iter()
+        .map(|r| {
+            let reply = svc.call(serde_json::to_string(r).expect("serialises"));
             assert!(
-                matches!(reply.disposition, Disposition::Ok { cached: true }),
-                "{fmt}: {}",
+                matches!(reply.disposition, Disposition::Ok { cached: false }),
+                "{}",
                 reply.body
             );
-            assert_eq!(&reply.body, expect, "{fmt}: warm body diverged");
-        }
-        assert_eq!(svc.stats().solved, 0, "{fmt}: restart must not re-solve");
-        svc.shutdown();
-
-        // And the reverse direction: a binary-populated tier serving JSON.
-        std::fs::remove_file(&path).expect("reset");
-        let svc = Service::try_start(cfg()).expect("start binary-first");
-        for (r, expect) in reqs.iter().zip(&cold) {
-            let reply = svc.call_bytes(encode_request(r), WireFormat::Binary);
-            assert!(matches!(
-                reply.disposition,
-                Disposition::Ok { cached: false }
-            ));
-            assert_eq!(&reply.body, expect, "{fmt}: binary cold body diverged");
-        }
-        svc.shutdown();
-        seed_v1(&cold);
-        let svc = Service::try_start(cfg()).expect("restart json");
-        for (r, expect) in reqs.iter().zip(&cold) {
-            let reply = svc.call(serde_json::to_string(r).expect("serialises"));
-            assert!(matches!(
-                reply.disposition,
-                Disposition::Ok { cached: true }
-            ));
-            assert_eq!(&reply.body, expect, "{fmt}: warm JSON body diverged");
-        }
-        svc.shutdown();
-        std::fs::remove_file(&path).expect("cleanup");
-    }
-}
-
-/// A cache file written record-by-record by an old JSONL-only daemon loads
-/// in a v2-default tier, serves every body bit-identically, and one
-/// compaction upgrades the response records to binary without changing a
-/// single replayed byte.
-#[test]
-fn legacy_v1_file_upgrades_through_compaction_bit_identically() {
-    let path = disk_path("legacy_upgrade");
-    let svc = Service::start(ServiceConfig::default());
-    let bodies: Vec<(u64, String)> = [(g2(), 75.0), (g3(), 230.0)]
-        .into_iter()
-        .enumerate()
-        .map(|(i, (g, d))| {
-            let reply = svc.call(serde_json::to_string(&ScheduleRequest::new(g, d)).unwrap());
-            assert!(matches!(reply.disposition, Disposition::Ok { .. }));
-            (i as u64 + 1, reply.body)
+            reply.body
         })
         .collect();
+    svc.shutdown(); // compacts the tier on the way out
+
+    // Restart: binary requests must be disk-warm hits with identical
+    // bodies (solved == 0 proves nothing was recomputed).
+    let svc = Service::try_start(cfg()).expect("restart");
+    for (r, expect) in reqs.iter().zip(&cold) {
+        let reply = svc.call_bytes(encode_request(r), WireFormat::Binary);
+        assert!(
+            matches!(reply.disposition, Disposition::Ok { cached: true }),
+            "{}",
+            reply.body
+        );
+        assert_eq!(&reply.body, expect, "warm body diverged");
+    }
+    assert_eq!(svc.stats().solved, 0, "restart must not re-solve");
     svc.shutdown();
 
-    // Write the file the way the previous release did: v1 lines only.
-    write_v1_file(&path, &bodies);
-    let v1_len = std::fs::metadata(&path).expect("meta").len();
-
-    // The tier loads it, replays bit-identically, and its compaction
-    // shrinks the file by re-encoding responses as binary.
-    let mut tier = DiskTier::open(&path).expect("open v2");
-    assert_eq!(tier.len(), bodies.len());
-    for (k, body) in &bodies {
-        assert_eq!(tier.get(*k).expect("get").as_deref(), Some(body.as_str()));
+    // And the reverse direction: a binary-populated tier serving JSON.
+    std::fs::remove_file(&path).expect("reset");
+    let svc = Service::try_start(cfg()).expect("start binary-first");
+    for (r, expect) in reqs.iter().zip(&cold) {
+        let reply = svc.call_bytes(encode_request(r), WireFormat::Binary);
+        assert!(matches!(
+            reply.disposition,
+            Disposition::Ok { cached: false }
+        ));
+        assert_eq!(&reply.body, expect, "binary cold body diverged");
     }
-    tier.compact().expect("compact");
-    assert!(
-        std::fs::metadata(&path).expect("meta").len() < v1_len,
-        "v2 compaction should shrink a v1 response file"
-    );
-    for (k, body) in &bodies {
-        assert_eq!(
-            tier.get(*k).expect("get").as_deref(),
-            Some(body.as_str()),
-            "post-upgrade replay diverged"
-        );
+    svc.shutdown();
+    let svc = Service::try_start(cfg()).expect("restart json");
+    for (r, expect) in reqs.iter().zip(&cold) {
+        let reply = svc.call(serde_json::to_string(r).expect("serialises"));
+        assert!(matches!(
+            reply.disposition,
+            Disposition::Ok { cached: true }
+        ));
+        assert_eq!(&reply.body, expect, "warm JSON body diverged");
     }
-    drop(tier);
-    let mut tier = DiskTier::open(&path).expect("reopen upgraded");
-    for (k, body) in &bodies {
-        assert_eq!(tier.get(*k).expect("get").as_deref(), Some(body.as_str()));
-    }
+    svc.shutdown();
     std::fs::remove_file(&path).expect("cleanup");
 }
 
 /// Responses survive the binary codec bit-identically — the property the
-/// HTTP `Accept` transcoding and the v2 disk records both lean on.
+/// HTTP `Accept` transcoding leans on.
 #[test]
 fn response_transcoding_is_lossless_for_real_solver_output() {
     let svc = Service::start(ServiceConfig::default());
