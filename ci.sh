@@ -196,9 +196,8 @@ cargo run --release -q -p batsched-bench --bin loadgen -- --fleet --quick --chec
 echo "==> perf smoke + snapshot (BENCH_scheduler.json, floors enforced)"
 # Quick-mode perf smoke: regenerates the snapshot and fails the pipeline if
 # sigma_full_vs_naive or cdp_speedup regress below their conservative 2x
-# floors, if row_carry (carry-off/on schedule_in ratio) drops below 1.5x,
-# or if the sweep_scaling fitted growth exponent climbs above 1.4 (same
-# command as `just bench-quick`).
+# floors, or if the sweep_scaling fitted growth exponent climbs above 1.4
+# (same command as `just bench-quick`).
 cargo run --release -q -p batsched-bench --bin repro_bench_json -- --quick --check
 
 echo "==> wire-format A/B (binary admission floor enforced)"

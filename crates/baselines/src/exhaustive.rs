@@ -7,11 +7,11 @@
 //!
 //! The assignment DFS varies the *deepest* positions fastest, so consecutive
 //! complete schedules share long **prefixes** — exactly the access pattern
-//! the σ engine's suffix cache cannot exploit. The default scoring path
+//! the σ engine's suffix cache cannot exploit. [`Exhaustive::best`]
 //! therefore carries a [`PrefixSigma`] stack along the DFS: O(terms) work
 //! per tree edge and per leaf, instead of an O(n·terms) full re-evaluation
-//! plus a fresh assignment allocation per leaf. The pre-cache path is
-//! retained behind [`Exhaustive::use_prefix_cache`] as the equivalence
+//! plus a fresh assignment allocation per leaf. The pre-cache per-leaf
+//! path is retained as [`Exhaustive::best_reference`], the equivalence
 //! reference and bench baseline.
 
 use crate::Scheduler;
@@ -32,11 +32,6 @@ pub struct Exhaustive {
     pub max_assignments_per_order: usize,
     /// Battery model used for scoring.
     pub model: RvModel,
-    /// Score leaves through the prefix-keyed σ stack (the default). The
-    /// `false` path re-evaluates every complete assignment through the
-    /// suffix engine, as the pre-cache implementation did — kept for
-    /// equivalence tests and as the bench baseline.
-    pub use_prefix_cache: bool,
 }
 
 impl Default for Exhaustive {
@@ -45,7 +40,6 @@ impl Default for Exhaustive {
             max_orders: 50_000,
             max_assignments_per_order: 200_000,
             model: RvModel::date05(),
-            use_prefix_cache: true,
         }
     }
 }
@@ -99,16 +93,51 @@ impl PrefixDfs<'_> {
     }
 }
 
+/// One scoring path of the assignment DFS: `(g, d, min_dur, suffix_min)`
+/// to the best `(order, assignment, cost)`, if any leaf fits.
+type ScoringPath = fn(
+    &Exhaustive,
+    &TaskGraph,
+    f64,
+    &[f64],
+    &mut [f64],
+) -> Option<(Vec<TaskId>, Vec<PointId>, f64)>;
+
 impl Exhaustive {
     /// True optimum cost alongside the schedule (handy for assertions).
     ///
     /// # Errors
     ///
-    /// [`SchedulerError::DeadlineInfeasible`] when nothing fits the deadline.
+    /// [`SchedulerError::InvalidDeadline`] for a non-positive or non-finite
+    /// deadline; [`SchedulerError::DeadlineInfeasible`] when nothing fits.
     pub fn best(
         &self,
         g: &TaskGraph,
         deadline: Minutes,
+    ) -> Result<(Schedule, f64), SchedulerError> {
+        self.solve(g, deadline, Self::best_prefix)
+    }
+
+    /// [`Self::best`] through the retained per-leaf scoring path — the
+    /// equivalence reference and the `exhaustive_speedup` baseline.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::best`].
+    #[doc(hidden)]
+    pub fn best_reference(
+        &self,
+        g: &TaskGraph,
+        deadline: Minutes,
+    ) -> Result<(Schedule, f64), SchedulerError> {
+        self.solve(g, deadline, Self::best_per_leaf)
+    }
+
+    fn solve(
+        &self,
+        g: &TaskGraph,
+        deadline: Minutes,
+        path: ScoringPath,
     ) -> Result<(Schedule, f64), SchedulerError> {
         if !(deadline.is_finite() && deadline.value() > 0.0) {
             return Err(SchedulerError::InvalidDeadline { deadline });
@@ -122,13 +151,7 @@ impl Exhaustive {
             .collect();
         let mut suffix_min = vec![0.0; n + 1];
 
-        let found = if self.use_prefix_cache {
-            self.best_prefix(g, d, &min_dur, &mut suffix_min)
-        } else {
-            self.best_reference(g, d, &min_dur, &mut suffix_min)
-        };
-
-        match found {
+        match path(self, g, d, &min_dur, &mut suffix_min) {
             Some((order, assignment, cost)) => Ok((Schedule::new(order, assignment), cost)),
             None => Err(SchedulerError::DeadlineInfeasible {
                 fastest: batsched_taskgraph::analysis::min_makespan(g),
@@ -181,9 +204,8 @@ impl Exhaustive {
     }
 
     /// The retained pre-cache scoring path: per-leaf task-indexed
-    /// assignment construction plus a full suffix-engine evaluation —
-    /// the equivalence reference and the `exhaustive_speedup` baseline.
-    fn best_reference(
+    /// assignment construction plus a full suffix-engine evaluation.
+    fn best_per_leaf(
         &self,
         g: &TaskGraph,
         d: f64,
@@ -346,11 +368,7 @@ mod tests {
         for d in [5.5, 6.0, 8.0, 10.0, 11.5] {
             let dl = Minutes::new(d);
             let (fast, fc) = Exhaustive::default().best(&g, dl).unwrap();
-            let reference = Exhaustive {
-                use_prefix_cache: false,
-                ..Default::default()
-            };
-            let (slow, sc) = reference.best(&g, dl).unwrap();
+            let (slow, sc) = Exhaustive::default().best_reference(&g, dl).unwrap();
             assert_eq!(fast, slow, "d={d}");
             assert!((fc - sc).abs() <= 1e-9 * sc.max(1.0), "d={d}: {fc} vs {sc}");
         }
@@ -359,13 +377,13 @@ mod tests {
     #[test]
     fn infeasible_deadline_errors() {
         let g = small();
-        for use_prefix_cache in [true, false] {
-            let e = Exhaustive {
-                use_prefix_cache,
-                ..Default::default()
-            };
+        let e = Exhaustive::default();
+        for found in [
+            e.best(&g, Minutes::new(4.0)),
+            e.best_reference(&g, Minutes::new(4.0)),
+        ] {
             assert!(matches!(
-                e.best(&g, Minutes::new(4.0)),
+                found,
                 Err(SchedulerError::DeadlineInfeasible { .. })
             ));
         }

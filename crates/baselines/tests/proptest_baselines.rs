@@ -123,10 +123,8 @@ proptest! {
         let lo = min_makespan(&g).value();
         let hi = max_makespan(&g).value();
         let d = Minutes::new(lo + (hi - lo) * slack);
-        let fast = Exhaustive::default();
-        let slow = Exhaustive { use_prefix_cache: false, ..Default::default() };
-        let (sf, cf) = fast.best(&g, d).unwrap();
-        let (ss, cs) = slow.best(&g, d).unwrap();
+        let (sf, cf) = Exhaustive::default().best(&g, d).unwrap();
+        let (ss, cs) = Exhaustive::default().best_reference(&g, d).unwrap();
         prop_assert!((cf - cs).abs() <= 1e-9 * cs.max(1.0), "{} vs {}", cf, cs);
         prop_assert!(sf.validate(&g, Some(d)).is_ok());
         prop_assert!(ss.validate(&g, Some(d)).is_ok());

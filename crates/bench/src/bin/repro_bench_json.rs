@@ -7,11 +7,11 @@
 //! Flags:
 //! * `--full` — more samples (default is quick mode; `--quick` is accepted
 //!   as an explicit no-op for symmetry);
-//! * `--check` — after measuring, fail (exit 1) if `sigma_full_vs_naive`,
-//!   `cdp_speedup` or `row_carry` fall below conservative floors (2×, 2×,
-//!   1.5×), or if the `sweep_scaling` fitted growth exponent exceeds 1.4
-//!   (the carried window sweep must stay ~linear in n). CI runs this so
-//!   perf wins cannot be silently lost.
+//! * `--check` — after measuring, fail (exit 1) if `sigma_full_vs_naive`
+//!   or `cdp_speedup` fall below a conservative 2× floor, or if the
+//!   `sweep_scaling` fitted growth exponent exceeds 1.4 (the carried
+//!   window sweep must stay ~linear in n). CI runs this so perf wins
+//!   cannot be silently lost.
 //!
 //! Reported medians (ns):
 //! * `sigma_naive` — one `RvModel::sigma` over the prebuilt 50-interval
@@ -22,16 +22,13 @@
 //! * `sigma_engine_swap` — one re-evaluation after a single design-point
 //!   swap (warm suffix cache);
 //! * `cdp_incremental` / `cdp_naive` — one full-window `ChooseDesignPoints`
-//!   through the journal kernel vs. the retained clone-and-rescan
-//!   reference;
+//!   through the sweep kernel vs. the retained clone-and-rescan reference;
 //! * `topo` — orders/sec of the in-place enumeration generator vs. the
 //!   retained recursive reference (100 k orders of the n=50 instance);
 //! * `exhaustive` — one `Exhaustive::best` solve with the prefix-keyed σ
-//!   stack vs. the retained per-leaf suffix-engine path, as orders/sec;
+//!   stack vs. the retained per-leaf path (`Exhaustive::best_reference`),
+//!   as orders/sec;
 //! * `schedule_run` — one full `batsched_core::schedule` call;
-//! * `sweep` — one `schedule_in` through a reused workspace with the
-//!   cross-row carry on vs. forced off (the pre-carry kernel), whose
-//!   ratio is `speedup.row_carry`;
 //! * `sweep_scaling` — one full window sweep (`EvaluateWindows`) on the
 //!   shared n-scaling instances (n ∈ {25, 50, 100, 200}, m = 8, 70%
 //!   relative slack) and the fitted growth exponent of the series — the
@@ -47,7 +44,7 @@ use batsched_bench::fitted_exponent;
 use batsched_bench::workloads::{synthetic_n50_m8, synthetic_scaling, SYNTH_N50_M8_SEED};
 use batsched_core::schedule::{entry_id, graph_evaluator};
 use batsched_core::search::DiagSearch;
-use batsched_core::{profile_of, schedule, schedule_in, SchedulerConfig, SolverWorkspace};
+use batsched_core::{profile_of, schedule, SchedulerConfig};
 use batsched_taskgraph::analysis::{max_makespan, min_makespan};
 use batsched_taskgraph::synth::{layered, Rounding, ScalingScheme, TaskParams};
 use batsched_taskgraph::topo::{
@@ -179,8 +176,8 @@ fn main() -> std::process::ExitCode {
     });
 
     // One full-window ChooseDesignPoints sweep — the scheduler's hot inner
-    // loop — through the incremental journal kernel and through the
-    // retained clone-and-rescan reference.
+    // loop — through the sweep kernel and through the retained
+    // clone-and-rescan reference.
     let mut diag = DiagSearch::new(&g, &cfg, deadline).expect("valid paper config");
     let cdp_incremental = median_ns(samples, || {
         black_box(diag.choose(black_box(&order), 0).expect("feasible window"));
@@ -217,60 +214,39 @@ fn main() -> std::process::ExitCode {
     let elo = min_makespan(&eg).value();
     let ehi = max_makespan(&eg).value();
     let ed = Minutes::new(elo + (ehi - elo) * 0.6);
-    let ex_fast = Exhaustive {
+    let ex = Exhaustive {
         max_orders: 8,
         max_assignments_per_order: 4_000,
         ..Default::default()
     };
-    let ex_slow = Exhaustive {
-        use_prefix_cache: false,
-        ..ex_fast.clone()
-    };
-    let ex_orders = for_each_topological_order(&eg, ex_fast.max_orders, |_| {});
-    let (sched_fast, cost_fast) = ex_fast.best(&eg, ed).expect("feasible instance");
-    let (sched_slow, cost_slow) = ex_slow.best(&eg, ed).expect("feasible instance");
+    let ex_orders = for_each_topological_order(&eg, ex.max_orders, |_| {});
+    let (sched_fast, cost_fast) = ex.best(&eg, ed).expect("feasible instance");
+    let (sched_slow, cost_slow) = ex.best_reference(&eg, ed).expect("feasible instance");
     // The two paths may only disagree on schedules tied within float
     // association noise; the costs must always match to tolerance.
     assert!(
         (cost_fast - cost_slow).abs() <= 1e-9 * cost_slow.max(1.0),
-        "cache on/off cost mismatch: {cost_fast} vs {cost_slow}"
+        "prefix/per-leaf cost mismatch: {cost_fast} vs {cost_slow}"
     );
     if sched_fast != sched_slow {
         let a = sched_fast.battery_cost(&eg, &RvModel::date05()).value();
         let b = sched_slow.battery_cost(&eg, &RvModel::date05()).value();
         assert!(
             (a - b).abs() <= 1e-9 * b.max(1.0),
-            "cache on/off picked different non-tied optima: {a} vs {b}"
+            "prefix/per-leaf paths picked different non-tied optima: {a} vs {b}"
         );
     }
     let ex_new_ns = median_ns(samples.min(8), || {
-        black_box(ex_fast.best(&eg, ed).expect("feasible instance"));
+        black_box(ex.best(&eg, ed).expect("feasible instance"));
     });
     let ex_ref_ns = median_ns(samples.min(8), || {
-        black_box(ex_slow.best(&eg, ed).expect("feasible instance"));
+        black_box(ex.best_reference(&eg, ed).expect("feasible instance"));
     });
     let ex_new_ops = ex_orders as f64 / (ex_new_ns / 1e9);
     let ex_ref_ops = ex_orders as f64 / (ex_ref_ns / 1e9);
 
     let schedule_run = median_ns(samples.min(12), || {
         black_box(schedule(&g, deadline, &cfg).expect("feasible synthetic instance"));
-    });
-
-    // Row-carry A/B on the full solver: one reused workspace with the
-    // carried sweep, one with the carry forced off (the pre-carry kernel:
-    // fresh O(n) row preparation).
-    let mut ws_carried = SolverWorkspace::new();
-    let sweep_carried = median_ns(samples.min(12), || {
-        black_box(
-            schedule_in(&g, deadline, &cfg, &mut ws_carried).expect("feasible synthetic instance"),
-        );
-    });
-    let mut ws_nocarry = SolverWorkspace::new();
-    ws_nocarry.disable_sweep_carry();
-    let sweep_nocarry = median_ns(samples.min(12), || {
-        black_box(
-            schedule_in(&g, deadline, &cfg, &mut ws_nocarry).expect("feasible synthetic instance"),
-        );
     });
 
     // Sweep scaling: one full EvaluateWindows per sample on the shared
@@ -304,7 +280,6 @@ fn main() -> std::process::ExitCode {
     let cdp_speedup = cdp_naive / cdp_incremental;
     let topo_speedup = topo_new_ops / topo_ref_ops;
     let exhaustive_speedup = ex_new_ops / ex_ref_ops;
-    let row_carry = sweep_nocarry / sweep_carried;
     let scaling_n_json = scaling_ns
         .iter()
         .map(|&(sn, _)| sn.to_string())
@@ -335,8 +310,6 @@ fn main() -> std::process::ExitCode {
          \"topo_orders_per_sec\": {ex_new_ops:.1},\n    \
          \"topo_orders_per_sec_reference\": {ex_ref_ops:.1}\n  }},\n  \
          \"schedule_run_ns\": {schedule_run:.1},\n  \
-         \"sweep\": {{\n    \"carried_ns\": {sweep_carried:.1},\n    \
-         \"nocarry_ns\": {sweep_nocarry:.1}\n  }},\n  \
          \"sweep_scaling\": {{\n    \"n\": [{scaling_n_json}],\n    \
          \"evaluate_windows_ns\": [{scaling_ns_json}],\n    \
          \"fitted_exponent\": {sweep_exponent:.3}\n  }},\n  \
@@ -345,8 +318,7 @@ fn main() -> std::process::ExitCode {
          \"sigma_swap_vs_old_inner_loop\": {speedup_swap:.2},\n    \
          \"cdp_speedup\": {cdp_speedup:.2},\n    \
          \"topo_speedup\": {topo_speedup:.2},\n    \
-         \"exhaustive_speedup\": {exhaustive_speedup:.2},\n    \
-         \"row_carry\": {row_carry:.2}\n  }}\n}}\n",
+         \"exhaustive_speedup\": {exhaustive_speedup:.2}\n  }}\n}}\n",
         dl = deadline.value(),
         seed = SYNTH_N50_M8_SEED,
         quick = !full,
@@ -367,7 +339,6 @@ fn main() -> std::process::ExitCode {
         for (name, value, floor) in [
             ("sigma_full_vs_naive", speedup_full, 2.0),
             ("cdp_speedup", cdp_speedup, 2.0),
-            ("row_carry", row_carry, 1.5),
         ] {
             if value < floor {
                 eprintln!("PERF REGRESSION: {name} = {value:.2}x, floor {floor:.1}x");
@@ -387,7 +358,7 @@ fn main() -> std::process::ExitCode {
         }
         eprintln!(
             "perf floors OK (sigma_full_vs_naive >= 2x, cdp_speedup >= 2x, \
-             row_carry >= 1.5x, sweep exponent {sweep_exponent:.2} <= 1.4)"
+             sweep exponent {sweep_exponent:.2} <= 1.4)"
         );
     }
     std::process::ExitCode::SUCCESS

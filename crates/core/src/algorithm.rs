@@ -108,14 +108,6 @@ impl SolverWorkspace {
         &mut self.refine.as_mut().expect("just ensured").1
     }
 
-    /// Disables the window sweep's cross-row carry — the
-    /// bench-only baseline switch (see
-    /// [`EvalBuffers::disable_sweep_carry`]).
-    #[doc(hidden)]
-    pub fn disable_sweep_carry(&mut self) {
-        self.buffers.disable_sweep_carry();
-    }
-
     /// Snapshot of the cumulative solver-phase counters
     /// ([`crate::prof::Prof`]) accumulated by every run through this
     /// workspace. Serving workers snapshot before and after a request and

@@ -46,9 +46,9 @@ macro_rules! prof_counters {
 }
 
 prof_counters! {
-    /// Windows evaluated (`ChooseDesignPoints` sweeps, including the
-    /// weighted-sequence re-costing's implicit window reuse is *not*
-    /// counted — only full window evaluations).
+    /// Windows evaluated: one per full `ChooseDesignPoints` sweep. The
+    /// weighted-sequence re-costing, which reuses the best window's
+    /// assignment without a sweep, is not counted.
     windows,
     /// Sweep rows scored in full: every candidate column of the window
     /// went through the suitability factors. Every row is, so a window
@@ -57,13 +57,11 @@ prof_counters! {
     /// Never incremented, so it reads 0: the sweep scores every row in
     /// full. Kept because `perfbench`'s traced run reads it.
     rows_carried,
-    /// Repair promotions recorded: one-shot journal entries plus, on the
-    /// carried sweep, one per column step of each materialized repair
-    /// run.
+    /// Repair promotions recorded: one per column step of each repair
+    /// run the sweep materializes.
     journal_promotions,
-    /// Repair state undone: one-shot journal entries rolled back at row
-    /// end plus carried-sweep chain entries dropped for
-    /// re-materialization.
+    /// Repair runs undone: materialized runs dropped from the sweep's
+    /// chain for re-materialization.
     journal_rollbacks,
     /// σ-engine sequence evaluations.
     sigma_evals,

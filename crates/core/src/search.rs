@@ -212,11 +212,11 @@ pub(crate) fn calculate_factors(
 
 /// The per-row base sums of `CalculateDPF`: makespan and energy of every
 /// position *except* the tagged one. One definition of the accumulation
-/// order, shared by the incremental kernel and the retained naive
-/// reference, so the bit-identity equivalence story is by construction:
+/// order, shared by the sweep kernel and the retained naive reference, so
+/// the bit-identity equivalence story is by construction:
 ///
-/// * [`RowBases::fresh`] is the position-order summation pass both one-shot
-///   entry points use;
+/// * [`RowBases::fresh`] is the position-order summation pass that starts
+///   every sweep (and the diagnostic single-state entry point);
 /// * [`RowBases::carry_down`] is the O(1) delta that advances a sweep from
 ///   row `i` to row `i − 1` — the kernel's carried chain and the reference
 ///   sweep call the *same* method, so their floating-point op sequences are
@@ -231,7 +231,7 @@ pub(crate) struct RowBases {
 
 impl RowBases {
     /// Fresh position-order summation skipping position `i` — the one
-    /// accumulation order every cold path uses.
+    /// accumulation order every cold start uses.
     pub(crate) fn fresh(
         ctx: &SearchContext<'_>,
         seq: &[TaskId],
@@ -270,16 +270,6 @@ impl RowBases {
     }
 }
 
-/// One repair promotion recorded in the [`DpfScratch`] rollback journal:
-/// position `pos` moved from `old_col` to `old_col − 1`. The scalar effects
-/// (Δmakespan, Δenergy, Δrising-pairs, neighbour columns) live in the
-/// scratch's prefix-sum arrays, indexed by journal prefix length.
-#[derive(Debug, Clone, Copy)]
-struct Promotion {
-    pos: usize,
-    old_col: usize,
-}
-
 /// One whole repair run of a carried sweep's persistent journal: the
 /// consumed task (`u32::MAX` = tombstone, the task left the free set), the
 /// columns of the task's left/right sequence neighbours at the run's state
@@ -294,81 +284,52 @@ struct RunRec {
     d_rising: i32,
 }
 
-/// Reusable state of the incremental `CalculateDPF` kernel.
+/// Reusable state of the `CalculateDPF` sweep kernel.
 ///
 /// One row evaluates every candidate column of one tagged position. The
 /// paper's repair loop promotes the first free task in the energy vector
 /// one column at a time until the deadline holds — and that promotion
 /// sequence is *independent of the candidate column*: the candidate only
 /// decides how deep into the sequence the repair must go. The kernel
-/// therefore generates the sequence once per row, lazily, into a rollback
-/// **journal** shared by all candidates (promotions are resumed, never
-/// recomputed). The journal carries **prefix-sum arrays** — makespan,
-/// energy, rising-pair deltas and the tagged position's neighbour columns,
-/// indexed by journal prefix length — so a candidate finds its repair
-/// depth by *binary search* (promotion steps never lengthen the makespan,
-/// so the prefix sums are nonincreasing) and reads its repaired state in
-/// O(1) instead of replaying `k` scalar updates. Per-column **occupancy
-/// counters** (maintained under journal seeks) make the DPF distribution
-/// sum O(m) instead of O(n·m). `end_row` undoes the journal — assignment,
-/// occupancy and fixed-flags — restoring the caller's state exactly.
+/// therefore generates the sequence once, lazily, into a **journal** shared
+/// by all candidates (promotions are resumed, never recomputed), and each
+/// candidate binary-searches its repair depth (promotion steps never
+/// lengthen the makespan, so the journalled makespans are nonincreasing).
 ///
-/// Rows can begin two ways: [`DpfScratch::begin_row`] does the fresh O(n)
-/// preparation (the one-shot diagnostic path), while a
-/// `ChooseDesignPoints` sweep carries the base sums, occupancy, rising
-/// pairs and fixed flags from row to row in O(1)
-/// ([`DpfScratch::begin_row_carried`]) — see [`RowBases`] for how the
-/// carried chain stays bit-identical to the retained reference.
+/// A `ChooseDesignPoints` sweep carries the base sums, rising pairs and
+/// fixed flags from row to row in O(1) ([`DpfScratch::begin_row_carried`])
+/// and keeps the journal across rows ([`DpfScratch::advance_row`]) — see
+/// [`RowBases`] for how the carried chain stays bit-identical to the
+/// retained reference.
 ///
-/// Cost per row: O(depth) journal generation (shared by all candidates)
-/// plus O(log depth + m) per candidate — no clones, no full scans, zero
-/// allocations after warm-up. The retained naive reference
-/// (`calculate_dpf_reference`) shares the same floating-point accumulation
-/// and is bit-identical; the equivalence proptests in `crates/core/tests`
-/// hold the two together.
+/// Cost per row: O(1) preparation plus O(log depth) per candidate and the
+/// repair runs no earlier candidate needed — no clones, no full scans,
+/// zero allocations after warm-up. The retained naive reference
+/// ([`calculate_dpf_reference`]) shares the same floating-point
+/// accumulation and is bit-identical; the equivalence proptests in
+/// `crates/core/tests` hold the two together.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DpfScratch {
-    /// Shared repair journal for the current row.
-    journal: Vec<Promotion>,
-    /// Prefix sums over the journal, indexed by prefix length `0..=len`:
-    /// `s_te[k]` is the makespan delta after `k` promotions (nonincreasing —
-    /// durations rise with column index), `s_energy[k]` the energy delta,
-    /// `s_rising[k]` the rising-pair delta (excluding tagged-adjacent
-    /// pairs), `nbr_im1[k]` / `nbr_ip1[k]` the tagged position's neighbour
-    /// columns after `k` promotions.
-    s_te: Vec<f64>,
-    s_energy: Vec<f64>,
-    s_rising: Vec<i32>,
-    nbr_im1: Vec<usize>,
-    nbr_ip1: Vec<usize>,
-    /// Task-indexed "fixed in E" flags. Fresh rows copy the caller's state;
-    /// carried sweeps own the array across rows (commits persist, journal
-    /// fixes are rolled back by `end_row`).
+    /// Task-indexed "fixed in E" flags, owned across the sweep's rows: the
+    /// pinned last task, every tagged or committed task, and every task a
+    /// repair run has promoted to the window floor.
     etemp: Vec<bool>,
-    /// Cursor into `ctx.energy_order`: every earlier task is free or was
-    /// skipped as fixed at skip time. One-shot rows reset it; carried
-    /// sweeps let it persist, rewinding on journal truncation via the
-    /// per-run cursor snapshots (runs consume tasks in energy order, so
-    /// every dropped task lies at or beyond the rewind point).
+    /// Cursor into `ctx.energy_order`: every earlier task is fixed. Tasks
+    /// never re-enter the free set, so the cursor is monotone across a
+    /// whole window.
     cursor: usize,
     /// No free task remains; the journal cannot be extended.
     exhausted: bool,
-    /// Per-column occupancy of positions `< i`, valid at journal prefix
-    /// `occ_k`.
-    occ: Vec<u32>,
-    occ_k: usize,
-    /// Row constants (set by `begin_row` / `begin_row_carried`).
+    /// Row constants (set by `begin_row_carried`).
     i: usize,
     ws: usize,
     rest_te: f64,
     rest_energy: f64,
     /// Rising pairs excluding the two pairs adjacent to the tagged position,
-    /// at journal prefix 0.
+    /// before any repair.
     rising0: i32,
-    /// Output buffer of `suitability_row` (descending candidate column).
-    row: Vec<(usize, FactorBreakdown)>,
 
-    // --- run-level journal (carried sweeps only) -------------------------
+    // --- run-level journal ----------------------------------------------
     //
     // In a `ChooseDesignPoints` sweep every free position sits at column
     // m−1, so the repair journal has *run structure*: the first free task
@@ -427,79 +388,15 @@ pub(crate) struct DpfScratch {
     /// Committed column of the tagged position's right neighbour
     /// (constant per sweep row; `usize::MAX` at the last position).
     ip1_col: usize,
-    /// Profiling: repair promotions recorded (one-shot journal entries
-    /// plus `run_len` per materialized sweep run). Cumulative; read
-    /// through [`EvalBuffers::prof`].
+    /// Profiling: repair promotions recorded (`run_len` per materialized
+    /// run). Cumulative; read through [`EvalBuffers::prof`].
     prof_promotions: u64,
-    /// Profiling: repair state undone (one-shot journal entries rolled
-    /// back at row end, carried-chain entries dropped for
-    /// re-materialization).
+    /// Profiling: materialized runs dropped from the chain for
+    /// re-materialization.
     prof_rollbacks: u64,
 }
 
 impl DpfScratch {
-    /// Resets the journal and its prefix arrays to the empty prefix, with
-    /// the tagged position's initial neighbour columns at index 0.
-    fn reset_journal(&mut self, col_im1: usize, col_ip1: usize) {
-        self.journal.clear();
-        self.s_te.clear();
-        self.s_te.push(0.0);
-        self.s_energy.clear();
-        self.s_energy.push(0.0);
-        self.s_rising.clear();
-        self.s_rising.push(0);
-        self.nbr_im1.clear();
-        self.nbr_im1.push(col_im1);
-        self.nbr_ip1.clear();
-        self.nbr_ip1.push(col_ip1);
-        self.occ_k = 0;
-        self.exhausted = false;
-    }
-
-    /// Prepares the kernel for one tagged position `i` within window `ws`.
-    /// `assign` is the row's positional snapshot (positions `> i` fixed,
-    /// free positions wherever the caller put them — column `m−1` in the
-    /// `ChooseDesignPoints` sweep); the tagged column is *not* read from
-    /// `assign[i]`, it is passed per candidate. This is the fresh O(n)
-    /// preparation; sweeps use [`Self::begin_row_carried`] instead.
-    #[allow(clippy::too_many_arguments)] // mirrors the paper's CalculateDPF state
-    fn begin_row(
-        &mut self,
-        ctx: &SearchContext<'_>,
-        seq: &[TaskId],
-        assign: &[usize],
-        fixed_in_e: &[bool],
-        i: usize,
-        ws: usize,
-    ) {
-        let n = seq.len();
-        self.cursor = 0;
-        self.i = i;
-        self.ws = ws;
-        self.etemp.clear();
-        self.etemp.extend_from_slice(fixed_in_e);
-        self.etemp[seq[i].index()] = true; // the tagged task is fixed in E
-        self.occ.clear();
-        self.occ.resize(ctx.m, 0);
-        for &col in &assign[..i] {
-            self.occ[col] += 1;
-        }
-        let bases = RowBases::fresh(ctx, seq, assign, i);
-        self.rest_te = bases.rest_te;
-        self.rest_energy = bases.rest_energy;
-        let mut rising = 0i32;
-        for pos in 1..n {
-            if pos != i && pos != i + 1 {
-                rising +=
-                    (ctx.i(seq[pos - 1], assign[pos - 1]) < ctx.i(seq[pos], assign[pos])) as i32;
-            }
-        }
-        self.rising0 = rising;
-        let col_im1 = if i > 0 { assign[i - 1] } else { usize::MAX };
-        let col_ip1 = if i + 1 < n { assign[i + 1] } else { usize::MAX };
-        self.reset_journal(col_im1, col_ip1);
-    }
-
     /// The journal record index of task `t`, if the task has been
     /// discovered (and not tombstoned).
     fn rec_index_of(&self, t: TaskId) -> Option<usize> {
@@ -565,7 +462,6 @@ impl DpfScratch {
     /// place from the previous row's [`Self::advance_row`].
     fn begin_row_carried(
         &mut self,
-        ctx: &SearchContext<'_>,
         seq: &[TaskId],
         i: usize,
         bases: RowBases,
@@ -579,7 +475,6 @@ impl DpfScratch {
         self.rising0 = rising0;
         self.ip1_col = col_ip1;
         self.exhausted = false;
-        let _ = ctx;
     }
 
     /// Drops materialized runs from chain position `cpos` on (their
@@ -837,6 +732,11 @@ impl DpfScratch {
                 0.0
             } else {
                 let factor = 1.0 / width_minus1 as f64;
+                // Window-relative weights, as in the reference loop: the
+                // window floor `ws` weighs most, decaying linearly to zero
+                // at the leanest column `m−1` — eq. 2's (m−k)·f for the
+                // full window, and for narrow windows the only reading
+                // consistent with the published Table 3 assignments.
                 // Closed-form occupancy: `r` repaired tasks at the floor,
                 // at most one mid-run at column c, everything else at the
                 // weightless column m−1. Terms added in ascending column
@@ -855,372 +755,6 @@ impl DpfScratch {
         };
         (enr, cif, dpf)
     }
-
-    /// Appends the next repair promotion to the journal, applying it to
-    /// `assign` and extending the prefix-sum arrays. Returns `false` when
-    /// no free task remains.
-    fn extend_journal(
-        &mut self,
-        ctx: &SearchContext<'_>,
-        seq: &[TaskId],
-        pos_of: &[usize],
-        assign: &mut [usize],
-    ) -> bool {
-        if self.exhausted {
-            return false;
-        }
-        // First free task in ascending-energy order. Tasks only ever become
-        // fixed during a row, so the cursor is monotone.
-        while self.cursor < ctx.energy_order.len()
-            && self.etemp[ctx.energy_order[self.cursor].index()]
-        {
-            self.cursor += 1;
-        }
-        let Some(&q) = ctx.energy_order.get(self.cursor) else {
-            self.exhausted = true;
-            return false;
-        };
-        let r = pos_of[q.index()];
-        let c = assign[r];
-        debug_assert!(c > self.ws, "free tasks never sit below the window start");
-        let d_te = ctx.d(seq[r], c - 1) - ctx.d(seq[r], c);
-        let d_energy = ctx.e(seq[r], c - 1) - ctx.e(seq[r], c);
-        let i_old = ctx.i(seq[r], c);
-        let i_new = ctx.i(seq[r], c - 1);
-        let mut d_rising = 0i32;
-        // Pairs (r−1, r) and (r, r+1), excluding any pair containing the
-        // tagged position — those are re-derived per candidate from the
-        // tracked neighbour columns.
-        if r > 0 && r - 1 != self.i {
-            let left = ctx.i(seq[r - 1], assign[r - 1]);
-            d_rising += (left < i_new) as i32 - (left < i_old) as i32;
-        }
-        if r + 1 < seq.len() && r + 1 != self.i {
-            let right = ctx.i(seq[r + 1], assign[r + 1]);
-            d_rising += (i_new < right) as i32 - (i_old < right) as i32;
-        }
-        let k = self.journal.len();
-        let nbr_im1 = if r + 1 == self.i {
-            c - 1
-        } else {
-            self.nbr_im1[k]
-        };
-        let nbr_ip1 = if r == self.i + 1 {
-            c - 1
-        } else {
-            self.nbr_ip1[k]
-        };
-        assign[r] = c - 1;
-        if c - 1 == self.ws {
-            // Promoted into the window's fastest column: no further moves.
-            self.etemp[q.index()] = true;
-        }
-        self.prof_promotions += 1;
-        self.journal.push(Promotion { pos: r, old_col: c });
-        self.s_te.push(self.s_te[k] + d_te);
-        self.s_energy.push(self.s_energy[k] + d_energy);
-        self.s_rising.push(self.s_rising[k] + d_rising);
-        self.nbr_im1.push(nbr_im1);
-        self.nbr_ip1.push(nbr_ip1);
-        true
-    }
-
-    /// Moves the occupancy counters to journal prefix `k`.
-    fn occ_seek(&mut self, k: usize) {
-        while self.occ_k < k {
-            let p = self.journal[self.occ_k];
-            if p.pos < self.i {
-                self.occ[p.old_col] -= 1;
-                self.occ[p.old_col - 1] += 1;
-            }
-            self.occ_k += 1;
-        }
-        while self.occ_k > k {
-            self.occ_k -= 1;
-            let p = self.journal[self.occ_k];
-            if p.pos < self.i {
-                self.occ[p.old_col - 1] -= 1;
-                self.occ[p.old_col] += 1;
-            }
-        }
-    }
-
-    /// `CalculateDPF` for candidate column `j` of the prepared row:
-    /// `(enr, cif, dpf)` on the repaired assignment, `dpf = ∞` when no
-    /// repair meets the deadline. Extends the shared journal only as far
-    /// as this candidate needs, then *binary-searches* the prefix sums for
-    /// the exact repair depth the paper's one-step loop would stop at.
-    fn candidate(
-        &mut self,
-        ctx: &SearchContext<'_>,
-        seq: &[TaskId],
-        pos_of: &[usize],
-        assign: &mut [usize],
-        j: usize,
-    ) -> (f64, f64, f64) {
-        let n = seq.len();
-        let i = self.i;
-        let d = ctx.deadline;
-        let base_te = self.rest_te + ctx.d(seq[i], j);
-        let base_energy = self.rest_energy + ctx.e(seq[i], j);
-        // Resume the shared journal until this candidate's deadline holds
-        // (or no free task remains).
-        let mut feasible = true;
-        while base_te + self.s_te[self.journal.len()] > d + TIME_EPS {
-            if !self.extend_journal(ctx, seq, pos_of, assign) {
-                feasible = false;
-                break;
-            }
-        }
-        // Minimal prefix `k` with `te ≤ d` — the state the one-promotion-
-        // at-a-time loop stops at. `s_te` is nonincreasing, so the
-        // predicate is monotone and binary search finds the same `k` the
-        // sequential walk would.
-        let k = if feasible {
-            self.s_te[..=self.journal.len()].partition_point(|&s| base_te + s > d + TIME_EPS)
-        } else {
-            self.journal.len()
-        };
-        let te = base_te + self.s_te[k];
-        let energy = base_energy + self.s_energy[k];
-        let mut rising = self.rising0 + self.s_rising[k];
-        let i_tag = ctx.i(seq[i], j);
-        if i > 0 {
-            rising += (ctx.i(seq[i - 1], self.nbr_im1[k]) < i_tag) as i32;
-        }
-        if i + 1 < n {
-            rising += (i_tag < ctx.i(seq[i + 1], self.nbr_ip1[k])) as i32;
-        }
-        let cif = if n > 1 {
-            rising as f64 / (n - 1) as f64
-        } else {
-            0.0
-        };
-        let enr = ctx.stats.energy_ratio(Energy::new(energy));
-        if !feasible {
-            return (enr, cif, f64::INFINITY);
-        }
-        let dpf = if i == 0 {
-            // "If we are considering the last task, set DPF to the slack
-            // ratio" — also where the published formula would divide by zero.
-            (d - te) / d
-        } else {
-            let width_minus1 = ctx.m - 1 - self.ws;
-            if width_minus1 == 0 {
-                0.0
-            } else {
-                let factor = 1.0 / width_minus1 as f64;
-                self.occ_seek(k);
-                let mut dpf = 0.0;
-                // Window-relative columns: the window's fastest column `ws`
-                // carries the largest weight, decaying linearly to zero at
-                // the leanest column `m−1`. For the full window (ws = 0)
-                // this is exactly eq. 2's (m−k)·f weights and the Figure 4
-                // example; for narrow windows it is the only reading
-                // consistent with the published Table 3 assignments (see
-                // DESIGN.md §4).
-                for w in 0..width_minus1 {
-                    let col = self.ws + w;
-                    let coeff = (width_minus1 - w) as f64;
-                    dpf += coeff * factor * self.occ[col] as f64 / i as f64;
-                }
-                dpf
-            }
-        };
-        (enr, cif, dpf)
-    }
-
-    /// Rolls the per-step journal back out of `assign` (and the occupancy
-    /// counters and fixed flags with it), restoring the row's initial
-    /// state. One-shot rows only — a carried sweep's run-level journal
-    /// persists across rows and is pruned by [`Self::advance_row`].
-    fn end_row(&mut self, seq: &[TaskId], assign: &mut [usize]) {
-        self.prof_rollbacks += self.journal.len() as u64;
-        self.occ_seek(0);
-        for p in self.journal.iter().rev() {
-            assign[p.pos] = p.old_col;
-            if p.old_col - 1 == self.ws {
-                // This promotion fixed the task at the window floor; free
-                // it again (the tagged / committed flags are not journal
-                // entries and survive).
-                self.etemp[seq[p.pos].index()] = false;
-            }
-        }
-        self.journal.clear();
-    }
-}
-
-/// `CalculateDPF` (Fig. 2): repairs the tentative assignment until the
-/// deadline is met by promoting the first free task in the energy vector one
-/// column at a time, then scores the design-point distribution.
-///
-/// One-shot convenience over the incremental [`DpfScratch`] kernel (the
-/// diagnostic and unit-test entry point — `suitability_row` drives the
-/// kernel directly and shares the repair journal across candidates).
-///
-/// * `stemp` — positional assignment snapshot: positions `> i` fixed,
-///   position `i` tagged at its candidate column, positions `< i` still at
-///   the initial column `m−1`. The caller's state is untouched.
-/// * `fixed_in_e` — task-indexed "fixed in E" flags covering positions `>= i`.
-///
-/// Returns `(enr, cif, dpf)` computed on the repaired assignment; `dpf` is
-/// `∞` when no repair meets the deadline.
-pub(crate) fn calculate_dpf(
-    ctx: &SearchContext<'_>,
-    seq: &[TaskId],
-    pos_of: &[usize],
-    stemp_in: &[usize],
-    fixed_in_e: &[bool],
-    i: usize,
-    ws: usize,
-) -> (f64, f64, f64) {
-    let mut scratch = DpfScratch::default();
-    let mut assign = stemp_in.to_vec();
-    scratch.begin_row(ctx, seq, &assign, fixed_in_e, i, ws);
-    scratch.candidate(ctx, seq, pos_of, &mut assign, stemp_in[i])
-}
-
-/// The retained naive `CalculateDPF` — the pre-incremental implementation
-/// (fresh state clones per call, O(n) first-free scans per promotion, O(i)
-/// occupancy scans per column), kept as the equivalence reference for the
-/// [`DpfScratch`] kernel. The base sums come from the shared
-/// [`RowBases::fresh`] helper and the makespan/energy accumulations follow
-/// the kernel's arithmetic (`(rest + tagged) + running promotion sum`) so
-/// the proptests can demand **bit-identical** `(enr, cif, dpf)` triples:
-/// any divergence is a bookkeeping bug, never float noise.
-pub(crate) fn calculate_dpf_reference(
-    ctx: &SearchContext<'_>,
-    seq: &[TaskId],
-    pos_of: &[usize],
-    stemp_in: &[usize],
-    fixed_in_e: &[bool],
-    i: usize,
-    ws: usize,
-) -> (f64, f64, f64) {
-    let bases = RowBases::fresh(ctx, seq, stemp_in, i);
-    calculate_dpf_reference_with(ctx, seq, pos_of, stemp_in, fixed_in_e, i, ws, bases)
-}
-
-/// [`calculate_dpf_reference`] with explicit row base sums, so the
-/// reference sweep (`choose_design_points_reference`) can carry them
-/// across rows through the same [`RowBases::carry_down`] chain the kernel
-/// uses. The repair loop keeps a running promotion sum and evaluates
-/// `te = base + sum` each step — exactly the kernel's prefix-sum
-/// arithmetic, promotion by promotion.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's CalculateDPF state
-pub(crate) fn calculate_dpf_reference_with(
-    ctx: &SearchContext<'_>,
-    seq: &[TaskId],
-    pos_of: &[usize],
-    stemp_in: &[usize],
-    fixed_in_e: &[bool],
-    i: usize,
-    ws: usize,
-    bases: RowBases,
-) -> (f64, f64, f64) {
-    let m = ctx.m;
-    let d = ctx.deadline;
-    let mut stemp = stemp_in.to_vec();
-    let mut etemp = fixed_in_e.to_vec();
-    etemp[seq[i].index()] = true; // the tagged task is fixed in E
-
-    let base_te = bases.rest_te + ctx.d(seq[i], stemp[i]);
-    let base_energy = bases.rest_energy + ctx.e(seq[i], stemp[i]);
-    let mut s_te = 0.0;
-    let mut s_energy = 0.0;
-    let mut te = base_te + s_te;
-
-    let mut feasible = true;
-    while te > d + TIME_EPS {
-        // First free task in ascending-energy order.
-        let q = ctx.energy_order.iter().copied().find(|t| !etemp[t.index()]);
-        let Some(q) = q else {
-            feasible = false;
-            break;
-        };
-        let r = pos_of[q.index()];
-        let c = stemp[r];
-        debug_assert!(c > ws, "free tasks never sit below the window start");
-        s_te += ctx.d(seq[r], c - 1) - ctx.d(seq[r], c);
-        s_energy += ctx.e(seq[r], c - 1) - ctx.e(seq[r], c);
-        stemp[r] = c - 1;
-        if c - 1 == ws {
-            // Promoted into the window's fastest column: no further moves.
-            etemp[q.index()] = true;
-        }
-        te = base_te + s_te;
-    }
-    let energy = base_energy + s_energy;
-
-    let (cif, _scan_enr) = calculate_factors(ctx, seq, &stemp);
-    let enr = ctx.stats.energy_ratio(Energy::new(energy));
-    if !feasible {
-        return (enr, cif, f64::INFINITY);
-    }
-    let dpf = if i == 0 {
-        (d - te) / d
-    } else {
-        let width_minus1 = m - 1 - ws;
-        if width_minus1 == 0 {
-            0.0
-        } else {
-            let factor = 1.0 / width_minus1 as f64;
-            let mut dpf = 0.0;
-            for w in 0..width_minus1 {
-                let col = ws + w;
-                let coeff = (width_minus1 - w) as f64;
-                let count = (0..i).filter(|&y| stemp[y] == col).count();
-                dpf += coeff * factor * count as f64 / i as f64;
-            }
-            dpf
-        }
-    };
-    (enr, cif, dpf)
-}
-
-/// The suitability table for one tagged position: `FactorBreakdown` for each
-/// candidate column `j ∈ [ws ..= m−1]` given the already-fixed suffix,
-/// written into `scratch`'s row buffer (descending column, matching the
-/// paper's scan order). Candidates are *evaluated* ascending so the repair
-/// journal extends monotonically: leaner candidates resume the promotions
-/// faster ones already recorded.
-/// Used by `ChooseDesignPoints`, the Figure 4 reproduction and tests.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's CalculateFactors state
-pub(crate) fn suitability_row<'s>(
-    ctx: &SearchContext<'_>,
-    seq: &[TaskId],
-    pos_of: &[usize],
-    assign: &mut [usize],
-    fixed_in_e: &[bool],
-    tsum: f64,
-    i: usize,
-    ws: usize,
-    scratch: &'s mut DpfScratch,
-) -> &'s [(usize, FactorBreakdown)] {
-    let m = ctx.m;
-    scratch.begin_row(ctx, seq, assign, fixed_in_e, i, ws);
-    scratch.row.clear();
-    for j in ws..m {
-        let ttemp = tsum + ctx.d(seq[i], j);
-        let sr = (ctx.deadline - ttemp) / ctx.deadline;
-        let cr = ctx
-            .stats
-            .current_ratio(batsched_battery::units::MilliAmps::new(ctx.i(seq[i], j)));
-        let (enr, cif, dpf) = scratch.candidate(ctx, seq, pos_of, assign, j);
-        scratch.row.push((
-            j,
-            FactorBreakdown {
-                sr,
-                cr,
-                enr,
-                cif,
-                dpf,
-            },
-        ));
-    }
-    scratch.end_row(seq, assign);
-    scratch.row.reverse();
-    &scratch.row
 }
 
 /// Working buffers of one `ChooseDesignPoints` sweep, owned by
@@ -1232,9 +766,6 @@ pub(crate) struct ChooseBuffers {
     pub(crate) assign: Vec<usize>,
     /// Task-indexed position lookup for the current sequence.
     pos_of: Vec<usize>,
-    /// Task-indexed "fixed in E" flags (only used by the carry-disabled
-    /// bench baseline; carried sweeps own their flags in [`DpfScratch`]).
-    fixed_in_e: Vec<bool>,
 }
 
 /// `ChooseDesignPoints` (Fig. 1): positional assignment for `seq` within the
@@ -1261,16 +792,10 @@ pub(crate) fn choose_design_points_into(
     let d = ctx.deadline;
     let EvalBuffers {
         dpf: scratch,
-        choose,
-        carry_disabled,
+        choose: ChooseBuffers { assign, pos_of },
         sweep_prof,
         ..
     } = buffers;
-    let ChooseBuffers {
-        assign,
-        pos_of,
-        fixed_in_e,
-    } = choose;
     assign.clear();
     assign.resize(n, m - 1);
     pos_of.clear();
@@ -1281,10 +806,11 @@ pub(crate) fn choose_design_points_into(
 
     // The paper fixes the last task to the lowest-power design point
     // outright. Taken literally that makes deadlines between CT(ws) and
-    // CT(ws) + D(n, m−1) − D(n, ws) spuriously infeasible, so we pin the
-    // last task to the *leanest column that keeps the all-`ws` fallback
-    // feasible* — identical to the paper's rule whenever the deadline has
-    // any slack (see DESIGN.md §4).
+    // CT(ws) + D(n, m−1) − D(n, ws) spuriously infeasible: the window
+    // passed its CT(ws) ≤ d check, yet no choice for the other tasks meets
+    // d. So we pin the last task to the *leanest column that keeps the
+    // all-`ws` fallback feasible* — exactly the paper's rule whenever the
+    // deadline has that much slack.
     let others_at_ws: f64 = seq[..n - 1].iter().map(|&t| ctx.d(t, ws)).sum();
     let mut last_col = m - 1;
     while last_col > ws && others_at_ws + ctx.d(seq[n - 1], last_col) > d + TIME_EPS {
@@ -1292,35 +818,6 @@ pub(crate) fn choose_design_points_into(
     }
     assign[n - 1] = last_col;
     let mut tsum = ctx.d(seq[n - 1], last_col);
-
-    if *carry_disabled {
-        // Carry-disabled baseline (bench-only): fresh O(n) row preparation
-        // per position — the pre-carry kernel.
-        fixed_in_e.clear();
-        fixed_in_e.resize(tasks, false);
-        fixed_in_e[seq[n - 1].index()] = true;
-        for i in (0..n.saturating_sub(1)).rev() {
-            sweep_prof.rows_full += 1;
-            let row = suitability_row(ctx, seq, pos_of, assign, fixed_in_e, tsum, i, ws, scratch);
-            let mut best: Option<(usize, f64)> = None;
-            for &(j, fb) in row {
-                let b = fb.total(ctx.mask);
-                // Strict '<' keeps the first (leanest) column on ties,
-                // matching the paper's scan order m → ws.
-                if best.is_none_or(|(_, bb)| b < bb) {
-                    best = Some((j, b));
-                }
-            }
-            let (j, b) = best.expect("window contains at least one column");
-            if !b.is_finite() {
-                return Err(SchedulerError::WindowSearchFailed { window_start: ws });
-            }
-            assign[i] = j;
-            fixed_in_e[seq[i].index()] = true;
-            tsum += ctx.d(seq[i], j);
-        }
-        return Ok(());
-    }
 
     if n < 2 {
         return Ok(());
@@ -1338,7 +835,7 @@ pub(crate) fn choose_design_points_into(
     let mut col_ip1 = assign[first + 1];
 
     for i in (0..=first).rev() {
-        scratch.begin_row_carried(ctx, seq, i, bases, rising0, col_ip1);
+        scratch.begin_row_carried(seq, i, bases, rising0, col_ip1);
         sweep_prof.rows_full += 1;
         let mut best: Option<(usize, f64)> = None;
         // Candidates ascending so the repair journal extends
@@ -1401,9 +898,22 @@ pub(crate) fn choose_design_points(
     Ok(buffers.choose.assign)
 }
 
-/// The retained naive `CalculateDPF` of a *sweep* row: same clone-and-
-/// rescan structure as [`calculate_dpf_reference_with`], but the makespan
-/// and energy accumulate in the sweep kernel's run arithmetic — a
+/// `CalculateDPF` (Fig. 2), the retained naive form: repairs the tentative
+/// assignment until the deadline is met by promoting the first free task in
+/// the energy vector one column at a time, then scores the design-point
+/// distribution. Clones the state per call and rescans `E` per promotion;
+/// it is the equivalence reference for the [`DpfScratch`] sweep kernel.
+///
+/// * `stemp_in` — positional assignment snapshot: positions `> i` fixed,
+///   position `i` tagged at its candidate column, free positions `< i`
+///   (at `m−1` in a sweep). The caller's state is untouched.
+/// * `fixed_in_e` — task-indexed "fixed in E" flags covering positions `>= i`.
+/// * `bases` — the row's [`RowBases`], fresh or carried down a sweep.
+///
+/// Returns `(enr, cif, dpf)` on the repaired assignment; `dpf` is `∞` when
+/// no repair meets the deadline.
+///
+/// The makespan and energy accumulate in the kernel's run arithmetic — a
 /// run-boundary sum plus the current task's in-run cumulative sum,
 /// `te = base + (r_sum + cum)` re-evaluated after every single promotion.
 /// In a sweep every free task starts at column `m−1`, so the repair loop
@@ -1412,7 +922,7 @@ pub(crate) fn choose_design_points(
 /// per-step walk of the kernel's binary-searched chains: bit-identical by
 /// construction.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's CalculateDPF state
-fn calculate_dpf_reference_sweep(
+fn calculate_dpf_reference(
     ctx: &SearchContext<'_>,
     seq: &[TaskId],
     pos_of: &[usize],
@@ -1469,6 +979,8 @@ fn calculate_dpf_reference_sweep(
         return (enr, cif, f64::INFINITY);
     }
     let dpf = if i == 0 {
+        // "If we are considering the last task, set DPF to the slack
+        // ratio" — also where the published formula would divide by zero.
         (d - te) / d
     } else {
         let width_minus1 = m - 1 - ws;
@@ -1477,6 +989,12 @@ fn calculate_dpf_reference_sweep(
         } else {
             let factor = 1.0 / width_minus1 as f64;
             let mut dpf = 0.0;
+            // Window-relative columns: the window's fastest column `ws`
+            // carries the largest weight, decaying linearly to zero at the
+            // leanest column `m−1`. For the full window (ws = 0) this is
+            // exactly eq. 2's (m−k)·f weights and the Figure 4 example; for
+            // narrow windows it is the only reading consistent with the
+            // published Table 3 assignments.
             for w in 0..width_minus1 {
                 let col = ws + w;
                 let coeff = (width_minus1 - w) as f64;
@@ -1490,7 +1008,7 @@ fn calculate_dpf_reference_sweep(
 }
 
 /// The retained naive `ChooseDesignPoints` — the pre-incremental sweep
-/// (per-candidate clones and scans via [`calculate_dpf_reference_sweep`]),
+/// (per-candidate clones and scans via [`calculate_dpf_reference`]),
 /// kept as the bit-identical equivalence reference and the bench baseline
 /// for `cdp_speedup`. The row base sums follow the kernel's carried chain
 /// (fresh summation at the first row, then the shared
@@ -1534,16 +1052,8 @@ pub(crate) fn choose_design_points_reference(
             let cr = ctx
                 .stats
                 .current_ratio(batsched_battery::units::MilliAmps::new(ctx.i(seq[i], j)));
-            let (enr, cif, dpf) = calculate_dpf_reference_sweep(
-                ctx,
-                seq,
-                &pos_of,
-                &assign,
-                &fixed_in_e,
-                i,
-                ws,
-                bases,
-            );
+            let (enr, cif, dpf) =
+                calculate_dpf_reference(ctx, seq, &pos_of, &assign, &fixed_in_e, i, ws, bases);
             assign[i] = prev;
             let fb = FactorBreakdown {
                 sr,
@@ -1593,18 +1103,17 @@ impl WindowRecord {
 }
 
 /// Reusable per-run evaluation buffers: the entry-id sequence buffer, the
-/// σ-engine scratch, and the window-search working state (the incremental
-/// DPF kernel's journal + prefix sums and the `ChooseDesignPoints`
-/// assignment buffers). One allocation
-/// set per scheduling run — and zero steady-state allocations when reused
-/// across runs via [`SolverWorkspace`](crate::algorithm::SolverWorkspace).
+/// σ-engine scratch, and the window-search working state (the DPF sweep
+/// kernel's run journal and chains, and the `ChooseDesignPoints`
+/// assignment buffers). One allocation set per scheduling run — and zero
+/// steady-state allocations when reused across runs via
+/// [`SolverWorkspace`](crate::algorithm::SolverWorkspace).
 #[derive(Debug, Clone, Default)]
 pub struct EvalBuffers {
     pub(crate) entries: Vec<u32>,
     pub(crate) sigma: SigmaScratch,
     pub(crate) dpf: DpfScratch,
     pub(crate) choose: ChooseBuffers,
-    pub(crate) carry_disabled: bool,
     /// The window-sweep counters; the journal/σ-cache counters live in
     /// their own scratch structures and are composed by
     /// [`EvalBuffers::prof`].
@@ -1630,17 +1139,6 @@ impl EvalBuffers {
             sigma_fresh,
             ..self.sweep_prof
         }
-    }
-
-    /// Disables the cross-row carry, forcing the fresh per-row
-    /// preparation path. Bench-only: this is how `repro_bench_json`
-    /// reconstructs the pre-carry baseline for `speedup.row_carry`. The
-    /// disabled path accumulates its row sums per row instead of carrying
-    /// them, so its results can differ from the carried path in final-bit
-    /// float association (both are internally consistent).
-    #[doc(hidden)]
-    pub fn disable_sweep_carry(&mut self) {
-        self.carry_disabled = true;
     }
 }
 
@@ -1787,7 +1285,8 @@ pub fn diag_evaluate_windows(
     evaluate_windows(&ctx, seq, &mut EvalBuffers::new())
 }
 
-/// Diagnostic entry point: one `CalculateDPF` call on an explicit state.
+/// Diagnostic entry point: one `CalculateDPF` call on an explicit state,
+/// through the retained reference with fresh row base sums.
 ///
 /// `stemp` is the positional assignment snapshot (0-based columns),
 /// `fixed_tasks` the task ids already fixed in the energy vector, `i` the
@@ -1819,14 +1318,15 @@ pub fn diag_calculate_dpf(
     for &t in fixed_tasks {
         fixed[t.index()] = true;
     }
-    calculate_dpf(&ctx, seq, &pos_of, stemp, &fixed, i, ws)
+    let bases = RowBases::fresh(&ctx, seq, stemp, i);
+    calculate_dpf_reference(&ctx, seq, &pos_of, stemp, &fixed, i, ws, bases)
 }
 
 /// A prepared window-search context with reusable buffers — the public
 /// (doc-hidden) handle the equivalence proptests and `repro_bench_json`
-/// use to drive `ChooseDesignPoints` and `CalculateDPF` in isolation,
-/// both through the incremental [`DpfScratch`] kernel and through the
-/// retained naive reference.
+/// use to drive `ChooseDesignPoints` and `EvaluateWindows` in isolation,
+/// both through the [`DpfScratch`] sweep kernel and through the retained
+/// naive reference.
 #[doc(hidden)]
 pub struct DiagSearch<'g> {
     ctx: SearchContext<'g>,
@@ -1851,7 +1351,7 @@ impl<'g> DiagSearch<'g> {
         })
     }
 
-    /// `ChooseDesignPoints` through the incremental kernel (positional
+    /// `ChooseDesignPoints` through the sweep kernel (positional
     /// columns). Reuses the internal buffers across calls, so repeated
     /// invocations are allocation-free — the configuration benched as
     /// `cdp_ns`.
@@ -1879,34 +1379,6 @@ impl<'g> DiagSearch<'g> {
         choose_design_points_reference(&self.ctx, seq, ws)
     }
 
-    /// One `CalculateDPF` call through the incremental kernel on an
-    /// explicit snapshot (see [`diag_calculate_dpf`] for the argument
-    /// conventions).
-    pub fn dpf(
-        &mut self,
-        seq: &[TaskId],
-        stemp: &[usize],
-        fixed_tasks: &[TaskId],
-        i: usize,
-        ws: usize,
-    ) -> (f64, f64, f64) {
-        let (pos_of, fixed) = self.diag_state(seq, fixed_tasks);
-        calculate_dpf(&self.ctx, seq, &pos_of, stemp, &fixed, i, ws)
-    }
-
-    /// One `CalculateDPF` call through the retained naive reference.
-    pub fn dpf_reference(
-        &mut self,
-        seq: &[TaskId],
-        stemp: &[usize],
-        fixed_tasks: &[TaskId],
-        i: usize,
-        ws: usize,
-    ) -> (f64, f64, f64) {
-        let (pos_of, fixed) = self.diag_state(seq, fixed_tasks);
-        calculate_dpf_reference(&self.ctx, seq, &pos_of, stemp, &fixed, i, ws)
-    }
-
     /// σ and makespan of a positional assignment through the evaluation
     /// engine (shared buffers).
     pub fn cost(&mut self, seq: &[TaskId], assign_pos: &[usize]) -> (MilliAmpMinutes, Minutes) {
@@ -1928,12 +1400,6 @@ impl<'g> DiagSearch<'g> {
         evaluate_windows(&self.ctx, seq, &mut self.buffers)
     }
 
-    /// Disables the cross-row carry in this handle's
-    /// buffers (the bench baseline; see [`EvalBuffers::disable_sweep_carry`]).
-    pub fn disable_sweep_carry(&mut self) {
-        self.buffers.disable_sweep_carry();
-    }
-
     /// The feasible window starts for `seq` under the context's deadline:
     /// every `ws` with `CT(ws) <= d`, widest feasible first (the sweep
     /// order of `EvaluateWindows`).
@@ -1942,18 +1408,6 @@ impl<'g> DiagSearch<'g> {
             .rev()
             .filter(|&ws| self.ctx.column_time(ws) <= self.ctx.deadline + TIME_EPS)
             .collect()
-    }
-
-    fn diag_state(&self, seq: &[TaskId], fixed_tasks: &[TaskId]) -> (Vec<usize>, Vec<bool>) {
-        let mut pos_of = vec![usize::MAX; self.ctx.g.task_count()];
-        for (pos, &t) in seq.iter().enumerate() {
-            pos_of[t.index()] = pos;
-        }
-        let mut fixed = vec![false; self.ctx.g.task_count()];
-        for &t in fixed_tasks {
-            fixed[t.index()] = true;
-        }
-        (pos_of, fixed)
     }
 }
 
@@ -1999,6 +1453,21 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// `CalculateDPF` on an explicit state: the reference with fresh row
+    /// base sums.
+    fn dpf_at(
+        ctx: &SearchContext<'_>,
+        seq: &[TaskId],
+        pos_of: &[usize],
+        stemp: &[usize],
+        fixed: &[bool],
+        i: usize,
+        ws: usize,
+    ) -> (f64, f64, f64) {
+        let bases = RowBases::fresh(ctx, seq, stemp, i);
+        calculate_dpf_reference(ctx, seq, pos_of, stemp, fixed, i, ws, bases)
+    }
+
     fn ctx_for<'g>(g: &'g TaskGraph, deadline: f64, config: &SchedulerConfig) -> SearchContext<'g> {
         SearchContext::new(
             g,
@@ -2041,7 +1510,7 @@ mod tests {
             f[4] = true; // T5
             f
         };
-        let (_enr, _cif, dpf) = calculate_dpf(&ctx, &seq, &pos_of, &stemp, &fixed, 2, 0);
+        let (_enr, _cif, dpf) = dpf_at(&ctx, &seq, &pos_of, &stemp, &fixed, 2, 0);
         assert!((dpf - 1.0 / 3.0).abs() < 1e-12, "got DPF = {dpf}");
     }
 
@@ -2060,7 +1529,7 @@ mod tests {
             f[4] = true;
             f
         };
-        let (_, _, dpf) = calculate_dpf(&ctx, &seq, &pos_of, &stemp, &fixed, 2, 0);
+        let (_, _, dpf) = dpf_at(&ctx, &seq, &pos_of, &stemp, &fixed, 2, 0);
         assert!(dpf.is_infinite());
     }
 
@@ -2074,7 +1543,7 @@ mod tests {
         // Everything fixed except position 0, tagged at col 2 (6 min).
         let stemp = vec![2, 3, 3, 3, 3];
         let fixed = vec![false, true, true, true, true];
-        let (_, _, dpf) = calculate_dpf(&ctx, &seq, &pos_of, &stemp, &fixed, 0, 0);
+        let (_, _, dpf) = dpf_at(&ctx, &seq, &pos_of, &stemp, &fixed, 0, 0);
         let te = 6.0 + 8.0 * 4.0; // 38 min, under the 40-minute deadline
         assert!((dpf - (40.0 - te) / 40.0).abs() < 1e-12);
     }
@@ -2095,7 +1564,7 @@ mod tests {
         let stemp = vec![3, 3, 0, 0, 0];
         let fixed = vec![false, false, false, true, true];
         // Tagged i = 2 (T3@DP1).
-        let (_enr, _cif, dpf) = calculate_dpf(&ctx, &seq, &pos_of, &stemp, &fixed, 2, 0);
+        let (_enr, _cif, dpf) = dpf_at(&ctx, &seq, &pos_of, &stemp, &fixed, 2, 0);
         assert!(dpf.is_finite());
         // The repaired distribution: T1@DP2 (col 1) → coefficient 2/3, one
         // of two free tasks there: DPF = (2/3)·(1/2) = 1/3.
@@ -2141,9 +1610,9 @@ mod tests {
 
     #[test]
     fn incremental_kernel_matches_reference_on_figure4_sweep() {
-        // Every (deadline, window, position) of the Figure 4 fixture: the
-        // incremental kernel and the retained naive reference must agree
-        // bit-for-bit on assignments and factor triples.
+        // Every (deadline, window) of the Figure 4 fixture: the sweep
+        // kernel and the retained naive reference must agree bit-for-bit
+        // on assignments.
         let g = figure4_graph();
         let cfg = SchedulerConfig::default();
         let seq: Vec<TaskId> = (0..5).map(TaskId).collect();
@@ -2158,96 +1627,6 @@ mod tests {
                 assert_eq!(fast, naive, "d={deadline} ws={ws}");
             }
         }
-    }
-
-    #[test]
-    fn calculate_dpf_matches_reference_on_explicit_states() {
-        let g = figure4_graph();
-        let cfg = SchedulerConfig::default();
-        let seq: Vec<TaskId> = (0..5).map(TaskId).collect();
-        let pos_of: Vec<usize> = (0..5).collect();
-        for deadline in [9.0, 18.0, 26.0, 40.0] {
-            let ctx = ctx_for(&g, deadline, &cfg);
-            for (stemp, fixed, i) in [
-                (
-                    vec![3, 3, 1, 0, 3],
-                    vec![false, false, false, true, true],
-                    2,
-                ),
-                (
-                    vec![3, 3, 0, 0, 0],
-                    vec![false, false, false, true, true],
-                    2,
-                ),
-                (vec![2, 3, 3, 3, 3], vec![false, true, true, true, true], 0),
-                (
-                    vec![3, 2, 1, 0, 3],
-                    vec![false, false, false, false, true],
-                    3,
-                ),
-                (
-                    vec![3, 3, 3, 3, 3],
-                    vec![false, false, false, false, false],
-                    4,
-                ),
-            ] {
-                for ws in 0..2usize {
-                    // Free tasks must sit above the window start (the
-                    // repair-loop invariant both implementations assert).
-                    let legal = stemp
-                        .iter()
-                        .enumerate()
-                        .all(|(pos, &col)| pos == i || fixed[pos] || col > ws);
-                    if !legal {
-                        continue;
-                    }
-                    let a = calculate_dpf(&ctx, &seq, &pos_of, &stemp, &fixed, i, ws);
-                    let b = calculate_dpf_reference(&ctx, &seq, &pos_of, &stemp, &fixed, i, ws);
-                    assert_eq!(a, b, "d={deadline} i={i} ws={ws} stemp={stemp:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn suitability_row_buffer_matches_per_candidate_wrapper() {
-        // The shared-journal row must equal candidate-at-a-time one-shot
-        // calls (which rebuild the journal from scratch every time).
-        let g = figure4_graph();
-        let cfg = SchedulerConfig::default();
-        let ctx = ctx_for(&g, 26.0, &cfg);
-        let seq: Vec<TaskId> = (0..5).map(TaskId).collect();
-        let pos_of: Vec<usize> = (0..5).collect();
-        let mut assign = vec![3, 3, 3, 0, 3];
-        let snapshot = assign.clone();
-        let fixed = vec![false, false, false, true, true];
-        let mut scratch = DpfScratch::default();
-        let tsum = ctx.d(TaskId(3), 0) + ctx.d(TaskId(4), 3);
-        let row: Vec<(usize, FactorBreakdown)> = suitability_row(
-            &ctx,
-            &seq,
-            &pos_of,
-            &mut assign,
-            &fixed,
-            tsum,
-            2,
-            0,
-            &mut scratch,
-        )
-        .to_vec();
-        assert_eq!(assign, snapshot, "end_row must roll the journal back");
-        assert_eq!(row.len(), 4);
-        for &(j, fb) in &row {
-            let mut stemp = snapshot.clone();
-            stemp[2] = j;
-            let (enr, cif, dpf) = calculate_dpf(&ctx, &seq, &pos_of, &stemp, &fixed, 2, 0);
-            assert_eq!((fb.enr, fb.cif, fb.dpf), (enr, cif, dpf), "col {j}");
-        }
-        // Descending candidate order, matching the paper's scan.
-        assert_eq!(
-            row.iter().map(|&(j, _)| j).collect::<Vec<_>>(),
-            [3, 2, 1, 0]
-        );
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Property-based equivalence of the incremental window-search kernel
-//! against the retained naive reference: on random DAGs, random deadlines
-//! and every feasible window, the journal-based `ChooseDesignPoints` must
-//! produce **bit-identical** assignments, and the incremental
-//! `CalculateDPF` **bit-identical** `(enr, cif, dpf)` triples, versus the
-//! clone-and-rescan reference implementations. No tolerance: the two paths
-//! share their floating-point accumulation, so any difference is a
+//! Property-based equivalence of the window-search sweep kernel against
+//! the retained naive reference: on random DAGs, random deadlines, every
+//! feasible window and every ablation factor mask, the journal-based
+//! `ChooseDesignPoints` must produce **bit-identical** assignments versus
+//! the clone-and-rescan reference implementation. No tolerance: the two
+//! paths share their floating-point accumulation, so any difference is a
 //! bookkeeping bug in the persistent run journal, the carried row chains,
 //! or the resumed-promotion logic. The descending-window loops drive
 //! consecutive `ws+1 → ws` evaluations through one buffer set, so no state
@@ -12,13 +11,13 @@
 
 use batsched_battery::units::Minutes;
 use batsched_core::search::DiagSearch;
-use batsched_core::SchedulerConfig;
+use batsched_core::{FactorMask, SchedulerConfig};
 use batsched_taskgraph::analysis::{max_makespan, min_makespan};
 use batsched_taskgraph::synth::{
     chain, fork_join, layered, random_dag, Rounding, ScalingScheme, TaskParams,
 };
 use batsched_taskgraph::topo::topological_order;
-use batsched_taskgraph::{TaskGraph, TaskId};
+use batsched_taskgraph::TaskGraph;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,10 +47,14 @@ fn arb_graph() -> impl Strategy<Value = TaskGraph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The incremental `ChooseDesignPoints` equals the retained naive
+    /// The sweep kernel's `ChooseDesignPoints` equals the retained naive
     /// reference bit-for-bit on every feasible window, with the kernel's
-    /// buffers reused across windows and deadlines (the service-worker
-    /// pattern).
+    /// buffers reused across windows (the service-worker pattern). Besides
+    /// the paper's `B`, every case runs each ablation mask
+    /// `FactorMask::without(k)` (what `repro_ablation` and
+    /// `SchedulerConfig::factor_mask` use): with a term dropped, ties are
+    /// common, and the kernel's ascending `<=` scan must keep the same
+    /// column as the reference's descending `<` scan.
     #[test]
     fn choose_design_points_is_bit_identical_to_reference(
         g in arb_graph(),
@@ -60,13 +63,15 @@ proptest! {
         let lo = min_makespan(&g).value();
         let hi = max_makespan(&g).value();
         let d = Minutes::new(lo + (hi - lo) * slack);
-        let cfg = SchedulerConfig::paper();
         let seq = topological_order(&g);
-        let mut diag = DiagSearch::new(&g, &cfg, d).unwrap();
-        for ws in diag.feasible_windows() {
-            let naive = diag.choose_reference(&seq, ws).unwrap();
-            let fast = diag.choose(&seq, ws).unwrap();
-            prop_assert_eq!(fast, &naive[..], "ws={}", ws);
+        for factor_mask in std::iter::once(FactorMask::ALL).chain((0..5).map(FactorMask::without)) {
+            let cfg = SchedulerConfig { factor_mask, ..SchedulerConfig::paper() };
+            let mut diag = DiagSearch::new(&g, &cfg, d).unwrap();
+            for ws in diag.feasible_windows() {
+                let naive = diag.choose_reference(&seq, ws).unwrap();
+                let fast = diag.choose(&seq, ws).unwrap();
+                prop_assert_eq!(fast, &naive[..], "mask={:?} ws={}", factor_mask, ws);
+            }
         }
     }
 
@@ -136,41 +141,6 @@ proptest! {
                 let fast = diag.choose(seq, ws).unwrap();
                 prop_assert_eq!(fast, &naive[..], "ws={}", ws);
             }
-        }
-    }
-
-    /// The incremental `CalculateDPF` returns bit-identical
-    /// `(enr, cif, dpf)` triples on random in-sweep snapshots: a random
-    /// fixed suffix, a random tagged column, free tasks at the initial
-    /// column `m−1`.
-    #[test]
-    fn calculate_dpf_triples_are_bit_identical(
-        g in arb_graph(),
-        slack in 0.0f64..1.2,
-        seed in any::<u64>(),
-    ) {
-        let lo = min_makespan(&g).value();
-        let hi = max_makespan(&g).value();
-        let d = Minutes::new(lo + (hi - lo) * slack + 0.1);
-        let cfg = SchedulerConfig::paper();
-        let mut diag = DiagSearch::new(&g, &cfg, d).unwrap();
-        let seq = topological_order(&g);
-        let n = seq.len();
-        let m = g.point_count();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..8 {
-            let ws = rng.gen_range(0..m.saturating_sub(1).max(1));
-            let i = rng.gen_range(0..n);
-            let mut stemp = vec![m - 1; n];
-            let mut fixed_tasks: Vec<TaskId> = Vec::new();
-            for (pos, col) in stemp.iter_mut().enumerate().skip(i + 1) {
-                *col = rng.gen_range(ws..m);
-                fixed_tasks.push(seq[pos]);
-            }
-            stemp[i] = rng.gen_range(ws..m);
-            let fast = diag.dpf(&seq, &stemp, &fixed_tasks, i, ws);
-            let naive = diag.dpf_reference(&seq, &stemp, &fixed_tasks, i, ws);
-            prop_assert_eq!(fast, naive, "i={} ws={} stemp={:?}", i, ws, stemp);
         }
     }
 }

@@ -32,8 +32,8 @@ perf:
     cargo run --release -p batsched-bench --bin repro_bench_json -- --full
 
 # Quick perf smoke: regenerate the snapshot and fail if sigma_full_vs_naive
-# or cdp_speedup drop below their conservative 2x floors, row_carry below
-# 1.5x, or the sweep_scaling fitted exponent climbs above 1.4.
+# or cdp_speedup drop below their conservative 2x floors, or the
+# sweep_scaling fitted exponent climbs above 1.4.
 bench-quick:
     cargo run --release -p batsched-bench --bin repro_bench_json -- --quick --check
 
