@@ -55,9 +55,15 @@ boot_daemon() {
 }
 
 # Drives the booted daemon with one loadgen mode (which ends by asking it
-# to shut down), then waits for its clean exit.
+# to shut down), then waits for its clean exit — at most 10 s, so a daemon
+# whose acceptor never wakes fails the run instead of hanging it.
 drive_daemon() {
   ./target/release/loadgen "$@" --addr "$addr" || die "loadgen $* failed"
+  for _ in $(seq 1 100); do
+    kill -0 "$pid" 2> /dev/null || break
+    sleep 0.1
+  done
+  kill -0 "$pid" 2> /dev/null && die "daemon did not exit after /v1/shutdown"
   wait "$pid"
   pid=""
 }

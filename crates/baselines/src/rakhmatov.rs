@@ -15,7 +15,7 @@
 use crate::Scheduler;
 use batsched_battery::units::Minutes;
 use batsched_core::{Schedule, SchedulerError};
-use batsched_taskgraph::topo::{descendants_mask, list_schedule};
+use batsched_taskgraph::topo::{list_schedule, DescendantSets};
 use batsched_taskgraph::{EnergyMetric, PointId, TaskGraph, TaskId};
 
 /// Energy-optimal design-point selection + greedy max-current sequencing.
@@ -129,17 +129,12 @@ impl RakhmatovDp {
             .task_ids()
             .map(|t| g.current(t, assignment[t.index()]).value())
             .collect();
+        let sets = DescendantSets::new(g);
         let weights: Vec<f64> = g
             .task_ids()
             .map(|t| {
-                let mask = descendants_mask(g, t);
-                let members: Vec<usize> = mask
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &inside)| inside)
-                    .map(|(u, _)| u)
-                    .collect();
-                let mean = members.iter().map(|&u| currents[u]).sum::<f64>() / members.len() as f64;
+                let sum = sets.members(t).map(|u| currents[u]).sum::<f64>();
+                let mean = sum / sets.count(t) as f64;
                 currents[t.index()].max(mean)
             })
             .collect();

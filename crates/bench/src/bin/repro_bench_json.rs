@@ -32,7 +32,11 @@
 //! * `sweep_scaling` — one full window sweep (`EvaluateWindows`) on the
 //!   shared n-scaling instances (n ∈ {25, 50, 100, 200}, m = 8, 70%
 //!   relative slack) and the fitted growth exponent of the series — the
-//!   evidence that the carried kernel killed the quadratic term.
+//!   evidence that the carried kernel killed the quadratic term;
+//! * `weights_scaling` — the eq. 4 subtree-current weights of one
+//!   re-sequencing step on the same family (n ∈ {100, 200, 400, 800}):
+//!   read off the per-solve descendant sets (`subtree_weights`) vs the
+//!   one-walk-per-task reference (`subtree_current_weights`).
 
 #![forbid(unsafe_code)]
 
@@ -44,11 +48,13 @@ use batsched_bench::fitted_exponent;
 use batsched_bench::workloads::{synthetic_n50_m8, synthetic_scaling, SYNTH_N50_M8_SEED};
 use batsched_core::schedule::{entry_id, graph_evaluator};
 use batsched_core::search::DiagSearch;
+use batsched_core::sequence::{subtree_current_weights, subtree_weights};
 use batsched_core::{profile_of, schedule, SchedulerConfig};
 use batsched_taskgraph::analysis::{max_makespan, min_makespan};
 use batsched_taskgraph::synth::{layered, Rounding, ScalingScheme, TaskParams};
 use batsched_taskgraph::topo::{
     for_each_topological_order, for_each_topological_order_reference, topological_order,
+    DescendantSets,
 };
 use batsched_taskgraph::{PointId, TaskGraph};
 use rand::rngs::StdRng;
@@ -99,6 +105,9 @@ const EXHAUSTIVE_SEED: u64 = 0x0E57_AE11;
 
 /// Instance sizes of the `sweep_scaling` series (m = 8 throughout).
 const SWEEP_SCALING_N: [usize; 4] = [25, 50, 100, 200];
+
+/// Instance sizes of the `weights_scaling` series (m = 8 throughout).
+const WEIGHTS_SCALING_N: [usize; 4] = [100, 200, 400, 800];
 
 /// A deep layered instance (n=30, m=3) for the exhaustive bench: the
 /// assignment DFS dominates, which is exactly the regime the prefix-keyed
@@ -274,6 +283,30 @@ fn main() -> std::process::ExitCode {
             .collect::<Vec<_>>(),
     );
 
+    // Eq. 4 weights of one re-sequencing step, both ways, on the same
+    // family (the assignment does not change the work, only the sums).
+    let weights_ns: Vec<(usize, f64, f64)> = WEIGHTS_SCALING_N
+        .iter()
+        .map(|&wn| {
+            let wg = synthetic_scaling(wn);
+            let sets = DescendantSets::new(&wg);
+            let assignment = vec![PointId(0); wn];
+            let sets_ns = median_ns(samples, || {
+                black_box(subtree_weights(&wg, &sets, black_box(&assignment)));
+            });
+            let walk_ns = median_ns(samples.min(8), || {
+                black_box(subtree_current_weights(&wg, black_box(&assignment)));
+            });
+            (wn, sets_ns, walk_ns)
+        })
+        .collect();
+    let weights_json = |pick: fn(&(usize, f64, f64)) -> String| {
+        weights_ns.iter().map(pick).collect::<Vec<_>>().join(", ")
+    };
+    let weights_n_json = weights_json(|w| w.0.to_string());
+    let weights_sets_json = weights_json(|w| format!("{:.0}", w.1));
+    let weights_walk_json = weights_json(|w| format!("{:.0}", w.2));
+
     let speedup_full = sigma_naive / sigma_engine_full;
     let speedup_vs_old_inner = sigma_naive_with_profile / sigma_engine_full;
     let speedup_swap = sigma_naive_with_profile / sigma_engine_swap;
@@ -313,6 +346,9 @@ fn main() -> std::process::ExitCode {
          \"sweep_scaling\": {{\n    \"n\": [{scaling_n_json}],\n    \
          \"evaluate_windows_ns\": [{scaling_ns_json}],\n    \
          \"fitted_exponent\": {sweep_exponent:.3}\n  }},\n  \
+         \"weights_scaling\": {{\n    \"n\": [{weights_n_json}],\n    \
+         \"descendant_sets_ns\": [{weights_sets_json}],\n    \
+         \"walk_per_task_ns\": [{weights_walk_json}]\n  }},\n  \
          \"speedup\": {{\n    \"sigma_full_vs_naive\": {speedup_full:.2},\n    \
          \"sigma_full_vs_old_inner_loop\": {speedup_vs_old_inner:.2},\n    \
          \"sigma_swap_vs_old_inner_loop\": {speedup_swap:.2},\n    \

@@ -10,8 +10,9 @@ use crate::config::SchedulerConfig;
 use crate::error::SchedulerError;
 use crate::schedule::Schedule;
 use crate::search::{evaluate_windows, EvalBuffers, SearchContext, WindowRecord};
-use crate::sequence::{initial_sequence, weighted_sequence};
+use crate::sequence::{initial_sequence, weighted_sequence_in};
 use batsched_battery::units::{MilliAmpMinutes, Minutes};
+use batsched_taskgraph::topo::DescendantSets;
 use batsched_taskgraph::{PointId, TaskGraph, TaskId};
 use serde::{Deserialize, Serialize};
 
@@ -83,6 +84,9 @@ pub struct SolverWorkspace {
     /// `entries × terms` exponentials once, and its probe scratch stays
     /// warm across calls instead of being re-warmed per sequence.
     refine: Option<(batsched_battery::rv::RvModel, crate::schedule::EngineCost)>,
+    /// Descendant sets of the graph being solved, rebuilt once per solve
+    /// and read by every iteration's weighted re-sequencing.
+    descendants: DescendantSets,
 }
 
 impl SolverWorkspace {
@@ -167,6 +171,7 @@ pub fn schedule_in(
     }
     let model = config.battery_model()?;
     let ctx = SearchContext::new(g, config, deadline, model);
+    ws.descendants.rebuild(g);
     let buffers = &mut ws.buffers;
 
     let mut seq = initial_sequence(g, config.initial_weight, config.metric);
@@ -181,7 +186,7 @@ pub fn schedule_in(
         let mut iter_best_seq = &seq;
         let mut iter_makespan = windows[best_idx].makespan.value();
 
-        let wseq = weighted_sequence(g, &assignment);
+        let wseq = weighted_sequence_in(g, &ws.descendants, &assignment);
         let (wcost, wmk) = ctx.cost_of(&wseq, &assignment, buffers);
         if wcost.value() < min_cost {
             min_cost = wcost.value();

@@ -3,7 +3,7 @@
 
 use crate::config::InitialWeight;
 use batsched_taskgraph::analysis::{average_current, average_energy, average_power};
-use batsched_taskgraph::topo::{descendants_mask, list_schedule};
+use batsched_taskgraph::topo::{descendants_mask, list_schedule, DescendantSets};
 use batsched_taskgraph::{EnergyMetric, PointId, TaskGraph, TaskId};
 
 /// The paper's `SequenceDecEnergy`: list scheduling where the ready task
@@ -25,11 +25,35 @@ pub fn initial_sequence(g: &TaskGraph, rule: InitialWeight, metric: EnergyMetric
 /// `w(v) = Σ_{u ∈ G_v} I_{u,c(u)}`, and the ready task with the largest
 /// weight is scheduled first.
 pub fn weighted_sequence(g: &TaskGraph, assignment: &[PointId]) -> Vec<TaskId> {
-    let weights = subtree_current_weights(g, assignment);
+    weighted_sequence_in(g, &DescendantSets::new(g), assignment)
+}
+
+/// [`weighted_sequence`] with the graph's descendant sets built once by
+/// the caller (the solver builds them once per solve, not per iteration).
+pub fn weighted_sequence_in(
+    g: &TaskGraph,
+    sets: &DescendantSets,
+    assignment: &[PointId],
+) -> Vec<TaskId> {
+    let weights = subtree_weights(g, sets, assignment);
     list_schedule(g, |_, t| weights[t.index()])
 }
 
-/// The subtree-current weights of eq. 4, exposed for tests and tooling.
+/// The subtree-current weights of eq. 4 read off `sets`. Each sum adds
+/// its members in increasing task index, as [`subtree_current_weights`]
+/// does, so the two agree bit for bit.
+pub fn subtree_weights(g: &TaskGraph, sets: &DescendantSets, assignment: &[PointId]) -> Vec<f64> {
+    let currents: Vec<f64> = g
+        .task_ids()
+        .map(|t| g.current(t, assignment[t.index()]).value())
+        .collect();
+    g.task_ids()
+        .map(|t| sets.members(t).map(|u| currents[u]).sum())
+        .collect()
+}
+
+/// The subtree-current weights of eq. 4 by one graph walk per task: the
+/// reference [`subtree_weights`] is checked against.
 pub fn subtree_current_weights(g: &TaskGraph, assignment: &[PointId]) -> Vec<f64> {
     let currents: Vec<f64> = g
         .task_ids()

@@ -45,7 +45,9 @@
 //! size is fixed at boot.
 
 use crate::http::client::{self, Conn};
-use crate::http::{self, write_response, write_response_bytes, LoopExit, Request, RequestError};
+use crate::http::{
+    self, write_response, write_response_bytes, LoopExit, Request, RequestError, Shutdown,
+};
 use crate::metrics::{self, Kind, Read, Series};
 use crate::service::{lock_recover, Service, ServiceConfig};
 use crate::wire::{self, ErrorResponse};
@@ -611,7 +613,7 @@ impl FleetShared {
 /// A running fleet: router listener + supervised workers.
 pub struct Fleet {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Shutdown>,
     acceptor: Option<JoinHandle<()>>,
     monitor: Option<JoinHandle<()>>,
     shared: Arc<FleetShared>,
@@ -677,9 +679,6 @@ impl Fleet {
     ) -> Result<Fleet, FleetStartError> {
         validate(&cfg).map_err(FleetStartError::Config)?;
         let listener = TcpListener::bind(addr).map_err(FleetStartError::Io)?;
-        listener
-            .set_nonblocking(true)
-            .map_err(FleetStartError::Io)?;
         let addr = listener.local_addr().map_err(FleetStartError::Io)?;
 
         let now = Instant::now();
@@ -722,7 +721,7 @@ impl Fleet {
             launch_slot(&shared, k);
         }
 
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let shutdown = Arc::new(Shutdown::new(addr));
         let acceptor = {
             let shared = Arc::clone(&shared);
             let flag = Arc::clone(&shutdown);
@@ -842,7 +841,7 @@ impl Fleet {
 
     fn finish(&mut self) {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.raise();
         if let Some(h) = self.monitor.take() {
             let _ = h.join();
         }
@@ -860,7 +859,7 @@ impl Fleet {
 
 impl Drop for Fleet {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.raise();
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
@@ -1116,10 +1115,10 @@ fn probe_timeout(shared: &Arc<FleetShared>) -> Duration {
         .min(Duration::from_millis(1_000))
 }
 
-fn monitor_loop(shared: &Arc<FleetShared>, shutdown: &Arc<AtomicBool>) {
-    while !shutdown.load(Ordering::SeqCst) {
+fn monitor_loop(shared: &Arc<FleetShared>, shutdown: &Shutdown) {
+    while !shutdown.is_raised() {
         for k in 0..shared.cfg.size {
-            if shutdown.load(Ordering::SeqCst) {
+            if shutdown.is_raised() {
                 return;
             }
             step_slot(shared, k);
@@ -1205,7 +1204,7 @@ fn serve_fleet_one(
     request: Result<Request, RequestError>,
     stream: &mut TcpStream,
     shared: &Arc<FleetShared>,
-    shutdown: &AtomicBool,
+    shutdown: &Shutdown,
     keep_alive: bool,
 ) -> io::Result<LoopExit> {
     // Framing failures mirror the worker frontend exactly: typed error,

@@ -41,10 +41,12 @@
 //! `Transfer-Encoding` are answered with a typed error and the connection
 //! is closed — the daemon never guesses where the next request starts.
 //!
-//! The acceptor polls a non-blocking listener so shutdown needs no
-//! self-connection trick; each accepted connection is handled on its own
-//! thread (the worker pool, not the connection count, bounds solving
-//! concurrency — the queue provides the backpressure).
+//! The acceptor blocks in `accept`, so a connection is served the moment
+//! it arrives; whoever stops it raises a [`Shutdown`], which wakes the
+//! acceptor by connecting to the listener itself. Each accepted connection
+//! is handled on its own thread (the worker pool, not the connection
+//! count, bounds solving concurrency — the queue provides the
+//! backpressure).
 
 #[cfg(doc)]
 use crate::service::ServiceConfig;
@@ -53,7 +55,7 @@ use crate::trace::{self, Span};
 use crate::wire::{ErrorResponse, ScheduleResponse};
 use crate::wire_bin::{self, WireFormat};
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -86,17 +88,62 @@ pub const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
 /// typed error response before closing anyway (see [`linger_close`]).
 const LINGER_TIMEOUT: Duration = Duration::from_millis(500);
 
-pub(crate) const ACCEPT_POLL: Duration = Duration::from_millis(15);
+/// How long the acceptor pauses after a failed `accept` (EMFILE, ENFILE):
+/// a blocking listener reports those at once, so without the pause the
+/// acceptor would spin until descriptors free up.
+const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(15);
+/// Bound on the wake connection [`Shutdown::raise`] opens to the listener.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// Poll granularity while waiting at a request boundary — keeps idle
 /// connections responsive to daemon shutdown without busy-waiting.
 pub(crate) const IDLE_POLL: Duration = Duration::from_millis(100);
 /// Per-read timeout once a request has started arriving.
 pub(crate) const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// An acceptor's stop signal: the flag its acceptor and connection loops
+/// read, and the listener address that wakes the acceptor out of a
+/// blocking `accept`. [`Shutdown::raise`] is the only way to set the flag,
+/// so no stop can leave the acceptor asleep.
+pub(crate) struct Shutdown {
+    flag: AtomicBool,
+    wake: SocketAddr,
+}
+
+impl Shutdown {
+    /// A lowered flag for the listener bound at `listener`. An unspecified
+    /// bind address (`0.0.0.0`, `[::]`) is woken through the loopback
+    /// address of the same family.
+    pub(crate) fn new(listener: SocketAddr) -> Shutdown {
+        let mut wake = listener;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        Shutdown {
+            flag: AtomicBool::new(false),
+            wake,
+        }
+    }
+
+    pub(crate) fn is_raised(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+
+    /// Raises the flag, then connects to the listener so a blocked
+    /// acceptor wakes, sees the flag and leaves. A failed connect is
+    /// ignored: nothing listening means the acceptor has already gone.
+    pub(crate) fn raise(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake, WAKE_TIMEOUT);
+    }
+}
+
 /// A running HTTP frontend bound to a local address.
 pub struct HttpServer {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Shutdown>,
     acceptor: Option<JoinHandle<()>>,
 }
 
@@ -109,9 +156,8 @@ impl HttpServer {
     /// Propagates bind/configuration failures.
     pub fn bind(service: Arc<Service>, addr: &str) -> io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let shutdown = Arc::new(Shutdown::new(addr));
         let flag = Arc::clone(&shutdown);
         let acceptor = std::thread::Builder::new()
             .name("batsched-http-accept".into())
@@ -139,9 +185,10 @@ impl HttpServer {
         self.addr
     }
 
-    /// Asks the acceptor to stop after its current poll tick.
+    /// Asks the acceptor to stop: it wakes at once and leaves without
+    /// accepting another connection.
     pub fn stop(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.raise();
     }
 
     /// Blocks until the acceptor exits — either [`Self::stop`] was called
@@ -163,18 +210,22 @@ impl Drop for HttpServer {
 }
 
 /// Accepts connections until `shutdown` is raised, serving each on its
-/// own thread; joins them all before returning. Shared with the fleet
+/// own thread; joins them all before returning. Blocks in `accept`
+/// between connections: [`Shutdown::raise`] wakes it. Shared with the fleet
 /// router.
 pub(crate) fn accept_loop(
     listener: &TcpListener,
-    shutdown: &AtomicBool,
+    shutdown: &Shutdown,
     thread_name: &str,
     serve: impl Fn(TcpStream) + Clone + Send + 'static,
 ) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
+    while !shutdown.is_raised() {
         match listener.accept() {
             Ok((stream, _)) => {
+                if shutdown.is_raised() {
+                    break; // the wake connection: drop it and leave
+                }
                 let serve = serve.clone();
                 if let Ok(h) = std::thread::Builder::new()
                     .name(thread_name.into())
@@ -184,14 +235,7 @@ pub(crate) fn accept_loop(
                 }
                 conns.retain(|h| !h.is_finished());
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // Reap finished connections here too: an idle or
-                // slow-trickle workload otherwise accumulates exited
-                // JoinHandles until the next successful accept.
-                conns.retain(|h| !h.is_finished());
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_PAUSE),
         }
     }
     for h in conns {
@@ -207,12 +251,12 @@ pub(crate) fn accept_loop(
 fn await_request(
     reader: &mut BufReader<TcpStream>,
     stream: &TcpStream,
-    shutdown: &AtomicBool,
+    shutdown: &Shutdown,
     idle_timeout: Duration,
 ) -> io::Result<bool> {
     let mut idled = Duration::ZERO;
     loop {
-        if shutdown.load(Ordering::SeqCst) {
+        if shutdown.is_raised() {
             return Ok(false);
         }
         stream.set_read_timeout(Some(IDLE_POLL))?;
@@ -247,7 +291,7 @@ pub(crate) enum LoopExit {
 /// request's first byte arrived and how long reading it took (µs).
 pub(crate) fn serve_connection(
     stream: TcpStream,
-    shutdown: &AtomicBool,
+    shutdown: &Shutdown,
     idle_timeout: Duration,
     max_requests: usize,
     mut serve: impl FnMut(
@@ -258,7 +302,6 @@ pub(crate) fn serve_connection(
         u64,
     ) -> io::Result<LoopExit>,
 ) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     // Small responses on a kept-alive connection: without NODELAY, Nagle
     // batches the next response behind the previous ACK.
@@ -274,7 +317,7 @@ pub(crate) fn serve_connection(
         let read_us = started.elapsed().as_micros() as u64;
         let wants_more = matches!(&request, Ok(req) if req.keep_alive)
             && served < max_requests
-            && !shutdown.load(Ordering::SeqCst);
+            && !shutdown.is_raised();
         let exit = serve(request, &mut stream, wants_more, started, read_us)?;
         // Continue the loop only when both sides agreed to keep going.
         if matches!(exit, LoopExit::AnnouncedClose) || !wants_more {
@@ -314,7 +357,7 @@ fn serve_one(
     request: Result<Request, RequestError>,
     stream: &mut TcpStream,
     service: &Service,
-    shutdown: &AtomicBool,
+    shutdown: &Shutdown,
     keep_alive: bool,
     started: Instant,
     read_us: u64,
@@ -471,7 +514,7 @@ pub(crate) fn serve_common(
     stream: &mut TcpStream,
     echo: &[&str],
     keep_alive: bool,
-    shutdown: &AtomicBool,
+    shutdown: &Shutdown,
 ) -> io::Result<LoopExit> {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
@@ -481,7 +524,7 @@ pub(crate) fn serve_common(
         ("POST", "/v1/shutdown") => {
             let body = r#"{"ok":true,"shutting_down":true}"#;
             write_response(stream, 200, body, echo, false)?;
-            shutdown.store(true, Ordering::SeqCst);
+            shutdown.raise();
             Ok(LoopExit::AnnouncedClose)
         }
         _ => {
@@ -816,4 +859,17 @@ fn write_message(
     stream.write_all(head.as_bytes())?;
     stream.write_all(body)?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unspecified_bind_addresses_wake_through_loopback() {
+        let wake = |bound: &str| Shutdown::new(bound.parse().expect("address")).wake;
+        assert_eq!(wake("0.0.0.0:8480"), "127.0.0.1:8480".parse().expect("v4"));
+        assert_eq!(wake("[::]:8480"), "[::1]:8480".parse().expect("v6"));
+        assert_eq!(wake("10.1.2.3:80"), "10.1.2.3:80".parse().expect("kept"));
+    }
 }

@@ -415,3 +415,22 @@ fn unavailable_is_typed_when_every_worker_is_down() {
     assert_eq!(post_schedule(addr, &body).status, 200);
     fleet.shutdown();
 }
+
+// ------------------------------------------------------------ shutdown
+
+#[test]
+fn shutdown_endpoint_makes_fleet_wait_return() {
+    let fleet = boot(fast_fleet_config(2), None);
+    let addr = fleet.local_addr();
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        fleet.wait();
+        let _ = done.send(());
+    });
+    let ack = request(addr, "POST", "/v1/shutdown", "");
+    assert_eq!(ack.status, 200, "{}", ack.text());
+    // The watchdog turns a never-woken acceptor into a failure, not a hang.
+    finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("Fleet::wait returns after POST /v1/shutdown");
+}

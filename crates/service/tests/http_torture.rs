@@ -482,3 +482,49 @@ fn keep_alive_duplicate_stream_stays_on_one_connection_and_hits() {
     drop(server);
     svc.shutdown();
 }
+
+// ------------------------------------------------------------- wake path
+
+/// Runs `f` on its own thread and fails the test unless it returns within
+/// `limit`: an acceptor that is never woken then fails the test instead of
+/// hanging the suite.
+fn within(limit: Duration, what: &str, f: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        f();
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(limit)
+        .unwrap_or_else(|e| panic!("{what} did not return within {limit:?} ({e})"));
+}
+
+#[test]
+fn server_on_an_unspecified_address_drops_without_a_connection() {
+    // The wake connection must reach a listener bound to 0.0.0.0 through
+    // the loopback address; no client ever connects here.
+    let svc = Arc::new(Service::start(ServiceConfig::default()));
+    let server = HttpServer::bind(Arc::clone(&svc), "0.0.0.0:0").expect("bind");
+    // Let the acceptor block in `accept` first: stopped before its first
+    // look at the flag, it would leave without needing the wake.
+    std::thread::sleep(Duration::from_millis(100));
+    within(Duration::from_secs(2), "dropping the server", move || {
+        drop(server)
+    });
+    svc.shutdown();
+}
+
+#[test]
+fn stop_returns_with_an_idle_kept_alive_connection_open() {
+    let (svc, server, addr) = boot();
+    let mut c = Client::connect(addr);
+    c.request_raw("GET", "/healthz", "", "keep-alive");
+    assert_eq!(c.read_response().status, 200);
+    within(Duration::from_secs(2), "stop + wait", move || {
+        server.stop();
+        server.wait();
+    });
+    // The idle connection's loop saw the flag and closed it.
+    c.assert_closed();
+    svc.shutdown();
+}

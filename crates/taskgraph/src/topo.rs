@@ -77,6 +77,69 @@ pub fn descendants_mask(g: &TaskGraph, v: TaskId) -> Vec<bool> {
     mask
 }
 
+/// Every task's [`descendants_mask`] at once, as the rows of a bit matrix:
+/// built in one reverse-topological pass (a task's row is its own bit OR
+/// its successors' rows) instead of one graph walk per task.
+#[derive(Debug, Clone, Default)]
+pub struct DescendantSets {
+    /// `u64` words per row.
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl DescendantSets {
+    /// The descendant sets of every task of `g`.
+    pub fn new(g: &TaskGraph) -> Self {
+        let mut sets = Self::default();
+        sets.rebuild(g);
+        sets
+    }
+
+    /// Recomputes the sets for `g`, reusing the allocation.
+    pub fn rebuild(&mut self, g: &TaskGraph) {
+        let words = g.task_count().div_ceil(64);
+        self.words = words;
+        self.bits.clear();
+        self.bits.resize(g.task_count() * words, 0);
+        for t in topological_order(g).into_iter().rev() {
+            let row = t.index() * words;
+            self.bits[row + t.index() / 64] |= 1 << (t.index() % 64);
+            for &s in g.succs(t) {
+                let succ = s.index() * words;
+                for w in 0..words {
+                    let bits = self.bits[succ + w];
+                    self.bits[row + w] |= bits;
+                }
+            }
+        }
+    }
+
+    /// The members of `v`'s set — `v` and everything reachable from it —
+    /// as task indices in increasing order, the order a scan of
+    /// [`descendants_mask`] visits them in.
+    pub fn members(&self, v: TaskId) -> impl Iterator<Item = usize> + '_ {
+        self.row(v).iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+
+    /// The size of `v`'s set.
+    pub fn count(&self, v: TaskId) -> usize {
+        self.row(v).iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    fn row(&self, v: TaskId) -> &[u64] {
+        &self.bits[v.index() * self.words..(v.index() + 1) * self.words]
+    }
+}
+
 /// Transitive-closure matrix: `closure[u][v]` is `true` iff `v` is reachable
 /// from `u` (including `u == v`). Intended for tests and small graphs.
 pub fn transitive_closure(g: &TaskGraph) -> Vec<Vec<bool>> {

@@ -11,7 +11,7 @@ use batsched_taskgraph::synth::{
 };
 use batsched_taskgraph::topo::{
     descendants_mask, for_each_topological_order, for_each_topological_order_reference,
-    is_topological, list_schedule, topological_order,
+    is_topological, list_schedule, topological_order, DescendantSets,
 };
 use batsched_taskgraph::{DesignPoint, EnergyMetric, PointId, TaskGraph};
 use proptest::prelude::*;
@@ -117,11 +117,16 @@ proptest! {
         prop_assert_eq!(back, g);
     }
 
-    /// Descendant masks are reflexive and edge-consistent.
+    /// Descendant masks are reflexive and edge-consistent, and the bit-set
+    /// rows hold exactly the mask's members.
     #[test]
     fn descendants_are_consistent(g in arb_graph()) {
+        let sets = DescendantSets::new(&g);
         for t in g.task_ids() {
             let mask = descendants_mask(&g, t);
+            let members: Vec<usize> = (0..mask.len()).filter(|&u| mask[u]).collect();
+            prop_assert_eq!(sets.members(t).collect::<Vec<_>>(), members.clone());
+            prop_assert_eq!(sets.count(t), members.len());
             prop_assert!(mask[t.index()]);
             for (u, v) in g.edges() {
                 if mask[u.index()] {
