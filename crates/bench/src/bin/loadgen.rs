@@ -12,8 +12,9 @@
 //!   the hit path is not ≥ 10× faster than the cold path;
 //! * **keepalive** — the same duplicate-heavy stream driven over real
 //!   HTTP against an in-process daemon, A/B: one fresh TCP connection per
-//!   request vs one kept-alive connection (`--check` fails the run unless
-//!   keep-alive wins by ≥ 1.5×);
+//!   request vs one kept-alive connection, in alternating rounds
+//!   (`--check` fails the run unless keep-alive wins the median round by
+//!   ≥ 1.5×);
 //! * **scaling** — cold solves on the shared n-scaling instances
 //!   (n ∈ {50, 100, 200}, m = 8, unique deadlines so nothing caches), so
 //!   the recorded envelope shows how request latency grows with instance
@@ -220,10 +221,14 @@ struct WirePoint {
 
 #[derive(Debug, Serialize)]
 struct KeepAliveReport {
+    /// Requests per round and arm.
     requests: usize,
+    rounds: usize,
     unique: usize,
+    /// Median per-round rate of each arm.
     conn_per_request_rps: f64,
     keepalive_rps: f64,
+    /// Median per-round ratio keep-alive / connection-per-request.
     speedup: f64,
 }
 
@@ -446,39 +451,59 @@ fn stats_counter(doc: &str, field: &str) -> u64 {
     }
 }
 
+/// Alternating rounds per arm of the keep-alive A/B.
+const KEEPALIVE_ROUNDS: usize = 15;
+
 /// The keep-alive A/B: the duplicate-heavy stream over real HTTP against
 /// an in-process daemon — one fresh connection per request vs one
 /// persistent connection. Cache hits make the solver cost negligible, so
 /// the ratio isolates the per-connection overhead (TCP handshake +
 /// connection-thread spawn) that keep-alive amortises away.
+///
+/// The arms run in short alternating rounds, and the speedup is the
+/// median over rounds of the ratio of the two back-to-back rates, so a
+/// slow phase of the host hits both sides of a ratio alike. (On a noisy
+/// 2-vCPU host the ratio of the two arms' median rates still read
+/// 1.0–3.9× over 14 runs; the median per-round ratio read 1.7–2.7× over
+/// 30.)
 fn run_keepalive_ab(quick: bool) -> KeepAliveReport {
     let svc = Arc::new(fresh_service());
     let server = HttpServer::bind(Arc::clone(&svc), "127.0.0.1:0").expect("bind loadgen daemon");
     let addr = server.local_addr().to_string();
 
     let uniques = synth_bodies(2, 24, 5, 0xCAFE);
-    let bodies = round_robin(&uniques, if quick { 60 } else { 150 });
-    // B: every request down one kept-alive connection, after priming the
-    // cache so both arms measure pure hit traffic.
-    let keepalive_rps = primed_keepalive_rps(&addr, &uniques, &bodies);
-
-    // A: a fresh TCP connection (and daemon connection thread) per request.
-    let t0 = Instant::now();
-    for b in &bodies {
-        let (code, _, _) = request(&mut connect(&addr), "POST", "/v1/schedule", b, true);
-        assert_eq!(code, 200);
+    let bodies = round_robin(&uniques, if quick { 20 } else { 50 });
+    // Prime the cache so both arms measure pure hit traffic.
+    prime(&addr, &uniques);
+    let mut keepalive = Vec::with_capacity(KEEPALIVE_ROUNDS);
+    let mut conn_per_request = Vec::with_capacity(KEEPALIVE_ROUNDS);
+    let mut ratios = Vec::with_capacity(KEEPALIVE_ROUNDS);
+    for _ in 0..KEEPALIVE_ROUNDS {
+        // B: every request down one kept-alive connection.
+        let b_rps = keepalive_rps(&addr, &bodies);
+        // A: a fresh TCP connection (and daemon connection thread) per
+        // request.
+        let t0 = Instant::now();
+        for b in &bodies {
+            let (code, _, _) = request(&mut connect(&addr), "POST", "/v1/schedule", b, true);
+            assert_eq!(code, 200);
+        }
+        let a_rps = bodies.len() as f64 / t0.elapsed().as_secs_f64();
+        keepalive.push(b_rps);
+        conn_per_request.push(a_rps);
+        ratios.push(b_rps / a_rps.max(1e-9));
     }
-    let conn_per_request_rps = bodies.len() as f64 / t0.elapsed().as_secs_f64();
 
     server.stop();
     server.wait();
     svc.shutdown();
     KeepAliveReport {
         requests: bodies.len(),
+        rounds: KEEPALIVE_ROUNDS,
         unique: uniques.len(),
-        conn_per_request_rps,
-        keepalive_rps,
-        speedup: keepalive_rps / conn_per_request_rps.max(1e-9),
+        conn_per_request_rps: Latencies::of(&conn_per_request).quantile(0.5),
+        keepalive_rps: Latencies::of(&keepalive).quantile(0.5),
+        speedup: Latencies::of(&ratios).quantile(0.5),
     }
 }
 
@@ -842,13 +867,18 @@ fn run_chaos(quick: bool, check: bool, addr: Option<&str>) -> ChaosReport {
     report
 }
 
-/// Primes `uniques` (one fresh connection each), then sends `bodies` down
-/// one kept-alive connection; returns its requests per second.
-fn primed_keepalive_rps(addr: &str, uniques: &[String], bodies: &[String]) -> f64 {
+/// Sends each of `uniques` once, on a fresh connection each, so later
+/// passes are cache hits.
+fn prime(addr: &str, uniques: &[String]) {
     for b in uniques {
         let (code, _, payload) = request(&mut connect(addr), "POST", "/v1/schedule", b, true);
         assert_eq!(code, 200, "prime request failed: {payload}");
     }
+}
+
+/// Sends `bodies` down one kept-alive connection; returns its requests
+/// per second.
+fn keepalive_rps(addr: &str, bodies: &[String]) -> f64 {
     let t0 = Instant::now();
     let mut client = connect(addr);
     for (i, b) in bodies.iter().enumerate() {
@@ -926,7 +956,9 @@ fn run_fleet(quick: bool, check: bool) -> FleetReport {
     // duplicate-heavy stream, one kept-alive connection.
     let svc = Arc::new(Service::start(worker_cfg.clone()));
     let server = HttpServer::bind(Arc::clone(&svc), "127.0.0.1:0").expect("bind baseline daemon");
-    let single_rps = primed_keepalive_rps(&server.local_addr().to_string(), &uniques, &bodies);
+    let addr = server.local_addr().to_string();
+    prime(&addr, &uniques);
+    let single_rps = keepalive_rps(&addr, &bodies);
     server.stop();
     server.wait();
     svc.shutdown();
@@ -956,7 +988,8 @@ fn run_fleet(quick: bool, check: bool) -> FleetReport {
         fleet.status()
     );
     let addr = fleet.local_addr().to_string();
-    let fleet_rps = primed_keepalive_rps(&addr, &uniques, &bodies);
+    prime(&addr, &uniques);
+    let fleet_rps = keepalive_rps(&addr, &bodies);
 
     // Phase C: the kill drill. The victim is the worker that owns
     // uniques[0]'s hash slice, so the burst is guaranteed to exercise
@@ -1278,7 +1311,8 @@ fn run_benchmark(quick: bool, check: bool) {
     // Keep-alive vs connection-per-request over real HTTP.
     let keepalive = run_keepalive_ab(quick);
     eprintln!(
-        "keepalive : {} reqs, conn/req {:.0} rps vs keep-alive {:.0} rps → {:.1}×",
+        "keepalive : {} rounds × {} reqs, median conn/req {:.0} rps vs keep-alive {:.0} rps, median round ratio {:.1}×",
+        keepalive.rounds,
         keepalive.requests,
         keepalive.conn_per_request_rps,
         keepalive.keepalive_rps,

@@ -58,10 +58,11 @@ prof_counters! {
     /// full. Kept because `perfbench`'s traced run reads it.
     rows_carried,
     /// Repair promotions recorded: one per column step of each repair
-    /// run the sweep materializes.
+    /// run the sweep discovers (each run is discovered once per window).
     journal_promotions,
-    /// Repair runs undone: materialized runs dropped from the sweep's
-    /// chain for re-materialization.
+    /// Repair runs re-folded in place: when a row tags a task whose run is
+    /// in the journal, that run is removed and every run behind it has its
+    /// boundary sums recomputed; this counts those recomputed runs.
     journal_rollbacks,
     /// σ-engine sequence evaluations.
     sigma_evals,

@@ -271,17 +271,20 @@ impl RowBases {
 }
 
 /// One whole repair run of a carried sweep's persistent journal: the
-/// consumed task (`u32::MAX` = tombstone, the task left the free set), the
-/// columns of the task's left/right sequence neighbours at the run's state
-/// (`u32::MAX` = no pair / tagged-adjacent, handled separately), and the
-/// run's rising-pair delta over those pairs. Records are immutable once
-/// discovered except for tombstoning and the tagged-adjacency patch.
+/// consumed task, the columns of the task's left/right sequence neighbours
+/// at the run's state (`u32::MAX` = no pair / tagged-adjacent, handled
+/// separately), the run's rising-pair delta over those pairs, and its
+/// full-run makespan and energy deltas (`cum_te`/`cum_e` at `run_len`).
+/// Records are immutable once discovered except for the tagged-adjacency
+/// patch.
 #[derive(Debug, Clone, Copy)]
 struct RunRec {
     task: u32,
     left: u32,
     right: u32,
     d_rising: i32,
+    te: f64,
+    e: f64,
 }
 
 /// Reusable state of the `CalculateDPF` sweep kernel.
@@ -302,8 +305,9 @@ struct RunRec {
 /// [`RowBases`] for how the carried chain stays bit-identical to the
 /// retained reference.
 ///
-/// Cost per row: O(1) preparation plus O(log depth) per candidate and the
-/// repair runs no earlier candidate needed — no clones, no full scans,
+/// Cost per row: O(1) preparation, one in-place re-fold of the run chain
+/// behind the newly tagged task's run, plus O(log depth) per candidate and
+/// the repair runs no earlier row discovered — no clones, no full scans,
 /// zero allocations after warm-up. The retained naive reference
 /// ([`calculate_dpf_reference`]) shares the same floating-point
 /// accumulation and is bit-identical; the equivalence proptests in
@@ -356,50 +360,44 @@ pub(crate) struct DpfScratch {
     cum_te: Vec<f64>,
     cum_e: Vec<f64>,
     cum_built: bool,
-    /// Per-run records of the persistent sweep journal, in discovery
-    /// (= energy) order. The journal is *persistent across the sweep's
-    /// rows*: advancing from row `i` to `i−1` removes exactly one task
-    /// (the newly tagged `seq[i−1]`) from the free set — its record is
-    /// tombstoned, every other record (with its neighbour snapshots and
-    /// rising-pair delta, computed once at discovery) survives verbatim,
-    /// and only the cheap boundary chains below are re-folded lazily over
-    /// the survivors ([`Self::advance_row`] / [`Self::extend_chain`]).
-    /// A task never re-enters the free set (tombstoned tasks become
-    /// tagged, then committed), so the discovery cursor is monotone across
-    /// the whole window.
+    /// The repair runs of the current row, in run (= discovery = energy)
+    /// order. The journal is *persistent across the sweep's rows*:
+    /// advancing from row `i` to `i−1` removes exactly one task (the newly
+    /// tagged `seq[i−1]`) from the free set — its record is removed and the
+    /// boundary chains below are re-folded in place behind it; every other
+    /// record (with its neighbour snapshots, rising-pair delta and full-run
+    /// deltas, computed once at discovery) survives verbatim
+    /// ([`Self::advance_row`]). A task never re-enters the free set
+    /// (removed tasks become tagged, then committed), so the discovery
+    /// cursor is monotone across the whole window.
     runs: Vec<RunRec>,
-    /// Record index of each *materialized* run of the current row, in run
-    /// order — a strictly increasing prefix of the surviving records.
-    chain_src: Vec<u32>,
-    /// Record index the next materialization resumes from (skipping
-    /// tombstones) before falling back to cursor discovery.
-    rec_next: usize,
-    /// Run-boundary makespan chain of the materialized runs, indexed by
-    /// completed-run count `0..=len` — kept as its own array so candidates
-    /// can binary-search it directly.
+    /// Run-boundary makespan chain, indexed by completed-run count
+    /// `0..=runs.len()`: `r_sum[k+1] = r_sum[k] + runs[k].te`, the same
+    /// sequential sum the reference repair loop accumulates — kept as its
+    /// own array so candidates can binary-search it directly.
     r_sum: Vec<f64>,
     /// Run-boundary energy chain and rising-pair count at the full-run
     /// state relative to the row's journalled base (excluding
     /// tagged-adjacent pairs; index 0 holds zeros), indexed like `r_sum`.
     re_h: Vec<(f64, i32)>,
-    /// Task-indexed record index, validated against `runs` before use
-    /// (stale entries simply fail the cross-check; never reset wholesale).
+    /// Task-indexed position in `runs`, validated against `runs` before
+    /// use (stale entries simply fail the cross-check; never reset
+    /// wholesale) and refreshed by every re-fold.
     run_of: Vec<u32>,
     /// Committed column of the tagged position's right neighbour
     /// (constant per sweep row; `usize::MAX` at the last position).
     ip1_col: usize,
-    /// Profiling: repair promotions recorded (`run_len` per materialized
+    /// Profiling: repair promotions recorded (`run_len` per discovered
     /// run). Cumulative; read through [`EvalBuffers::prof`].
     prof_promotions: u64,
-    /// Profiling: materialized runs dropped from the chain for
-    /// re-materialization.
+    /// Profiling: runs re-folded in place behind a removed run.
     prof_rollbacks: u64,
 }
 
 impl DpfScratch {
-    /// The journal record index of task `t`, if the task has been
-    /// discovered (and not tombstoned).
-    fn rec_index_of(&self, t: TaskId) -> Option<usize> {
+    /// The position of task `t`'s run in the journal, if the task has
+    /// been discovered (and not tagged since).
+    fn run_pos_of(&self, t: TaskId) -> Option<usize> {
         let r = *self.run_of.get(t.index())? as usize;
         (r < self.runs.len() && self.runs[r].task == t.index() as u32).then_some(r)
     }
@@ -418,8 +416,6 @@ impl DpfScratch {
         self.etemp[seq[seq.len() - 1].index()] = true; // the pinned last task
         self.cursor = 0;
         self.runs.clear();
-        self.chain_src.clear();
-        self.rec_next = 0;
         self.r_sum.clear();
         self.r_sum.push(0.0);
         self.re_h.clear();
@@ -458,8 +454,8 @@ impl DpfScratch {
 
     /// O(1) row preparation from sweep-carried state: base sums, rising
     /// pairs and neighbour columns come from the caller's carried chain,
-    /// the fixed flags and the reusable journal prefix are already in
-    /// place from the previous row's [`Self::advance_row`].
+    /// the fixed flags and the journal are already in place from the
+    /// previous row's [`Self::advance_row`].
     fn begin_row_carried(
         &mut self,
         seq: &[TaskId],
@@ -477,71 +473,59 @@ impl DpfScratch {
         self.exhausted = false;
     }
 
-    /// Drops materialized runs from chain position `cpos` on (their
-    /// records stay in the shadow for cheap re-materialization).
-    fn truncate_chain(&mut self, cpos: usize) {
-        if cpos < self.chain_src.len() {
-            self.prof_rollbacks += (self.chain_src.len() - cpos) as u64;
-            self.chain_src.truncate(cpos);
-            self.r_sum.truncate(cpos + 1);
-            self.re_h.truncate(cpos + 1);
-            self.rec_next = self.chain_src.last().map_or(0, |&s| s as usize + 1);
-        }
-    }
-
     /// Advances the persistent journal from row `i` to row `i−1`: the
-    /// newly tagged `seq[i−1]` leaves the free set, so its record is
-    /// tombstoned and the materialized chain re-folds from its rank; every
-    /// other record survives verbatim. The one record whose rising-pair
-    /// delta referenced the pair `(i−2, i−1)` — tagged-adjacent from now
-    /// on — is patched (using its snapshot of `seq[i−1]`'s column at the
-    /// time), with its chain entries dropped for re-materialization.
+    /// newly tagged `seq[i−1]` leaves the free set, so its run is removed
+    /// and the boundary chains are re-folded in place from its position —
+    /// the same sequential sums over the same surviving runs, so the bits
+    /// match the reference. The one run whose rising-pair delta referenced
+    /// the pair `(i−2, i−1)` — tagged-adjacent from now on — is patched
+    /// (using its snapshot of `seq[i−1]`'s column at the time), and the
+    /// integer `h` entries after it shift by the same amount.
     fn advance_row(&mut self, ctx: &SearchContext<'_>, seq: &[TaskId], i: usize) {
-        let t_next = seq[i - 1];
-        if let Some(idx) = self.rec_index_of(t_next) {
-            let cpos = self.chain_src.partition_point(|&s| (s as usize) < idx);
-            self.truncate_chain(cpos);
-            self.runs[idx].task = u32::MAX; // tombstone: tagged, then committed
+        if let Some(p) = self.run_pos_of(seq[i - 1]) {
+            self.runs.remove(p);
+            self.r_sum.pop();
+            self.re_h.pop();
+            self.prof_rollbacks += (self.runs.len() - p) as u64;
+            // The running sums live in registers; each boundary entry is
+            // still `previous entry + run delta`, in run order.
+            let mut r = self.r_sum[p];
+            let (mut re, mut h) = self.re_h[p];
+            let chains = self.r_sum[p + 1..].iter_mut().zip(&mut self.re_h[p + 1..]);
+            for (k, (rec, (r_out, reh_out))) in self.runs[p..].iter().zip(chains).enumerate() {
+                self.run_of[rec.task as usize] = (p + k) as u32;
+                r += rec.te;
+                re += rec.e;
+                h += rec.d_rising;
+                *r_out = r;
+                *reh_out = (re, h);
+            }
         }
         if i >= 2 {
-            if let Some(idx) = self.rec_index_of(seq[i - 2]) {
-                if self.runs[idx].right != u32::MAX {
+            if let Some(p) = self.run_pos_of(seq[i - 2]) {
+                let rec = &mut self.runs[p];
+                if rec.right != u32::MAX {
                     let q = seq[i - 2];
-                    // The snapshot column seq[i−1] held at this record's
+                    // The snapshot column seq[i−1] held at this run's
                     // state (m−1, or the floor if it was consumed first).
-                    let ri = ctx.i(seq[i - 1], self.runs[idx].right as usize);
+                    let ri = ctx.i(seq[i - 1], rec.right as usize);
                     let delta = (ctx.i(q, self.ws) < ri) as i32 - (ctx.i(q, ctx.m - 1) < ri) as i32;
-                    self.runs[idx].d_rising -= delta;
-                    self.runs[idx].right = u32::MAX;
-                    let cpos = self.chain_src.partition_point(|&s| (s as usize) < idx);
-                    self.truncate_chain(cpos);
+                    rec.d_rising -= delta;
+                    rec.right = u32::MAX;
+                    for (_, h) in &mut self.re_h[p + 1..] {
+                        *h -= delta;
+                    }
                 }
             }
         }
     }
 
-    /// Folds record `idx` into the row's materialized chain.
-    fn materialize(&mut self, idx: usize) {
-        self.prof_promotions += self.run_len as u64;
-        let rec = self.runs[idx];
-        let t = rec.task as usize;
-        let stride = self.run_len + 1;
-        let r = self.chain_src.len();
-        self.chain_src.push(idx as u32);
-        self.r_sum
-            .push(self.r_sum[r] + self.cum_te[t * stride + self.run_len]);
-        let (re, h) = self.re_h[r];
-        self.re_h
-            .push((re + self.cum_e[t * stride + self.run_len], h + rec.d_rising));
-    }
-
-    /// Materializes the next repair run of the row — the next surviving
-    /// shadow record, or, past the shadow, the first free task in `E`
+    /// Appends the next repair run of the row: the first free task in `E`
     /// promoted from column `m−1` down to the window floor (discovered
-    /// once per window: its neighbour snapshots and rising-pair delta are
-    /// recorded for every later row to reuse). Returns `false` when no
-    /// free task remains (or the window has a single column, so no
-    /// promotion is possible).
+    /// once per window: its neighbour snapshots, rising-pair delta and
+    /// full-run deltas are recorded for every later row to reuse).
+    /// Returns `false` when no free task remains (or the window has a
+    /// single column, so no promotion is possible).
     fn extend_chain(&mut self, ctx: &SearchContext<'_>, seq: &[TaskId], pos_of: &[usize]) -> bool {
         if self.exhausted {
             return false;
@@ -551,16 +535,8 @@ impl DpfScratch {
             return false;
         }
         self.ensure_cum_tables(ctx);
-        while self.rec_next < self.runs.len() {
-            let idx = self.rec_next;
-            self.rec_next += 1;
-            if self.runs[idx].task != u32::MAX {
-                self.materialize(idx);
-                return true;
-            }
-        }
-        // Discovery: the cursor is monotone for the whole window (tasks
-        // never re-enter the free set), so every task is snapshotted once.
+        // The cursor is monotone for the whole window (tasks never
+        // re-enter the free set), so every task is snapshotted once.
         while self.cursor < ctx.energy_order.len()
             && self.etemp[ctx.energy_order[self.cursor].index()]
         {
@@ -577,7 +553,7 @@ impl DpfScratch {
         let m1 = ctx.m - 1;
         let i_old = ctx.i(q, m1);
         let i_new = ctx.i(q, ws);
-        // Snapshot the neighbour columns at this record's state (free
+        // Snapshot the neighbour columns at this run's state (free
         // neighbours sit at the floor once consumed, at m−1 otherwise;
         // pairs touching the tagged position are excluded — they are
         // re-derived per repair state) and the full move's rising-pair
@@ -602,17 +578,23 @@ impl DpfScratch {
         } else {
             u32::MAX
         };
-        let idx = self.runs.len();
-        self.etemp[q.index()] = true; // fixed at the window floor, for good
-        self.run_of[q.index()] = idx as u32;
-        self.runs.push(RunRec {
+        let full = q.index() * (self.run_len + 1) + self.run_len;
+        let rec = RunRec {
             task: q.index() as u32,
             left,
             right,
             d_rising,
-        });
-        self.rec_next = self.runs.len();
-        self.materialize(idx);
+            te: self.cum_te[full],
+            e: self.cum_e[full],
+        };
+        let r = self.runs.len();
+        self.etemp[q.index()] = true; // fixed at the window floor, for good
+        self.run_of[q.index()] = r as u32;
+        self.runs.push(rec);
+        self.r_sum.push(self.r_sum[r] + rec.te);
+        let (re, h) = self.re_h[r];
+        self.re_h.push((re + rec.e, h + rec.d_rising));
+        self.prof_promotions += self.run_len as u64;
         true
     }
 
@@ -641,13 +623,13 @@ impl DpfScratch {
         let base_te = self.rest_te + ctx.d(seq[i], j);
         let base_energy = self.rest_energy + ctx.e(seq[i], j);
         let mut feasible = true;
-        while base_te + self.r_sum[self.chain_src.len()] > d + TIME_EPS {
+        while base_te + self.r_sum[self.runs.len()] > d + TIME_EPS {
             if !self.extend_chain(ctx, seq, pos_of) {
                 feasible = false;
                 break;
             }
         }
-        let len = self.chain_src.len();
+        let len = self.runs.len();
         let stride = self.run_len + 1;
         // Stop state (r, s): r completed runs, current task s steps into
         // its run. `r_sum` and each in-run chain are exactly monotone
@@ -661,7 +643,7 @@ impl DpfScratch {
             if rb == 0 {
                 (0, 0, None)
             } else {
-                let q = TaskId(self.runs[self.chain_src[rb - 1] as usize].task as usize);
+                let q = TaskId(self.runs[rb - 1].task as usize);
                 let cum = &self.cum_te[q.index() * stride..(q.index() + 1) * stride];
                 let rs = self.r_sum[rb - 1];
                 let s = cum.partition_point(|&cs| base_te + (rs + cs) > d + TIME_EPS);
@@ -688,7 +670,7 @@ impl DpfScratch {
         if let Some(q) = q {
             // The mid-run task sits at column c, not the m−1 its chain
             // state assumes: correct its two (non-tagged-adjacent) pairs.
-            let rec = self.runs[self.chain_src[r] as usize];
+            let rec = self.runs[r];
             let i_old = ctx.i(q, m1);
             let i_new = ctx.i(q, c);
             if rec.left != u32::MAX {
@@ -702,12 +684,11 @@ impl DpfScratch {
         }
         let i_tag = ctx.i(seq[i], j);
         if i > 0 {
-            // The tagged-left neighbour's column at the stop state: the
-            // materialized chain is the record-index-ordered prefix of the
-            // survivors, so "consumed before run r" is one index compare.
-            let col_im1 = match self.rec_index_of(seq[i - 1]) {
-                Some(idx) if q.is_some() && self.chain_src[r] as usize == idx => c,
-                Some(idx) if r > 0 && idx <= self.chain_src[r - 1] as usize => self.ws,
+            // The tagged-left neighbour's column at the stop state:
+            // "consumed before run r" is one position compare.
+            let col_im1 = match self.run_pos_of(seq[i - 1]) {
+                Some(p) if q.is_some() && p == r => c,
+                Some(p) if p < r => self.ws,
                 _ => m1,
             };
             rising += (ctx.i(seq[i - 1], col_im1) < i_tag) as i32;
@@ -869,9 +850,9 @@ pub(crate) fn choose_design_points_into(
         if i > 0 {
             // Advance the carried chain to row i−1: the committed pair
             // (i, i+1) enters the journalled rising count, the free pair
-            // (i−2, i−1) leaves (it becomes tagged-adjacent), the journal
-            // prefix below the new tagged task's energy rank is kept, and
-            // the base sums move through the shared RowBases chain.
+            // (i−2, i−1) leaves (it becomes tagged-adjacent), the new
+            // tagged task's run leaves the journal, and the base sums move
+            // through the shared RowBases chain.
             rising0 += (ctx.i(seq[i], assign[i]) < ctx.i(seq[i + 1], assign[i + 1])) as i32;
             if i >= 2 {
                 rising0 -=
@@ -1377,6 +1358,12 @@ impl<'g> DiagSearch<'g> {
         ws: usize,
     ) -> Result<Vec<usize>, SchedulerError> {
         choose_design_points_reference(&self.ctx, seq, ws)
+    }
+
+    /// The cumulative solver-phase counters of every search run through
+    /// this handle's buffers (see [`crate::prof::Prof`]).
+    pub fn prof(&self) -> crate::prof::Prof {
+        self.buffers.prof()
     }
 
     /// σ and makespan of a positional assignment through the evaluation

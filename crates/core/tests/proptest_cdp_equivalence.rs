@@ -198,3 +198,49 @@ fn window_widening_that_changes_choices_stays_bit_identical() {
         "expected several widening-changes-choice instances, found {changed_instances}"
     );
 }
+
+/// Long sequences: layered graphs with n = 40..=200 tasks and m = 8, where
+/// a row's repair journal holds dozens of runs and advancing a row
+/// re-folds many of them in place. Every feasible window must match the
+/// reference bit-for-bit, and one n = 200 full-window sweep must re-fold
+/// at least one run per row (otherwise the long re-folds go untested).
+#[test]
+fn long_sequences_stay_bit_identical_to_reference() {
+    let m = 8;
+    let params = TaskParams {
+        current_range: (50.0, 950.0),
+        duration_range: (1.0, 15.0),
+        factors: (0..m)
+            .map(|j| 1.0 - 0.67 * j as f64 / (m - 1) as f64)
+            .collect(),
+        scheme: ScalingScheme::ReversedDuration,
+        rounding: Rounding::PAPER,
+    };
+    let cfg = SchedulerConfig::paper();
+    for (n, slack) in [(40usize, 0.2), (120, 0.45), (200, 0.3)] {
+        let mut rng = StdRng::seed_from_u64(0x10A6 + n as u64);
+        let g = layered(n / 8, 8, 0.3, &params, &mut rng).unwrap();
+        assert_eq!(g.task_count(), n);
+        let lo = min_makespan(&g).value();
+        let hi = max_makespan(&g).value();
+        let d = Minutes::new(lo + (hi - lo) * slack);
+        let seq = topological_order(&g);
+        let mut diag = DiagSearch::new(&g, &cfg, d).unwrap();
+        let windows = diag.feasible_windows();
+        assert!(windows.contains(&0), "n={n}: the full window is feasible");
+        for ws in windows {
+            let naive = diag.choose_reference(&seq, ws).unwrap();
+            let before = diag.prof();
+            let fast = diag.choose(&seq, ws).unwrap().to_vec();
+            let refolded = diag.prof().since(&before).journal_rollbacks;
+            assert_eq!(fast, naive, "n={n} ws={ws}");
+            if n == 200 && ws == 0 {
+                assert!(
+                    refolded >= (n - 1) as u64,
+                    "n={n}: {refolded} runs re-folded over {} rows",
+                    n - 1
+                );
+            }
+        }
+    }
+}

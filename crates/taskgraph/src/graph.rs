@@ -272,83 +272,50 @@ impl TaskGraph {
         self.tasks.iter().position(|t| t.name == name).map(TaskId)
     }
 
-    /// Builds a graph from pre-assembled parts — the validation entry point
-    /// shared by the serde path and [`crate::io`]'s typed parser. With
-    /// `reject_duplicate_edges`, a repeated `(from, to)` pair is a
-    /// [`TaskGraphError::DuplicateEdge`] instead of being silently folded
-    /// (the builder's behaviour for programmatic construction).
+    /// Builds a graph from pre-assembled parts — the one validation pass,
+    /// shared by the serde path, [`crate::io`]'s typed parser and
+    /// [`TaskGraphBuilder::build`]. With `reject_duplicate_edges`, a
+    /// repeated `(from, to)` pair is a [`TaskGraphError::DuplicateEdge`]
+    /// instead of being silently folded (the builder's behaviour for
+    /// programmatic construction).
+    ///
+    /// Checks run in a fixed order, so the error reported for an input
+    /// with several faults is always the same: duplicate edges (the first
+    /// repeat in list order), then the tasks in index order, then the
+    /// edges' endpoints in list order, then cycles.
     ///
     /// # Errors
     ///
     /// Every [`TaskGraphError`] variant is reachable.
     pub fn from_parts(
-        tasks: Vec<TaskNode>,
+        mut tasks: Vec<TaskNode>,
         edges: Vec<(usize, usize)>,
         reject_duplicate_edges: bool,
     ) -> Result<TaskGraph, TaskGraphError> {
+        // Edges sorted by (from, to, list index): repeats are adjacent, and
+        // every adjacency list below comes out ascending.
+        let mut sorted: Vec<(usize, usize, usize)> = edges
+            .iter()
+            .enumerate()
+            .map(|(k, &(u, v))| (u, v, k))
+            .collect();
+        sorted.sort_unstable();
         if reject_duplicate_edges {
-            let mut seen = std::collections::HashSet::new();
-            for &(u, v) in &edges {
-                if !seen.insert((u, v)) {
-                    return Err(TaskGraphError::DuplicateEdge { from: u, to: v });
-                }
+            // The first repeat in list order is the smallest index among
+            // the non-first members of every equal-pair group.
+            let first_repeat = sorted
+                .windows(2)
+                .filter(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1))
+                .map(|w| w[1].2)
+                .min();
+            if let Some(k) = first_repeat {
+                let (from, to) = edges[k];
+                return Err(TaskGraphError::DuplicateEdge { from, to });
             }
         }
-        let mut b = TaskGraph::builder();
-        for t in tasks {
-            b.task(t.name, t.points);
-        }
-        for (u, v) in edges {
-            b.edge(TaskId(u), TaskId(v));
-        }
-        b.build()
-    }
-}
-
-/// Incremental builder for [`TaskGraph`] (C-BUILDER).
-#[derive(Debug, Clone, Default)]
-pub struct TaskGraphBuilder {
-    tasks: Vec<TaskNode>,
-    edges: Vec<(usize, usize)>,
-}
-
-impl TaskGraphBuilder {
-    /// Adds a task with its design points (any order; they are sorted by
-    /// ascending duration at build time) and returns its id.
-    pub fn task(&mut self, name: impl Into<String>, points: Vec<DesignPoint>) -> TaskId {
-        let id = TaskId(self.tasks.len());
-        self.tasks.push(TaskNode {
-            name: name.into(),
-            points,
-        });
-        id
-    }
-
-    /// Declares that `to` depends on `from` (duplicates are deduplicated at
-    /// build time).
-    pub fn edge(&mut self, from: TaskId, to: TaskId) -> &mut Self {
-        self.edges.push((from.0, to.0));
-        self
-    }
-
-    /// Declares several parents for one task.
-    pub fn parents(&mut self, to: TaskId, from: impl IntoIterator<Item = TaskId>) -> &mut Self {
-        for f in from {
-            self.edge(f, to);
-        }
-        self
-    }
-
-    /// Validates and produces the graph.
-    ///
-    /// # Errors
-    ///
-    /// Every [`TaskGraphError`] variant is reachable; see its docs.
-    pub fn build(&self) -> Result<TaskGraph, TaskGraphError> {
-        if self.tasks.is_empty() {
+        if tasks.is_empty() {
             return Err(TaskGraphError::Empty);
         }
-        let mut tasks = self.tasks.clone();
         let point_count = tasks[0].points.len();
         for t in &mut tasks {
             if t.points.is_empty() {
@@ -386,10 +353,7 @@ impl TaskGraphBuilder {
         }
 
         let n = tasks.len();
-        let mut preds: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        let mut succs: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        let mut seen = std::collections::HashSet::new();
-        for &(u, v) in &self.edges {
+        for &(u, v) in &edges {
             if u >= n {
                 return Err(TaskGraphError::UnknownTask { id: u });
             }
@@ -401,13 +365,13 @@ impl TaskGraphBuilder {
                     task: tasks[u].name.clone(),
                 });
             }
-            if seen.insert((u, v)) {
-                succs[u].push(TaskId(v));
-                preds[v].push(TaskId(u));
-            }
         }
-        for list in preds.iter_mut().chain(succs.iter_mut()) {
-            list.sort();
+        let mut preds: Vec<Vec<TaskId>> = vec![Vec::new(); n];
+        let mut succs: Vec<Vec<TaskId>> = vec![Vec::new(); n];
+        sorted.dedup_by_key(|&mut (u, v, _)| (u, v));
+        for &(u, v, _) in &sorted {
+            succs[u].push(TaskId(v));
+            preds[v].push(TaskId(u));
         }
 
         // Kahn's algorithm detects cycles.
@@ -441,6 +405,51 @@ impl TaskGraphBuilder {
             succs,
             point_count,
         })
+    }
+}
+
+/// Incremental builder for [`TaskGraph`] (C-BUILDER).
+#[derive(Debug, Clone, Default)]
+pub struct TaskGraphBuilder {
+    tasks: Vec<TaskNode>,
+    edges: Vec<(usize, usize)>,
+}
+
+impl TaskGraphBuilder {
+    /// Adds a task with its design points (any order; they are sorted by
+    /// ascending duration at build time) and returns its id.
+    pub fn task(&mut self, name: impl Into<String>, points: Vec<DesignPoint>) -> TaskId {
+        let id = TaskId(self.tasks.len());
+        self.tasks.push(TaskNode {
+            name: name.into(),
+            points,
+        });
+        id
+    }
+
+    /// Declares that `to` depends on `from` (duplicates are deduplicated at
+    /// build time).
+    pub fn edge(&mut self, from: TaskId, to: TaskId) -> &mut Self {
+        self.edges.push((from.0, to.0));
+        self
+    }
+
+    /// Declares several parents for one task.
+    pub fn parents(&mut self, to: TaskId, from: impl IntoIterator<Item = TaskId>) -> &mut Self {
+        for f in from {
+            self.edge(f, to);
+        }
+        self
+    }
+
+    /// Validates and produces the graph (the builder stays reusable).
+    ///
+    /// # Errors
+    ///
+    /// Every [`TaskGraphError`] variant except
+    /// [`TaskGraphError::DuplicateEdge`] is reachable; see its docs.
+    pub fn build(&self) -> Result<TaskGraph, TaskGraphError> {
+        TaskGraph::from_parts(self.tasks.clone(), self.edges.clone(), false)
     }
 }
 
@@ -637,6 +646,53 @@ mod tests {
         );
         let g = TaskGraph::from_parts(nodes, edges, false).unwrap();
         assert_eq!(g.edge_count(), 1);
+    }
+
+    #[test]
+    fn from_parts_reports_faults_in_a_fixed_order() {
+        let node = |name: &str, points| TaskNode {
+            name: name.into(),
+            points,
+        };
+        let nodes = || {
+            vec![
+                node("A", two_points()),
+                node("B", two_points()),
+                node("C", two_points()),
+            ]
+        };
+        // The first repeat in list order wins, not the first pair repeated.
+        let edges = vec![(0, 1), (1, 2), (1, 2), (0, 1)];
+        assert_eq!(
+            TaskGraph::from_parts(nodes(), edges, true).unwrap_err(),
+            TaskGraphError::DuplicateEdge { from: 1, to: 2 }
+        );
+        // Repeats are reported before task faults and unknown ids.
+        let edges = vec![(9, 9), (0, 1), (9, 9)];
+        assert_eq!(
+            TaskGraph::from_parts(vec![node("A", vec![])], edges.clone(), true).unwrap_err(),
+            TaskGraphError::DuplicateEdge { from: 9, to: 9 }
+        );
+        assert_eq!(
+            TaskGraph::from_parts(Vec::new(), edges, true).unwrap_err(),
+            TaskGraphError::DuplicateEdge { from: 9, to: 9 }
+        );
+        // Task faults precede edge faults; edge faults go in list order.
+        let edges = vec![(0, 1), (2, 2), (0, 7)];
+        assert!(matches!(
+            TaskGraph::from_parts(vec![node("A", vec![])], edges.clone(), true).unwrap_err(),
+            TaskGraphError::NoDesignPoints { .. }
+        ));
+        assert_eq!(
+            TaskGraph::from_parts(nodes(), edges, true).unwrap_err(),
+            TaskGraphError::SelfLoop { task: "C".into() }
+        );
+        // Folded repeats still give sorted adjacency lists.
+        let g =
+            TaskGraph::from_parts(nodes(), vec![(1, 2), (0, 2), (1, 2), (0, 1)], false).unwrap();
+        assert_eq!(g.preds(TaskId(2)), &[TaskId(0), TaskId(1)]);
+        assert_eq!(g.succs(TaskId(0)), &[TaskId(1), TaskId(2)]);
+        assert_eq!(g.edge_count(), 3);
     }
 
     #[test]
