@@ -194,11 +194,6 @@ metrics_smoke
 
 fleet_smoke
 
-echo "==> fleet drill (in-process, zero-loss floors enforced)"
-# The in-process fleet drill (router + 3 workers, kill mid-burst) must
-# lose zero requests.
-cargo run --release -q -p batsched-bench --bin loadgen -- --fleet --quick --check
-
 echo "==> perf smoke + snapshot (BENCH_scheduler.json, floors enforced)"
 # Quick-mode perf smoke: regenerates the snapshot and fails the pipeline if
 # sigma_full_vs_naive or cdp_speedup regress below their conservative 2x
@@ -206,17 +201,13 @@ echo "==> perf smoke + snapshot (BENCH_scheduler.json, floors enforced)"
 # (same command as `just bench-quick`).
 cargo run --release -q -p batsched-bench --bin repro_bench_json -- --quick --check
 
-echo "==> wire-format A/B (binary admission floor enforced)"
-# --wire --check admits the n-scaling instances in both wire formats:
-# the single-pass binary decode plus the content hash must produce the
-# same cache key as the JSON path and beat JSON parse+hash by >= 2x at
-# n=200.
-cargo run --release -q -p batsched-bench --bin loadgen -- --wire --quick --check
-
-echo "==> service load snapshot (BENCH_service.json, keep-alive floor enforced)"
-# --check gates the keep-alive vs connection-per-request A/B (>= 1.5x on
-# the duplicate-heavy stream) and re-runs the wire admission gate; the
-# snapshot records the wire envelope alongside the request streams.
+echo "==> service drills (BENCH_service.json, wire/malformed/chaos/fleet gates enforced)"
+# --check runs each in-process drill once: the wire admission A/B (both
+# wire formats must produce one cache key, and the single-pass binary
+# decode plus the content hash must beat JSON parse+hash by >= 2x at
+# n=200), the malformed stream (typed errors only), the chaos drill, and
+# the fleet drill (router + 3 workers, kill mid-burst, zero lost
+# requests); the snapshot records their reports.
 cargo run --release -q -p batsched-bench --bin loadgen -- --quick --check
 
 echo "CI OK"

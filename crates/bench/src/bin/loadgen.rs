@@ -1,34 +1,16 @@
-//! Load generator for the batch-scheduling service.
+//! Load generator and drill driver for the batch-scheduling service.
 //!
-//! Default mode drives an in-process [`batsched_service::Service`] with
-//! four mixed scenario streams and writes throughput/latency percentiles
-//! to `BENCH_service.json`:
+//! Default mode runs four drills and writes their reports to
+//! `BENCH_service.json`. End-to-end request latency is measured by the
+//! benchmark (`perfbench/`), not here.
 //!
-//! * **paper** — the DATE'05 G2/G3 instances across their published
-//!   deadlines (all unique → every request is a cold solve);
-//! * **synthetic** — a layered-DAG grid, n ∈ {12..48} × m ∈ {2..8};
-//! * **dup** — a duplicate-heavy stream (each unique request repeated
-//!   10×), separating cold-solve from cache-hit latency; the run fails if
-//!   the hit path is not ≥ 10× faster than the cold path;
-//! * **keepalive** — the same duplicate-heavy stream driven over real
-//!   HTTP against an in-process daemon, A/B: one fresh TCP connection per
-//!   request vs one kept-alive connection, in alternating rounds
-//!   (`--check` fails the run unless keep-alive wins the median round by
-//!   ≥ 1.5×);
-//! * **scaling** — cold solves on the shared n-scaling instances
-//!   (n ∈ {50, 100, 200}, m = 8, unique deadlines so nothing caches), so
-//!   the recorded envelope shows how request latency grows with instance
-//!   size under the carried window-sweep kernel;
-//! * **wire** — the admission A/B on the same n-scaling instances: each
-//!   request is admitted `iters` times as JSON (`parse_request` + the
-//!   content hash) and as binary (`decode_request`: the
-//!   single-pass binary decode, then the same content hash), asserting
-//!   the two spellings produce the same cache key; `--check` fails the run
-//!   unless binary decode + hash wins by ≥ 2× at n = 200;
-//! * **warm_restart** — a disk-backed service answers a unique stream
-//!   cold, shuts down (compacting its cache file), restarts, and must
-//!   answer the same stream entirely from the disk tier with bit-identical
-//!   bodies;
+//! * **wire** — the admission A/B on the shared n-scaling instances
+//!   (n ∈ {50, 100, 200}, m = 8): each request is admitted `iters` times
+//!   as JSON (`parse_request` + the content hash) and as binary
+//!   (`decode_request`: the single-pass binary decode, then the same
+//!   content hash), asserting the two spellings produce the same cache
+//!   key; `--check` fails the run unless binary decode + hash wins by
+//!   ≥ 2× at n = 200;
 //! * **malformed** — broken/hostile documents; the run fails unless every
 //!   one is answered with a *typed* error (the daemon must never panic).
 //!
@@ -49,14 +31,9 @@
 //!   content hash), the dead worker must be respawned, and the fleet must
 //!   return to ready. `--check` fails the run on any lost request.
 //!
-//! All latency percentiles (p50/p95/p99) are nearest-rank percentiles
-//! of the raw per-request samples, so `BENCH_service.json` reports
-//! measured latencies, not bucket interpolations (the 1–2–5 log-bucket
-//! histograms are the daemon's exported `/v1/metrics` series).
-//!
-//! Flags: `--quick` shrinks the grids (CI mode); `--check` enforces the
-//! keep-alive ≥ 1.5× and binary-admission ≥ 2× floors; `--wire` runs only
-//! the wire A/B and prints its report; `--smoke --addr <host:port>`
+//! Flags: `--quick` shrinks the drills (CI mode); `--check` enforces the
+//! binary-admission ≥ 2× floor and the chaos and fleet asserts; `--wire`
+//! runs only the wire A/B and prints its report; `--smoke --addr <host:port>`
 //! switches to HTTP-client mode against a running daemon — schedule
 //! request (in both wire formats — the binary spelling must hit the JSON
 //! request's cache entry and an `Accept`-negotiated binary response must
@@ -90,14 +67,13 @@ use batsched_service::{
     ModelSpec, ScheduleRequest, ScheduleResponse, Service, ServiceConfig,
 };
 use batsched_taskgraph::analysis::{max_makespan, min_makespan};
-use batsched_taskgraph::paper::{g2, g3, G2_TABLE4_DEADLINES, G3_TABLE4_DEADLINES};
+use batsched_taskgraph::paper::g2;
 use batsched_taskgraph::synth::{layered, Rounding, ScalingScheme, TaskParams};
 use batsched_taskgraph::TaskGraph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 use serde_json::Value;
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -150,61 +126,11 @@ fn round_robin(uniques: &[String], repeats: usize) -> Vec<String> {
     bodies
 }
 
-/// Per-request latencies (µs), sorted for nearest-rank percentiles.
-struct Latencies(Vec<f64>);
-
-impl Latencies {
-    fn of<'a>(lat_us: impl IntoIterator<Item = &'a f64>) -> Self {
-        let mut sorted: Vec<f64> = lat_us.into_iter().copied().collect();
-        sorted.sort_by(f64::total_cmp);
-        Latencies(sorted)
-    }
-
-    /// Nearest-rank `q`-quantile: the ⌈q·N⌉-th smallest sample (the
-    /// smallest for q = 0; 0 when there are no samples).
-    fn quantile(&self, q: f64) -> f64 {
-        let rank = (q.clamp(0.0, 1.0) * self.0.len() as f64).ceil() as usize;
-        self.0.get(rank.saturating_sub(1)).copied().unwrap_or(0.0)
-    }
-}
-
-#[derive(Debug, Serialize)]
-struct StreamReport {
-    requests: usize,
-    ok: usize,
-    errors: usize,
-    cache_hits: usize,
-    throughput_rps: f64,
-    p50_us: f64,
-    p95_us: f64,
-    p99_us: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct DupReport {
-    requests: usize,
-    unique: usize,
-    cache_hits: usize,
-    cold_p50_us: f64,
-    cold_p99_us: f64,
-    hit_p50_us: f64,
-    hit_p99_us: f64,
-    hit_speedup: f64,
-}
-
 #[derive(Debug, Serialize)]
 struct MalformedReport {
     requests: usize,
     typed_errors: usize,
     unexpected_ok: usize,
-}
-
-#[derive(Debug, Serialize)]
-struct ScalingPoint {
-    n: usize,
-    requests: usize,
-    cold_p50_us: f64,
-    cold_p95_us: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -217,29 +143,6 @@ struct WirePoint {
     json_bytes: usize,
     bin_bytes: usize,
     keys_match: bool,
-}
-
-#[derive(Debug, Serialize)]
-struct KeepAliveReport {
-    /// Requests per round and arm.
-    requests: usize,
-    rounds: usize,
-    unique: usize,
-    /// Median per-round rate of each arm.
-    conn_per_request_rps: f64,
-    keepalive_rps: f64,
-    /// Median per-round ratio keep-alive / connection-per-request.
-    speedup: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct WarmRestartReport {
-    requests: usize,
-    cold_solves_first_run: usize,
-    disk_hits_after_restart: usize,
-    bit_identical: bool,
-    disk_hit_p50_us: f64,
-    disk_hit_p95_us: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -279,18 +182,13 @@ struct FleetReport {
 #[derive(Debug, Serialize)]
 struct BenchDoc {
     config: ConfigDoc,
-    paper: StreamReport,
-    synthetic: StreamReport,
-    dup: DupReport,
-    keepalive: KeepAliveReport,
-    scaling: Vec<ScalingPoint>,
     wire: Vec<WirePoint>,
-    warm_restart: WarmRestartReport,
     malformed: MalformedReport,
     chaos: ChaosReport,
     fleet: FleetReport,
 }
 
+/// The run's flags and the malformed drill's service configuration.
 #[derive(Debug, Serialize)]
 struct ConfigDoc {
     quick: bool,
@@ -299,87 +197,6 @@ struct ConfigDoc {
     queue_capacity: usize,
     cache_capacity: usize,
     cache_shards: usize,
-}
-
-fn fresh_service() -> Service {
-    Service::start(ServiceConfig {
-        workers: 2,
-        queue_capacity: 256,
-        cache_capacity: 512,
-        ..ServiceConfig::default()
-    })
-}
-
-/// Runs `bodies` through a fresh service, returning per-request
-/// `(micros, disposition)` in order.
-fn drive(svc: &Service, bodies: &[String]) -> Vec<(f64, Disposition)> {
-    bodies
-        .iter()
-        .map(|b| {
-            let started = Instant::now();
-            let reply = svc.call(b.clone());
-            (
-                started.elapsed().as_nanos() as f64 / 1_000.0,
-                reply.disposition,
-            )
-        })
-        .collect()
-}
-
-fn stream_report(results: &[(f64, Disposition)], total_secs: f64) -> StreamReport {
-    let lat = Latencies::of(results.iter().map(|(us, _)| us));
-    let ok = results
-        .iter()
-        .filter(|(_, d)| matches!(d, Disposition::Ok { .. }))
-        .count();
-    let hits = results
-        .iter()
-        .filter(|(_, d)| matches!(d, Disposition::Ok { cached: true }))
-        .count();
-    StreamReport {
-        requests: results.len(),
-        ok,
-        errors: results.len() - ok,
-        cache_hits: hits,
-        throughput_rps: if total_secs > 0.0 {
-            results.len() as f64 / total_secs
-        } else {
-            0.0
-        },
-        p50_us: lat.quantile(0.50),
-        p95_us: lat.quantile(0.95),
-        p99_us: lat.quantile(0.99),
-    }
-}
-
-fn paper_stream() -> Vec<String> {
-    let mut bodies = Vec::new();
-    for d in G2_TABLE4_DEADLINES {
-        bodies.push(body_for(&g2(), d));
-    }
-    for d in G3_TABLE4_DEADLINES {
-        bodies.push(body_for(&g3(), d));
-    }
-    bodies
-}
-
-fn synthetic_stream(quick: bool) -> Vec<String> {
-    let ns: &[usize] = if quick { &[12, 24] } else { &[12, 24, 36, 48] };
-    let ms: &[usize] = if quick { &[2, 5] } else { &[2, 4, 6, 8] };
-    let mut bodies = Vec::new();
-    for (i, &n) in ns.iter().enumerate() {
-        for (j, &m) in ms.iter().enumerate() {
-            bodies.push(synth_body(n, m, 0x5EED + (i * ms.len() + j) as u64));
-        }
-    }
-    bodies
-}
-
-fn dup_stream(quick: bool) -> Vec<String> {
-    let uniques = synth_bodies(if quick { 4 } else { 6 }, 32, 6, 0xD0_0D);
-    // First a cold pass over every unique body, then interleaved repeats —
-    // duplicate-heavy like a fleet of clients asking the same questions.
-    round_robin(&uniques, 10)
 }
 
 fn malformed_stream() -> Vec<String> {
@@ -448,62 +265,6 @@ fn stats_counter(doc: &str, field: &str) -> u64 {
     match json_field(doc, field) {
         Value::Num(n) => n as u64,
         v => panic!("field {field} is not a number but {v:?}: {doc}"),
-    }
-}
-
-/// Alternating rounds per arm of the keep-alive A/B.
-const KEEPALIVE_ROUNDS: usize = 15;
-
-/// The keep-alive A/B: the duplicate-heavy stream over real HTTP against
-/// an in-process daemon — one fresh connection per request vs one
-/// persistent connection. Cache hits make the solver cost negligible, so
-/// the ratio isolates the per-connection overhead (TCP handshake +
-/// connection-thread spawn) that keep-alive amortises away.
-///
-/// The arms run in short alternating rounds, and the speedup is the
-/// median over rounds of the ratio of the two back-to-back rates, so a
-/// slow phase of the host hits both sides of a ratio alike. (On a noisy
-/// 2-vCPU host the ratio of the two arms' median rates still read
-/// 1.0–3.9× over 14 runs; the median per-round ratio read 1.7–2.7× over
-/// 30.)
-fn run_keepalive_ab(quick: bool) -> KeepAliveReport {
-    let svc = Arc::new(fresh_service());
-    let server = HttpServer::bind(Arc::clone(&svc), "127.0.0.1:0").expect("bind loadgen daemon");
-    let addr = server.local_addr().to_string();
-
-    let uniques = synth_bodies(2, 24, 5, 0xCAFE);
-    let bodies = round_robin(&uniques, if quick { 20 } else { 50 });
-    // Prime the cache so both arms measure pure hit traffic.
-    prime(&addr, &uniques);
-    let mut keepalive = Vec::with_capacity(KEEPALIVE_ROUNDS);
-    let mut conn_per_request = Vec::with_capacity(KEEPALIVE_ROUNDS);
-    let mut ratios = Vec::with_capacity(KEEPALIVE_ROUNDS);
-    for _ in 0..KEEPALIVE_ROUNDS {
-        // B: every request down one kept-alive connection.
-        let b_rps = keepalive_rps(&addr, &bodies);
-        // A: a fresh TCP connection (and daemon connection thread) per
-        // request.
-        let t0 = Instant::now();
-        for b in &bodies {
-            let (code, _, _) = request(&mut connect(&addr), "POST", "/v1/schedule", b, true);
-            assert_eq!(code, 200);
-        }
-        let a_rps = bodies.len() as f64 / t0.elapsed().as_secs_f64();
-        keepalive.push(b_rps);
-        conn_per_request.push(a_rps);
-        ratios.push(b_rps / a_rps.max(1e-9));
-    }
-
-    server.stop();
-    server.wait();
-    svc.shutdown();
-    KeepAliveReport {
-        requests: bodies.len(),
-        rounds: KEEPALIVE_ROUNDS,
-        unique: uniques.len(),
-        conn_per_request_rps: Latencies::of(&conn_per_request).quantile(0.5),
-        keepalive_rps: Latencies::of(&keepalive).quantile(0.5),
-        speedup: Latencies::of(&ratios).quantile(0.5),
     }
 }
 
@@ -579,77 +340,6 @@ fn run_wire(quick: bool, check: bool) -> Vec<WirePoint> {
         points.push(point);
     }
     points
-}
-
-/// The warm-restart scenario: a disk-backed service answers a unique
-/// stream cold, shuts down (compacting its cache file), restarts, and
-/// must answer the same stream entirely from disk with bit-identical
-/// bodies.
-fn run_warm_restart(quick: bool) -> WarmRestartReport {
-    let dir = std::env::temp_dir().join("batsched_loadgen");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(format!("warm_restart_{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let cfg = ServiceConfig {
-        workers: 2,
-        queue_capacity: 256,
-        cache_capacity: 512,
-        disk_path: Some(path.clone()),
-        ..ServiceConfig::default()
-    };
-
-    let bodies = synth_bodies(if quick { 4 } else { 8 }, 28, 5, 0xD15C);
-
-    let svc = Service::try_start(cfg.clone()).expect("disk-backed service");
-    let first: Vec<String> = bodies
-        .iter()
-        .map(|b| {
-            let reply = svc.call(b.clone());
-            assert_eq!(
-                reply.disposition,
-                Disposition::Ok { cached: false },
-                "first run must be cold solves"
-            );
-            reply.body
-        })
-        .collect();
-    let cold_solves = svc.stats().solved as usize;
-    svc.shutdown(); // compacts the disk tier
-
-    // "Restart the daemon": a brand-new service process state, same file.
-    let svc = Service::try_start(cfg).expect("restarted disk-backed service");
-    let mut lat_us: Vec<f64> = Vec::with_capacity(bodies.len());
-    let mut bit_identical = true;
-    for (b, expect) in bodies.iter().zip(&first) {
-        let t0 = Instant::now();
-        let reply = svc.call(b.clone());
-        lat_us.push(t0.elapsed().as_nanos() as f64 / 1_000.0);
-        assert_eq!(
-            reply.disposition,
-            Disposition::Ok { cached: true },
-            "restarted daemon must answer warm"
-        );
-        bit_identical &= reply.body == *expect;
-    }
-    let stats = svc.stats();
-    assert_eq!(
-        stats.disk_hits as usize,
-        bodies.len(),
-        "every warm answer must come from the disk tier: {stats:?}"
-    );
-    assert!(bit_identical, "disk-tier bodies must be bit-identical");
-    svc.shutdown();
-    let lat = Latencies::of(&lat_us);
-    let report = WarmRestartReport {
-        requests: bodies.len(),
-        cold_solves_first_run: cold_solves,
-        disk_hits_after_restart: stats.disk_hits as usize,
-        bit_identical,
-        disk_hit_p50_us: lat.quantile(0.5),
-        disk_hit_p95_us: lat.quantile(0.95),
-    };
-    std::fs::remove_file(&path).expect("cleanup warm-restart cache file");
-    report
 }
 
 /// Pulls one sample's value out of a Prometheus text exposition. Pass the
@@ -1228,167 +918,32 @@ fn run_fleet_smoke(addr: &str) {
 }
 
 fn run_benchmark(quick: bool, check: bool) {
-    let cfg = ConfigDoc {
-        quick,
-        check,
+    let svc_cfg = ServiceConfig {
         workers: 2,
         queue_capacity: 256,
         cache_capacity: 512,
-        cache_shards: ServiceConfig::default().cache_shards,
+        ..ServiceConfig::default()
+    };
+    let cfg = ConfigDoc {
+        quick,
+        check,
+        workers: svc_cfg.workers,
+        queue_capacity: svc_cfg.queue_capacity,
+        cache_capacity: svc_cfg.cache_capacity,
+        cache_shards: svc_cfg.cache_shards,
     };
 
-    // Paper stream (all unique).
-    let svc = fresh_service();
-    let bodies = paper_stream();
-    let t0 = Instant::now();
-    let results = drive(&svc, &bodies);
-    let paper = stream_report(&results, t0.elapsed().as_secs_f64());
-    svc.shutdown();
-    eprintln!(
-        "paper     : {} reqs, p50 {:.0} µs, p99 {:.0} µs",
-        paper.requests, paper.p50_us, paper.p99_us
-    );
-
-    // Synthetic grid (all unique).
-    let svc = fresh_service();
-    let bodies = synthetic_stream(quick);
-    let t0 = Instant::now();
-    let results = drive(&svc, &bodies);
-    let synthetic = stream_report(&results, t0.elapsed().as_secs_f64());
-    svc.shutdown();
-    eprintln!(
-        "synthetic : {} reqs, p50 {:.0} µs, p99 {:.0} µs",
-        synthetic.requests, synthetic.p50_us, synthetic.p99_us
-    );
-
-    // Duplicate-heavy stream: cold vs hit latency.
-    let svc = fresh_service();
-    let bodies = dup_stream(quick);
-    let results = drive(&svc, &bodies);
-    let mut seen: HashSet<&String> = HashSet::new();
-    let mut cold: Vec<f64> = Vec::new();
-    let mut hit: Vec<f64> = Vec::new();
-    for (body, (us, disposition)) in bodies.iter().zip(&results) {
-        assert!(
-            matches!(disposition, Disposition::Ok { .. }),
-            "dup stream must only contain solvable requests"
-        );
-        if seen.insert(body) {
-            cold.push(*us);
-        } else {
-            hit.push(*us);
-        }
-    }
-    let cold = Latencies::of(&cold);
-    let hit = Latencies::of(&hit);
-    let stats = svc.stats();
-    let dup = DupReport {
-        requests: results.len(),
-        unique: seen.len(),
-        cache_hits: stats.cache_hits as usize,
-        cold_p50_us: cold.quantile(0.5),
-        cold_p99_us: cold.quantile(0.99),
-        hit_p50_us: hit.quantile(0.5),
-        hit_p99_us: hit.quantile(0.99),
-        hit_speedup: cold.quantile(0.5) / hit.quantile(0.5).max(1e-9),
-    };
-    svc.shutdown();
-    eprintln!(
-        "dup       : {} reqs ({} unique), cold p50 {:.0} µs vs hit p50 {:.0} µs → {:.1}×",
-        dup.requests, dup.unique, dup.cold_p50_us, dup.hit_p50_us, dup.hit_speedup
-    );
-    assert!(
-        dup.hit_speedup >= 10.0,
-        "cache-hit path must be ≥ 10× faster than a cold solve, got {:.1}×",
-        dup.hit_speedup
-    );
-    assert_eq!(
-        dup.cache_hits,
-        dup.requests - dup.unique,
-        "every duplicate must be served from the cache"
-    );
-
-    // Keep-alive vs connection-per-request over real HTTP.
-    let keepalive = run_keepalive_ab(quick);
-    eprintln!(
-        "keepalive : {} rounds × {} reqs, median conn/req {:.0} rps vs keep-alive {:.0} rps, median round ratio {:.1}×",
-        keepalive.rounds,
-        keepalive.requests,
-        keepalive.conn_per_request_rps,
-        keepalive.keepalive_rps,
-        keepalive.speedup
-    );
-    if check {
-        assert!(
-            keepalive.speedup >= 1.5,
-            "keep-alive must beat connection-per-request by ≥ 1.5× on the duplicate-heavy stream, got {:.2}×",
-            keepalive.speedup
-        );
-    }
-
-    // Scaling stream: cold solves on the shared n-scaling instances, each
-    // under a slightly different deadline so the cache never answers.
-    let svc = fresh_service();
-    let reqs = if quick { 4 } else { 8 };
-    let mut scaling = Vec::new();
-    for &n in &[50usize, 100, 200] {
-        let g = batsched_bench::workloads::synthetic_scaling(n);
-        let base = loose_deadline(&g);
-        let bodies: Vec<String> = (0..reqs)
-            .map(|k| body_for(&g, base + k as f64 * 0.1))
-            .collect();
-        let results = drive(&svc, &bodies);
-        let lat: Vec<f64> = results
-            .iter()
-            .map(|(us, d)| {
-                assert!(
-                    matches!(d, Disposition::Ok { cached: false }),
-                    "scaling stream must be all cold solves"
-                );
-                *us
-            })
-            .collect();
-        let lat = Latencies::of(&lat);
-        let point = ScalingPoint {
-            n,
-            requests: bodies.len(),
-            cold_p50_us: lat.quantile(0.5),
-            cold_p95_us: lat.quantile(0.95),
-        };
-        eprintln!(
-            "scaling   : n={n}, {} reqs, cold p50 {:.0} µs",
-            point.requests, point.cold_p50_us
-        );
-        scaling.push(point);
-    }
-    svc.shutdown();
-
-    // Wire-format admission A/B on the same scaling instances.
+    // Wire-format admission A/B on the n-scaling instances.
     let wire = run_wire(quick, check);
 
-    // Warm restart: cold solves, compact-on-shutdown, disk-tier replay.
-    let warm_restart = run_warm_restart(quick);
-    eprintln!(
-        "warm      : {} reqs cold, restart → {} disk hits (bit-identical: {}), p50 {:.0} µs",
-        warm_restart.requests,
-        warm_restart.disk_hits_after_restart,
-        warm_restart.bit_identical,
-        warm_restart.disk_hit_p50_us
-    );
-
     // Malformed stream: typed errors, no panics, daemon stays up.
-    let svc = fresh_service();
+    let svc = Service::start(svc_cfg);
     let bodies = malformed_stream();
-    let results = drive(&svc, &bodies);
-    let mut typed = 0usize;
     let mut unexpected_ok = 0usize;
-    for (body, (_, disposition)) in bodies.iter().zip(&results) {
-        match disposition {
-            Disposition::Ok { .. } => {
-                eprintln!("UNEXPECTED OK for malformed input: {body}");
-                unexpected_ok += 1;
-            }
-            _ => typed += 1,
+    for body in &bodies {
+        if matches!(svc.call(body.clone()).disposition, Disposition::Ok { .. }) {
+            eprintln!("UNEXPECTED OK for malformed input: {body}");
+            unexpected_ok += 1;
         }
     }
     // The daemon must still answer a good request afterwards.
@@ -1398,8 +953,8 @@ fn run_benchmark(quick: bool, check: bool) {
         "daemon must survive the malformed stream"
     );
     let malformed = MalformedReport {
-        requests: results.len(),
-        typed_errors: typed,
+        requests: bodies.len(),
+        typed_errors: bodies.len() - unexpected_ok,
         unexpected_ok,
     };
     svc.shutdown();
@@ -1443,13 +998,7 @@ fn run_benchmark(quick: bool, check: bool) {
 
     let doc = BenchDoc {
         config: cfg,
-        paper,
-        synthetic,
-        dup,
-        keepalive,
-        scaling,
         wire,
-        warm_restart,
         malformed,
         chaos,
         fleet,

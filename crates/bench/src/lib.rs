@@ -143,9 +143,9 @@ pub mod workloads {
 
     /// The n-scaling instance family (m = 8, width-5 layers, seed derived
     /// from [`SYNTH_N50_M8_SEED`] and `n`) shared by `repro_bench_json`'s
-    /// `sweep_scaling` section and `loadgen`'s scaling scenario, so the
-    /// kernel-level growth exponent and the service-level latency envelope
-    /// are measured on the same graphs. `n` must be a multiple of 5.
+    /// `sweep_scaling` section and `loadgen`'s wire admission A/B, so the
+    /// kernel-level growth exponent and the admission costs are measured
+    /// on the same graphs. `n` must be a multiple of 5.
     pub fn synthetic_scaling(n: usize) -> TaskGraph {
         assert!(
             n >= 10 && n.is_multiple_of(5),

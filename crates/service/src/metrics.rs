@@ -15,11 +15,11 @@
 //! relaxed atomic adds and a branch-free binary search — cheap enough to
 //! sit on the cache-hit fast path.
 //!
-//! [`HistogramSnapshot`] is the *shared* histogram type: the service
-//! snapshots its atomic histograms into it for rendering and quantiles,
-//! and `loadgen` accumulates into it directly (single-threaded, no
-//! atomics) so benchmark percentiles and service percentiles come from
-//! the same estimator.
+//! [`HistogramSnapshot`] is the plain histogram type: the service
+//! snapshots its atomic histograms into it for rendering and for the
+//! stats quantiles. No benchmark accumulates into it: the benchmark
+//! (`perfbench/`) keeps its raw latency samples and takes exact
+//! quantiles of them.
 
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,9 +102,8 @@ impl Histogram {
 }
 
 /// A plain (non-atomic) histogram over the same boundaries: the snapshot
-/// of a [`Histogram`], the accumulator `loadgen` fills directly, and the
-/// unit both sides derive quantiles from. Mergeable by bucket-wise
-/// addition.
+/// of a [`Histogram`], and the unit quantiles are derived from. Mergeable
+/// by bucket-wise addition.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts (index = [`BUCKET_BOUNDS_US`] index;

@@ -1561,21 +1561,31 @@ mod tests {
             ..ServiceConfig::default()
         };
 
+        let deadlines = [55.0, 65.0, 75.0, 95.0];
         let svc = Service::try_start(cfg.clone()).unwrap();
-        let cold = svc.call(body(75.0));
-        assert_eq!(cold.disposition, Disposition::Ok { cached: false });
+        let cold: Vec<String> = deadlines
+            .iter()
+            .map(|&d| {
+                let reply = svc.call(body(d));
+                assert_eq!(reply.disposition, Disposition::Ok { cached: false });
+                reply.body
+            })
+            .collect();
         svc.shutdown(); // compacts the disk tier
 
         // A fresh process: memory cache empty, disk tier warm.
         let svc = Service::try_start(cfg).unwrap();
-        let warm = svc.call(body(75.0));
-        assert_eq!(warm.disposition, Disposition::Ok { cached: true });
-        assert_eq!(warm.body, cold.body, "disk hit must be bit-identical");
+        for (&d, cold) in deadlines.iter().zip(&cold) {
+            let warm = svc.call(body(d));
+            assert_eq!(warm.disposition, Disposition::Ok { cached: true });
+            assert_eq!(warm.body, *cold, "disk hit must be bit-identical");
+        }
         let stats = svc.stats();
         assert!(stats.disk_enabled);
-        assert_eq!(stats.disk_hits, 1);
-        assert_eq!(stats.cache_hits, 0, "first probe came from disk");
-        assert_eq!(stats.disk_entries, 1);
+        assert_eq!(stats.disk_hits, deadlines.len() as u64);
+        assert_eq!(stats.solved, 0, "nothing is re-solved after a restart");
+        assert_eq!(stats.cache_hits, 0, "first probes came from disk");
+        assert_eq!(stats.disk_entries, deadlines.len());
         // The promoted entry now answers from memory (alias fast path).
         let memory = svc.call(body(75.0));
         assert_eq!(memory.disposition, Disposition::Ok { cached: true });

@@ -456,9 +456,10 @@ fn shutdown_endpoint_closes_its_own_keep_alive_connection() {
 
 #[test]
 fn keep_alive_duplicate_stream_stays_on_one_connection_and_hits() {
-    // The A/B scenario loadgen measures, asserted functionally here: a
-    // duplicate-heavy stream over one connection is all cache hits after
-    // the first request, and every response is bit-identical.
+    // The keep-alive gate: 20 requests of a duplicate-heavy stream go down
+    // ONE connection (the client panics if the daemon closes it early),
+    // all are cache hits after each body's first request, and every
+    // response is bit-identical.
     let (svc, server, addr) = boot();
     let bodies = [schedule_body(75.0), {
         serde_json::to_string(&ScheduleRequest::new(g3(), 230.0)).expect("serialises")

@@ -2,7 +2,7 @@
 //! (property-based), cache-hit bit-equivalence, multi-client concurrency,
 //! malformed-input robustness, backpressure, and the HTTP frontend.
 
-use batsched_core::SolverWorkspace;
+use batsched_core::{Prof, SolverWorkspace};
 use batsched_service::http::client::Conn;
 use batsched_service::prelude::*;
 use batsched_service::wire::{self, ScheduleResponse};
@@ -115,14 +115,18 @@ fn cache_hit_is_bit_identical_to_recompute() {
 
 /// Both wire formats key a request with the same one canonical hash, and
 /// the trace times it as `hash_us`: a cold n=200 binary request must show
-/// a non-zero hash stage, not a free one.
+/// a non-zero hash stage, not a free one. Its duplicates are hits that
+/// run no solve; a byte-duplicate also skips the parse and the hash. At
+/// n=200 each of those stages takes far more than 1 µs, so a stage timed
+/// at zero did not run.
 #[test]
 fn cold_binary_request_reports_its_hash_time() {
     let svc = Service::start(ServiceConfig::default());
     let g = synth_graph(50, 8, 3);
     assert_eq!(g.task_count(), 200);
     let req = request_for(&g, loose_deadline(&g));
-    let reply = svc.call_bytes(encode_request(&req), WireFormat::Binary);
+    let bin = encode_request(&req);
+    let reply = svc.call_bytes(bin.clone(), WireFormat::Binary);
     assert_eq!(
         reply.disposition,
         Disposition::Ok { cached: false },
@@ -133,6 +137,34 @@ fn cold_binary_request_reports_its_hash_time() {
     assert!(reply.trace.hash_us > 0, "{:?}", reply.trace);
     let resp: ScheduleResponse = serde_json::from_str(&reply.body).expect("parses");
     assert_eq!(resp.key, req.key());
+    let cold = reply.body;
+
+    // The JSON spelling's first occurrence parses and keys, then hits the
+    // binary request's entry.
+    let json = body_of(&req);
+    let hit = |reply: &Reply| {
+        assert_eq!(reply.disposition, Disposition::Ok { cached: true });
+        assert_eq!(reply.body, cold, "a hit must be bit-identical");
+        assert_eq!(reply.trace.solve_us, 0, "{:?}", reply.trace);
+        assert_eq!(reply.trace.prof, Prof::default(), "{:?}", reply.trace);
+    };
+    hit(&svc.call(json.clone()));
+    let mut duplicates = 1;
+    for _ in 0..5 {
+        for reply in [
+            svc.call(json.clone()),
+            svc.call_bytes(bin.clone(), WireFormat::Binary),
+        ] {
+            hit(&reply);
+            assert_eq!(reply.trace.parse_us, 0, "{:?}", reply.trace);
+            assert_eq!(reply.trace.hash_us, 0, "{:?}", reply.trace);
+            duplicates += 1;
+        }
+    }
+    let stats = svc.stats();
+    assert_eq!(stats.solved, 1, "{stats:?}");
+    assert_eq!(stats.cache_misses, 1, "{stats:?}");
+    assert_eq!(stats.cache_hits, duplicates, "{stats:?}");
     svc.shutdown();
 }
 

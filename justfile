@@ -43,8 +43,9 @@ bench-quick:
 serve-smoke:
     ./ci.sh serve-smoke
 
-# Regenerate the service load snapshot (BENCH_service.json, full streams,
-# keep-alive >= 1.5x floor enforced).
+# Regenerate the service drill snapshot (BENCH_service.json: the wire
+# A/B, malformed, chaos and fleet drills at full size, their --check
+# gates enforced).
 service-bench:
     cargo run --release -p batsched-bench --bin loadgen -- --check
 
