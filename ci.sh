@@ -16,7 +16,10 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # Every smoke keeps its files under one temp prefix and runs at most one
-# daemon at a time ($pid); both are cleaned up on exit, pass or fail.
+# daemon at a time ($pid); both are cleaned up on exit, pass or fail. The
+# snapshot writers run in a directory under the prefix too, so CI leaves
+# the tracked BENCH_*.json records alone (`just perf` and
+# `just service-bench` re-record them).
 tmp="$(mktemp -u)"
 log="$tmp.log"
 pid=""
@@ -25,7 +28,7 @@ cleanup() {
     kill "$pid" 2> /dev/null || true
     wait "$pid" 2> /dev/null || true
   fi
-  rm -f "$tmp"*
+  rm -rf "$tmp"*
 }
 trap cleanup EXIT
 
@@ -194,20 +197,27 @@ metrics_smoke
 
 fleet_smoke
 
-echo "==> perf smoke + snapshot (BENCH_scheduler.json, floors enforced)"
-# Quick-mode perf smoke: regenerates the snapshot and fails the pipeline if
-# sigma_full_vs_naive or cdp_speedup regress below their conservative 2x
-# floors, or if the sweep_scaling fitted growth exponent climbs above 1.4
-# (same command as `just bench-quick`).
-cargo run --release -q -p batsched-bench --bin repro_bench_json -- --quick --check
+# The snapshot writers put BENCH_*.json in their working directory.
+root="$PWD"
+snapshots="$tmp.snapshots"
+mkdir "$snapshots"
 
-echo "==> service drills (BENCH_service.json, wire/malformed/chaos/fleet gates enforced)"
+echo "==> perf smoke (BENCH_scheduler.json written under the temp prefix, floors enforced)"
+# Quick-mode perf smoke: fails the pipeline if sigma_full_vs_naive or
+# cdp_speedup regress below their conservative 2x floors, or if the
+# sweep_scaling fitted growth exponent climbs above 1.4 (the gates of
+# `just bench-quick`).
+(cd "$snapshots" && cargo run --release -q --manifest-path "$root/Cargo.toml" \
+  -p batsched-bench --bin repro_bench_json -- --quick --check)
+
+echo "==> service drills (BENCH_service.json written under the temp prefix, wire/malformed/chaos/fleet gates enforced)"
 # --check runs each in-process drill once: the wire admission A/B (both
 # wire formats must produce one cache key, and the single-pass binary
 # decode plus the content hash must beat JSON parse+hash by >= 2x at
 # n=200), the malformed stream (typed errors only), the chaos drill, and
 # the fleet drill (router + 3 workers, kill mid-burst, zero lost
 # requests); the snapshot records their reports.
-cargo run --release -q -p batsched-bench --bin loadgen -- --quick --check
+(cd "$snapshots" && cargo run --release -q --manifest-path "$root/Cargo.toml" \
+  -p batsched-bench --bin loadgen -- --quick --check)
 
 echo "CI OK"

@@ -75,8 +75,8 @@ static NEXT_EVALUATOR_ID: AtomicU64 = AtomicU64::new(1);
 /// (duration, current) entries under one [`RvModel`].
 ///
 /// Build once per scheduling run; evaluate sequences of entry indices with
-/// [`Self::sigma_seq`]. Construction costs `entries × terms` exponentials;
-/// every evaluation afterwards is exponential-free.
+/// [`Self::sigma_seq`]. Construction costs `distinct durations × terms`
+/// exponentials; every evaluation afterwards is exponential-free.
 #[derive(Debug, Clone)]
 pub struct SigmaEvaluator {
     id: u64,
@@ -93,22 +93,45 @@ pub struct SigmaEvaluator {
 
 impl SigmaEvaluator {
     /// Precomputes evaluation tables for `entries` under `model`.
+    ///
+    /// A row depends on the entry's duration alone, and catalogues repeat
+    /// durations heavily (a task graph's durations are 0.1-minute
+    /// quantities), so each distinct duration's row is computed once and
+    /// copied to the other entries with that duration — the same `exp()`
+    /// of the same argument, so the same bits. Entries are grouped by
+    /// sorting their ids on the duration's bits: deterministic, and no
+    /// hashing.
     pub fn new<I>(model: &RvModel, entries: I) -> Self
     where
         I: IntoIterator<Item = (Minutes, MilliAmps)>,
     {
         let coeff = model.coefficients();
         let terms = coeff.len();
-        let mut dur = Vec::new();
-        let mut cur = Vec::new();
-        let mut table = Vec::new();
-        for (d, i) in entries {
-            dur.push(d.value());
-            cur.push(i.value());
-            for &k in coeff {
-                let e = (-k * d.value()).exp();
-                table.push((1.0 - e) / k);
-                table.push(e);
+        let (dur, cur): (Vec<f64>, Vec<f64>) = entries
+            .into_iter()
+            .map(|(d, i)| (d.value(), i.value()))
+            .unzip();
+        let mut by_duration: Vec<(u64, usize)> = dur
+            .iter()
+            .enumerate()
+            .map(|(e, d)| (d.to_bits(), e))
+            .collect();
+        by_duration.sort_unstable();
+        let mut table = vec![0.0; 2 * terms * dur.len()];
+        let mut computed: Option<(u64, usize)> = None;
+        for (bits, e) in by_duration {
+            let row = 2 * terms * e;
+            match computed {
+                Some((b, src)) if b == bits => table.copy_within(src..src + 2 * terms, row),
+                _ => {
+                    let d = f64::from_bits(bits);
+                    for (fd, &k) in table[row..row + 2 * terms].chunks_exact_mut(2).zip(coeff) {
+                        let e = (-k * d).exp();
+                        fd[0] = (1.0 - e) / k;
+                        fd[1] = e;
+                    }
+                    computed = Some((bits, row));
+                }
             }
         }
         Self {
@@ -128,7 +151,7 @@ impl SigmaEvaluator {
     /// Whether this evaluator was built over exactly the given entry
     /// catalogue (same order, bit-equal durations and currents). Lets a
     /// cache decide to reuse an evaluator for a repeated workload without
-    /// paying the `entries × terms` exponentials of a rebuild; the model
+    /// paying for a rebuild (its exponentials and grouping sort); the model
     /// must be compared separately (the tables also depend on it).
     pub fn catalogue_matches<I>(&self, entries: I) -> bool
     where
@@ -501,6 +524,37 @@ mod tests {
             let (ns, nmk) = naive(&model, &seq);
             assert_close(sigma.value(), ns);
             assert!((mk.value() - nmk).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn shared_durations_get_bit_identical_rows() {
+        // Entries 0, 2 and 4 share a duration but not a current; 1 and 3
+        // share another. Each row must hold exactly the bits a per-entry
+        // `exp` gives, whichever entry of its group was computed first.
+        let ents = [
+            (3.7, 500.0),
+            (1.2, 90.0),
+            (3.7, 120.0),
+            (1.2, 91.0),
+            (3.7, 7.5),
+            (0.3, 500.0),
+        ];
+        let model = RvModel::new(0.41, 12).unwrap();
+        let eval = SigmaEvaluator::new(
+            &model,
+            ents.iter()
+                .map(|&(d, i)| (Minutes::new(d), MilliAmps::new(i))),
+        );
+        let terms = eval.terms();
+        for (e, &(d, i)) in ents.iter().enumerate() {
+            assert_eq!(eval.current(e as u32).value().to_bits(), i.to_bits());
+            let row = &eval.table[2 * e * terms..2 * (e + 1) * terms];
+            for (fd, &k) in row.chunks_exact(2).zip(model.coefficients()) {
+                let x = (-k * d).exp();
+                assert_eq!(fd[0].to_bits(), ((1.0 - x) / k).to_bits(), "fill e={e}");
+                assert_eq!(fd[1].to_bits(), x.to_bits(), "decay e={e}");
+            }
         }
     }
 

@@ -3,7 +3,8 @@
 //! 1. **Factor knockout** — drop one term of `B = SR+CR+ENR+CIF+DPF` at a
 //!    time and measure the final battery cost on G2/G3 (which factors pull
 //!    their weight?).
-//! 2. **Initial-weight rule** — the DESIGN.md §4.1 discrepancy quantified.
+//! 2. **Initial-weight rule** — §4.1's prose says "average energy", Table
+//!    2's S1 follows average current; the σ cost of each reading.
 //! 3. **β sensitivity** — how the advantage over the energy-optimal DP
 //!    baseline grows with the battery's non-ideality.
 //! 4. **Series truncation** — σ error vs the 10-term paper setting.

@@ -81,8 +81,9 @@ pub struct SolverWorkspace {
     /// across [`refine_schedule_in`](crate::refine::refine_schedule_in)
     /// calls while the graph catalogue and model stay the same, so a
     /// worker refining a stream of requests on one graph pays the engine's
-    /// `entries × terms` exponentials once, and its probe scratch stays
-    /// warm across calls instead of being re-warmed per sequence.
+    /// table build (one row of exponentials per distinct duration) once,
+    /// and its probe scratch stays warm across calls instead of being
+    /// re-warmed per sequence.
     refine: Option<(batsched_battery::rv::RvModel, crate::schedule::EngineCost)>,
     /// Descendant sets of the graph being solved, rebuilt once per solve
     /// and read by every iteration's weighted re-sequencing.

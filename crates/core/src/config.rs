@@ -7,9 +7,9 @@ use serde::{Deserialize, Serialize};
 
 /// Weight rule for the *initial* sequence (`SequenceDecEnergy` in the
 /// paper). §4.1 says "average energy", but the published Table 2 sequence
-/// S1 follows decreasing average current — see `DESIGN.md` §4.1. All three
-/// readings are provided; [`InitialWeight::AverageCurrent`] reproduces the
-/// paper's tables.
+/// S1 follows decreasing average current: under the energy rule T2 would
+/// precede T4 in G3's S1. All three readings are provided;
+/// [`InitialWeight::AverageCurrent`] reproduces the paper's tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum InitialWeight {
     /// Decreasing mean design-point current (reproduces Table 2).
@@ -87,7 +87,9 @@ pub struct SchedulerConfig {
     pub beta: f64,
     /// RV-model series truncation; paper uses 10.
     pub series_terms: usize,
-    /// Energy metric for weights and ENR (see `DESIGN.md` §4.2).
+    /// Energy metric for weights and ENR: `Charge` (`Σ I·D`, what the
+    /// paper's `CalculateFactors` computes) or `TrueEnergy` (`Σ I·V·D`,
+    /// its §4 prose).
     pub metric: EnergyMetric,
     /// Initial-sequence weight rule.
     pub initial_weight: InitialWeight,

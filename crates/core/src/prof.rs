@@ -1,11 +1,11 @@
 //! Solver phase profiling: cumulative counters for the work the window
-//! search actually did — windows evaluated, rows scored, repair-journal
-//! activity and σ-cache reuse.
+//! search actually did — windows evaluated, rows and candidates scored,
+//! stop-state probes, repair-journal activity and σ-cache reuse.
 //!
 //! The counters are compile-always and disarmed-cheap: each is a plain
-//! `u64` add on a path that already does orders of magnitude more work
-//! (a full row scores `m` candidates through the σ engine; the increment
-//! is one register add). They live inside the scratch structures the
+//! `u64` add on a path that already does far more work (a candidate's
+//! scoring is dozens of float operations; the increment is one register
+//! add). They live inside the scratch structures the
 //! search already threads everywhere, so no signature changes and no
 //! atomics on the hot path. A serving worker snapshots
 //! [`SolverWorkspace::prof`](crate::algorithm::SolverWorkspace::prof)
@@ -50,9 +50,10 @@ prof_counters! {
     /// weighted-sequence re-costing, which reuses the best window's
     /// assignment without a sweep, is not counted.
     windows,
-    /// Sweep rows scored in full: every candidate column of the window
-    /// went through the suitability factors. Every row is, so a window
-    /// sweep of an `n`-task sequence adds `n − 1`.
+    /// Sweep rows scored: one per tagged position, so a window sweep of
+    /// an `n`-task sequence adds `n − 1`. A row scores its candidate
+    /// columns up to the first one the repair cannot make feasible (see
+    /// [`Prof::candidates`]).
     rows_full,
     /// Never incremented, so it reads 0: the sweep scores every row in
     /// full. Kept because `perfbench`'s traced run reads it.
@@ -64,6 +65,14 @@ prof_counters! {
     /// in the journal, that run is removed and every run behind it has its
     /// boundary sums recomputed; this counts those recomputed runs.
     journal_rollbacks,
+    /// Candidate columns scored across all rows: at most the window's
+    /// width per row, fewer when a row stops at its first infeasible
+    /// column.
+    candidates,
+    /// Run-boundary entries (`r_sum`) the stop-state searches compared:
+    /// each feasible candidate gallops from the previous one's stop state,
+    /// so this stays a small multiple of `candidates`.
+    stop_probes,
     /// σ-engine sequence evaluations.
     sigma_evals,
     /// Sequence positions served from the σ suffix cache across those

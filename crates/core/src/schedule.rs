@@ -291,9 +291,9 @@ impl EngineCost {
 
     /// Whether this engine was built over exactly `g`'s design-point
     /// catalogue (same entry order, bit-equal durations and currents).
-    /// Lets a long-lived workspace reuse the engine — and skip the
-    /// `entries × terms` exponentials of a rebuild — when the same graph
-    /// comes back (the model must be compared separately).
+    /// Lets a long-lived workspace reuse the engine — and skip its table
+    /// build — when the same graph comes back (the model must be compared
+    /// separately).
     pub fn catalogue_matches(&self, g: &TaskGraph) -> bool {
         self.m == g.point_count()
             && self.eval.catalogue_matches(

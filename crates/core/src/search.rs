@@ -43,6 +43,17 @@ pub(crate) struct SearchContext<'g> {
     pub cur: Vec<f64>,
     /// Cached per-point energy under `metric`, row-major with stride `m`.
     pub energy: Vec<f64>,
+    /// Cached current ratio `CR` of every `(task, column)`, row-major with
+    /// stride `m` — the same expression the reference evaluates per
+    /// candidate, so the same bits.
+    pub cr: Vec<f64>,
+    /// Per-task in-run cumulative deltas, row-major with stride `m`:
+    /// `cum_te[t·m + s]` is the makespan delta after the task's first `s`
+    /// promotions from column `m−1` (a sequential chain), and `cum_e` the
+    /// energy counterpart. The chain only depends on the task's columns,
+    /// so window `ws` uses its prefix `s ≤ m−1−ws`.
+    pub cum_te: Vec<f64>,
+    pub cum_e: Vec<f64>,
     /// σ-evaluation engine over the `(task, column)` entry catalogue,
     /// entry id = `task * m + column`. Built from the run's battery model.
     pub eval: SigmaEvaluator,
@@ -75,6 +86,20 @@ impl<'g> SearchContext<'g> {
             batsched_battery::units::total_cmp(avg[a.index()], avg[b.index()])
                 .then(a.index().cmp(&b.index()))
         });
+        let cr = cur
+            .iter()
+            .map(|&i| stats.current_ratio(batsched_battery::units::MilliAmps::new(i)))
+            .collect();
+        let mut cum_te = vec![0.0; n * m];
+        let mut cum_e = vec![0.0; n * m];
+        for t in 0..n {
+            let row = t * m;
+            for s in 0..m - 1 {
+                let c = row + m - 1 - s;
+                cum_te[row + s + 1] = cum_te[row + s] + (dur[c - 1] - dur[c]);
+                cum_e[row + s + 1] = cum_e[row + s] + (energy[c - 1] - energy[c]);
+            }
+        }
         let eval = crate::schedule::graph_evaluator(g, &model);
         Self {
             g,
@@ -86,6 +111,9 @@ impl<'g> SearchContext<'g> {
             dur,
             cur,
             energy,
+            cr,
+            cum_te,
+            cum_e,
             eval,
         }
     }
@@ -271,33 +299,34 @@ impl RowBases {
 }
 
 /// One whole repair run of a carried sweep's persistent journal: the
-/// consumed task, the columns of the task's left/right sequence neighbours
-/// at the run's state (`u32::MAX` = no pair / tagged-adjacent, handled
-/// separately), the run's rising-pair delta over those pairs, and its
-/// full-run makespan and energy deltas (`cum_te`/`cum_e` at `run_len`).
-/// Records are immutable once discovered except for the tagged-adjacency
-/// patch.
+/// consumed task, the currents of the task's left/right sequence
+/// neighbours at the run's state (NaN = no pair, or a pair adjacent to the
+/// tagged position, handled separately: every comparison with NaN is
+/// false, so such a pair contributes nothing), the run's rising-pair delta
+/// over those pairs, and its full-run makespan and energy deltas
+/// (`cum_te`/`cum_e` at `run_len`). Records are immutable once discovered
+/// except for the tagged-adjacency patch.
 #[derive(Debug, Clone, Copy)]
 struct RunRec {
     task: u32,
-    left: u32,
-    right: u32,
     d_rising: i32,
+    left_i: f64,
+    right_i: f64,
     te: f64,
     e: f64,
 }
 
 /// Reusable state of the `CalculateDPF` sweep kernel.
 ///
-/// One row evaluates every candidate column of one tagged position. The
+/// One row evaluates the candidate columns of one tagged position. The
 /// paper's repair loop promotes the first free task in the energy vector
 /// one column at a time until the deadline holds — and that promotion
 /// sequence is *independent of the candidate column*: the candidate only
 /// decides how deep into the sequence the repair must go. The kernel
 /// therefore generates the sequence once, lazily, into a **journal** shared
 /// by all candidates (promotions are resumed, never recomputed), and each
-/// candidate binary-searches its repair depth (promotion steps never
-/// lengthen the makespan, so the journalled makespans are nonincreasing).
+/// candidate searches its repair depth (promotion steps never lengthen the
+/// makespan, so the journalled makespans are nonincreasing).
 ///
 /// A `ChooseDesignPoints` sweep carries the base sums, rising pairs and
 /// fixed flags from row to row in O(1) ([`DpfScratch::begin_row_carried`])
@@ -306,9 +335,12 @@ struct RunRec {
 /// retained reference.
 ///
 /// Cost per row: O(1) preparation, one in-place re-fold of the run chain
-/// behind the newly tagged task's run, plus O(log depth) per candidate and
-/// the repair runs no earlier row discovered — no clones, no full scans,
-/// zero allocations after warm-up. The retained naive reference
+/// behind the newly tagged task's run, plus O(1) amortised per candidate
+/// (a galloping stop-state cursor) and the repair runs no earlier row
+/// discovered — no clones, no full scans, zero allocations after warm-up.
+/// A row stops at its first column the exhausted journal cannot make
+/// feasible: durations ascend with the column, so every later column is
+/// infeasible too. The retained naive reference
 /// ([`calculate_dpf_reference`]) shares the same floating-point
 /// accumulation and is bit-identical; the equivalence proptests in
 /// `crates/core/tests` hold the two together.
@@ -332,6 +364,18 @@ pub(crate) struct DpfScratch {
     /// Rising pairs excluding the two pairs adjacent to the tagged position,
     /// before any repair.
     rising0: i32,
+    /// Journal position of the run of the tagged task's left neighbour
+    /// (`None` while undiscovered, and at the first position); kept
+    /// current by [`Self::extend_chain`].
+    left_run: Option<usize>,
+    /// Current of the tagged position's right neighbour at its committed
+    /// column.
+    right_i: f64,
+    /// Stop-state cursor: the run boundary the previous feasible candidate
+    /// stopped at. Candidates of a row ascend, so their stop boundaries do
+    /// too; the next search gallops from here (in either direction, since
+    /// the hint also carries across rows).
+    rb_hint: usize,
 
     // --- run-level journal ----------------------------------------------
     //
@@ -340,26 +384,18 @@ pub(crate) struct DpfScratch {
     // in `E` is promoted column by column until it fixes at the window
     // floor, then the next task starts. The sweep journal therefore
     // records whole runs — O(1) per run instead of O(m) per step — with
-    // the per-step state recovered from per-task cumulative tables
-    // (`cum_te`/`cum_e`, built once per window) and the run-boundary
-    // chains below. A repair state is `(r, s)`: `r` completed runs, the
-    // current task `s` steps into its run (column `m−1−s`); its makespan
-    // is `base + (r_sum[r] + cum_te[task][s])` — two rounded additions,
+    // the per-step state recovered from the per-solve cumulative tables
+    // (`SearchContext::cum_te`/`cum_e`) and the run-boundary chains below.
+    // A repair state is `(r, s)`: `r` completed runs, the current task `s`
+    // steps into its run (column `m−1−s`); its makespan is
+    // `base + (r_sum[r] + cum_te[task][s])` — two rounded additions,
     // mirrored verbatim by the retained reference, and monotone
     // nonincreasing across the whole (r, s) order because the boundary
     // value `r_sum[r+1]` is *defined* as `r_sum[r] + cum_te[task][full]`
-    // (the same bits the in-run chain ends on). Candidates binary-search
-    // their stop state instead of replaying promotions.
+    // (the same bits the in-run chain ends on). Candidates search their
+    // stop state instead of replaying promotions.
     /// Steps per full run in the current sweep window: `m − 1 − ws`.
     run_len: usize,
-    /// Per-task in-run cumulative deltas for the current window:
-    /// `cum_te[t·(run_len+1) + s]` is the makespan delta after the task's
-    /// first `s` promotions from column `m−1` (a sequential chain), and
-    /// `cum_e` the energy counterpart. Built lazily on the window's first
-    /// repair (`cum_built`).
-    cum_te: Vec<f64>,
-    cum_e: Vec<f64>,
-    cum_built: bool,
     /// The repair runs of the current row, in run (= discovery = energy)
     /// order. The journal is *persistent across the sweep's rows*:
     /// advancing from row `i` to `i−1` removes exactly one task (the newly
@@ -374,7 +410,7 @@ pub(crate) struct DpfScratch {
     /// Run-boundary makespan chain, indexed by completed-run count
     /// `0..=runs.len()`: `r_sum[k+1] = r_sum[k] + runs[k].te`, the same
     /// sequential sum the reference repair loop accumulates — kept as its
-    /// own array so candidates can binary-search it directly.
+    /// own array so candidates can search it directly.
     r_sum: Vec<f64>,
     /// Run-boundary energy chain and rising-pair count at the full-run
     /// state relative to the row's journalled base (excluding
@@ -384,14 +420,15 @@ pub(crate) struct DpfScratch {
     /// use (stale entries simply fail the cross-check; never reset
     /// wholesale) and refreshed by every re-fold.
     run_of: Vec<u32>,
-    /// Committed column of the tagged position's right neighbour
-    /// (constant per sweep row; `usize::MAX` at the last position).
-    ip1_col: usize,
     /// Profiling: repair promotions recorded (`run_len` per discovered
     /// run). Cumulative; read through [`EvalBuffers::prof`].
     prof_promotions: u64,
     /// Profiling: runs re-folded in place behind a removed run.
     prof_rollbacks: u64,
+    /// Profiling: candidate columns scored.
+    prof_candidates: u64,
+    /// Profiling: `r_sum` entries the stop-state searches compared.
+    prof_stop_probes: u64,
 }
 
 impl DpfScratch {
@@ -404,17 +441,15 @@ impl DpfScratch {
 
     /// Prepares a carried sweep: fixed flags owned by the scratch (only the
     /// pinned last task set), an empty persistent run journal, and the
-    /// window's run length. The per-task cumulative tables are built
-    /// lazily on the first repair ([`Self::ensure_cum_tables`]) so a
-    /// repair-free window never pays for them. The per-row state
-    /// then advances through [`Self::begin_row_carried`] /
-    /// [`Self::advance_row`].
+    /// window's run length. The per-row state then advances through
+    /// [`Self::begin_row_carried`] / [`Self::advance_row`].
     fn begin_sweep(&mut self, ctx: &SearchContext<'_>, seq: &[TaskId], ws: usize) {
         self.ws = ws;
         self.etemp.clear();
         self.etemp.resize(ctx.g.task_count(), false);
         self.etemp[seq[seq.len() - 1].index()] = true; // the pinned last task
         self.cursor = 0;
+        self.rb_hint = 0;
         self.runs.clear();
         self.r_sum.clear();
         self.r_sum.push(0.0);
@@ -422,54 +457,27 @@ impl DpfScratch {
         self.re_h.push((0.0, 0));
         self.run_of.resize(ctx.g.task_count(), u32::MAX);
         self.run_len = ctx.m - 1 - ws;
-        self.cum_built = false;
-    }
-
-    /// Builds the per-task in-run cumulative delta tables for the current
-    /// window — the only O(n·m) piece of a window's repair machinery,
-    /// deferred until some candidate actually needs a repair.
-    fn ensure_cum_tables(&mut self, ctx: &SearchContext<'_>) {
-        if self.cum_built {
-            return;
-        }
-        self.cum_built = true;
-        let m = ctx.m;
-        let stride = self.run_len + 1;
-        let tasks = ctx.g.task_count();
-        self.cum_te.clear();
-        self.cum_te.resize(tasks * stride, 0.0);
-        self.cum_e.clear();
-        self.cum_e.resize(tasks * stride, 0.0);
-        for t in 0..tasks {
-            let task = TaskId(t);
-            for s in 0..self.run_len {
-                let c = m - 1 - s;
-                self.cum_te[t * stride + s + 1] =
-                    self.cum_te[t * stride + s] + (ctx.d(task, c - 1) - ctx.d(task, c));
-                self.cum_e[t * stride + s + 1] =
-                    self.cum_e[t * stride + s] + (ctx.e(task, c - 1) - ctx.e(task, c));
-            }
-        }
     }
 
     /// O(1) row preparation from sweep-carried state: base sums, rising
-    /// pairs and neighbour columns come from the caller's carried chain,
-    /// the fixed flags and the journal are already in place from the
-    /// previous row's [`Self::advance_row`].
+    /// pairs and the right neighbour's current come from the caller's
+    /// carried chain, the fixed flags and the journal are already in place
+    /// from the previous row's [`Self::advance_row`].
     fn begin_row_carried(
         &mut self,
         seq: &[TaskId],
         i: usize,
         bases: RowBases,
         rising0: i32,
-        col_ip1: usize,
+        right_i: f64,
     ) {
         self.i = i;
         self.etemp[seq[i].index()] = true; // the tagged task is fixed in E
         self.rest_te = bases.rest_te;
         self.rest_energy = bases.rest_energy;
         self.rising0 = rising0;
-        self.ip1_col = col_ip1;
+        self.right_i = right_i;
+        self.left_run = i.checked_sub(1).and_then(|l| self.run_pos_of(seq[l]));
         self.exhausted = false;
     }
 
@@ -479,7 +487,7 @@ impl DpfScratch {
     /// the same sequential sums over the same surviving runs, so the bits
     /// match the reference. The one run whose rising-pair delta referenced
     /// the pair `(i−2, i−1)` — tagged-adjacent from now on — is patched
-    /// (using its snapshot of `seq[i−1]`'s column at the time), and the
+    /// (using its snapshot of `seq[i−1]`'s current at the time), and the
     /// integer `h` entries after it shift by the same amount.
     fn advance_row(&mut self, ctx: &SearchContext<'_>, seq: &[TaskId], i: usize) {
         if let Some(p) = self.run_pos_of(seq[i - 1]) {
@@ -504,14 +512,14 @@ impl DpfScratch {
         if i >= 2 {
             if let Some(p) = self.run_pos_of(seq[i - 2]) {
                 let rec = &mut self.runs[p];
-                if rec.right != u32::MAX {
+                // `right_i` is the current seq[i−1] held at this run's
+                // state (at m−1, or at the floor if it was consumed first).
+                let ri = rec.right_i;
+                if !ri.is_nan() {
                     let q = seq[i - 2];
-                    // The snapshot column seq[i−1] held at this run's
-                    // state (m−1, or the floor if it was consumed first).
-                    let ri = ctx.i(seq[i - 1], rec.right as usize);
                     let delta = (ctx.i(q, self.ws) < ri) as i32 - (ctx.i(q, ctx.m - 1) < ri) as i32;
                     rec.d_rising -= delta;
-                    rec.right = u32::MAX;
+                    rec.right_i = f64::NAN;
                     for (_, h) in &mut self.re_h[p + 1..] {
                         *h -= delta;
                     }
@@ -534,7 +542,6 @@ impl DpfScratch {
             self.exhausted = true;
             return false;
         }
-        self.ensure_cum_tables(ctx);
         // The cursor is monotone for the whole window (tasks never
         // re-enter the free set), so every task is snapshotted once.
         while self.cursor < ctx.energy_order.len()
@@ -553,41 +560,36 @@ impl DpfScratch {
         let m1 = ctx.m - 1;
         let i_old = ctx.i(q, m1);
         let i_new = ctx.i(q, ws);
-        // Snapshot the neighbour columns at this run's state (free
+        let r = self.runs.len();
+        // Snapshot the neighbour currents at this run's state (free
         // neighbours sit at the floor once consumed, at m−1 otherwise;
         // pairs touching the tagged position are excluded — they are
         // re-derived per repair state) and the full move's rising-pair
         // delta over those pairs.
-        let mut d_rising = 0i32;
-        let left = if p > 0 {
-            let ln = seq[p - 1];
-            let lcol = if self.etemp[ln.index()] { ws } else { m1 };
-            let li = ctx.i(ln, lcol);
-            d_rising += (li < i_new) as i32 - (li < i_old) as i32;
-            lcol as u32
+        let at_state = |t: TaskId| ctx.i(t, if self.etemp[t.index()] { ws } else { m1 });
+        let left_i = if p > 0 {
+            at_state(seq[p - 1])
         } else {
-            u32::MAX
+            f64::NAN
         };
-        let right = if p + 1 != self.i {
+        let right_i = if p + 1 != self.i {
             debug_assert!(p + 1 < self.i, "free positions precede the tagged one");
-            let rn = seq[p + 1];
-            let rcol = if self.etemp[rn.index()] { ws } else { m1 };
-            let ri = ctx.i(rn, rcol);
-            d_rising += (i_new < ri) as i32 - (i_old < ri) as i32;
-            rcol as u32
+            at_state(seq[p + 1])
         } else {
-            u32::MAX
+            self.left_run = Some(r); // q is the tagged task's left neighbour
+            f64::NAN
         };
-        let full = q.index() * (self.run_len + 1) + self.run_len;
+        let d_rising = (left_i < i_new) as i32 - (left_i < i_old) as i32 + (i_new < right_i) as i32
+            - (i_old < right_i) as i32;
+        let full = q.index() * ctx.m + self.run_len;
         let rec = RunRec {
             task: q.index() as u32,
-            left,
-            right,
             d_rising,
-            te: self.cum_te[full],
-            e: self.cum_e[full],
+            left_i,
+            right_i,
+            te: ctx.cum_te[full],
+            e: ctx.cum_e[full],
         };
-        let r = self.runs.len();
         self.etemp[q.index()] = true; // fixed at the window floor, for good
         self.run_of[q.index()] = r as u32;
         self.runs.push(rec);
@@ -598,113 +600,141 @@ impl DpfScratch {
         true
     }
 
-    /// `CalculateDPF` for candidate column `j` of a carried sweep row.
-    /// Extends the shared run journal until this candidate's deadline
-    /// holds, binary-searches the run boundaries (then the stop run's
-    /// in-run chain) for the exact repair state the one-promotion-at-a-
-    /// time loop stops at, and scores it in O(1): the DPF occupancy is
-    /// closed-form (`r` tasks at the floor, at most one mid-run), the
-    /// rising count comes from the `h` chain plus two pair corrections.
-    ///
-    /// Kept out of line: inlined into its one call site it folds the whole
-    /// sweep into `evaluate_windows` and made n=200 solves ~3% slower.
-    #[inline(never)]
-    fn sweep_candidate(
+    /// The stop boundary of a feasible candidate: the first run-boundary
+    /// index `k` with `base_te + r_sum[k] <= lim` — exactly
+    /// `r_sum.partition_point`, since the predicate is monotone
+    /// (`r_sum` is nonincreasing). Gallops from the previous candidate's
+    /// boundary (clamped to the journal), so a row's ascending candidates
+    /// cost O(1) probes each instead of a fresh O(log depth) search.
+    fn stop_boundary(&mut self, base_te: f64, lim: f64) -> usize {
+        let len = self.runs.len();
+        let r_sum = &self.r_sum[..=len];
+        let mut probes = 0u64;
+        let mut over = |k: usize| {
+            probes += 1;
+            base_te + r_sum[k] > lim
+        };
+        // Bracket the answer in [lo, hi]: every k < lo is over, hi is not
+        // (`len` is not: the caller extended the journal until it held).
+        let h = self.rb_hint.min(len);
+        let (mut lo, mut hi) = (0, h);
+        let mut step = 1;
+        if over(h) {
+            (lo, hi) = (h + 1, len);
+            while h + step < hi {
+                if !over(h + step) {
+                    hi = h + step;
+                    break;
+                }
+                lo = h + step + 1;
+                step *= 2;
+            }
+        } else {
+            while step <= h {
+                if over(h - step) {
+                    lo = h - step + 1;
+                    break;
+                }
+                hi = h - step;
+                step *= 2;
+            }
+        }
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if over(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        debug_assert_eq!(lo, r_sum.partition_point(|&v| base_te + v > lim));
+        self.prof_stop_probes += probes;
+        self.rb_hint = lo;
+        lo
+    }
+
+    /// `CalculateDPF` for a feasible candidate column `j` of the current
+    /// row, whose journal already holds its stop state: finds the exact
+    /// repair state the one-promotion-at-a-time loop stops at (the
+    /// galloping boundary cursor, then the stop run's in-run chain) and
+    /// scores it in O(1): the DPF occupancy is closed-form (`r` tasks at
+    /// the floor, at most one mid-run), the rising count comes from the
+    /// `h` chain plus two pair corrections.
+    #[inline(always)]
+    fn feasible_factors(
         &mut self,
         ctx: &SearchContext<'_>,
         seq: &[TaskId],
-        pos_of: &[usize],
         j: usize,
+        base_te: f64,
+        lim: f64,
     ) -> (f64, f64, f64) {
         let n = seq.len();
         let i = self.i;
         let d = ctx.deadline;
         let m1 = ctx.m - 1;
-        let base_te = self.rest_te + ctx.d(seq[i], j);
-        let base_energy = self.rest_energy + ctx.e(seq[i], j);
-        let mut feasible = true;
-        while base_te + self.r_sum[self.runs.len()] > d + TIME_EPS {
-            if !self.extend_chain(ctx, seq, pos_of) {
-                feasible = false;
-                break;
-            }
-        }
-        let len = self.runs.len();
-        let stride = self.run_len + 1;
+        let row = seq[i].index() * ctx.m;
+        let base_energy = self.rest_energy + ctx.energy[row + j];
         // Stop state (r, s): r completed runs, current task s steps into
         // its run. `r_sum` and each in-run chain are exactly monotone
         // nonincreasing, and a run's final in-run value *is* the next
-        // boundary value, so the two-level binary search lands on the same
-        // state the sequential repair loop reaches.
-        let (r, s, q) = if !feasible {
-            (len, 0usize, None)
+        // boundary value, so the two-level search lands on the same state
+        // the sequential repair loop reaches.
+        let rb = self.stop_boundary(base_te, lim);
+        let (r, s) = if rb == 0 {
+            (0, 0)
         } else {
-            let rb = self.r_sum[..=len].partition_point(|&v| base_te + v > d + TIME_EPS);
-            if rb == 0 {
-                (0, 0, None)
+            let q = self.runs[rb - 1].task as usize * ctx.m;
+            let cum = &ctx.cum_te[q..q + self.run_len + 1];
+            let rs = self.r_sum[rb - 1];
+            let s = cum.partition_point(|&cs| base_te + (rs + cs) > lim);
+            debug_assert!(s >= 1, "the boundary before rb did not satisfy");
+            if s == self.run_len {
+                (rb, 0)
             } else {
-                let q = TaskId(self.runs[rb - 1].task as usize);
-                let cum = &self.cum_te[q.index() * stride..(q.index() + 1) * stride];
-                let rs = self.r_sum[rb - 1];
-                let s = cum.partition_point(|&cs| base_te + (rs + cs) > d + TIME_EPS);
-                debug_assert!(s >= 1, "the boundary before rb did not satisfy");
-                if s == self.run_len {
-                    (rb, 0, None)
-                } else {
-                    (rb - 1, s, Some(q))
-                }
+                (rb - 1, s)
             }
         };
+        // s > 0 exactly when the stop state is mid-run in run r.
         let (re_r, h_r) = self.re_h[r];
-        let (te, energy) = if let Some(q) = q {
-            let qi = q.index() * stride;
+        let mut rising = self.rising0 + h_r;
+        let c = m1 - s;
+        let (te, energy) = if s > 0 {
+            let rec = self.runs[r];
+            let q = rec.task as usize;
+            let qi = q * ctx.m;
+            // The mid-run task sits at column c, not the m−1 its chain
+            // state assumes: correct its two (non-tagged-adjacent) pairs.
+            let i_old = ctx.cur[qi + m1];
+            let i_new = ctx.cur[qi + c];
+            rising += (rec.left_i < i_new) as i32 - (rec.left_i < i_old) as i32
+                + (i_new < rec.right_i) as i32
+                - (i_old < rec.right_i) as i32;
             (
-                base_te + (self.r_sum[r] + self.cum_te[qi + s]),
-                base_energy + (re_r + self.cum_e[qi + s]),
+                base_te + (self.r_sum[r] + ctx.cum_te[qi + s]),
+                base_energy + (re_r + ctx.cum_e[qi + s]),
             )
         } else {
             (base_te + self.r_sum[r], base_energy + re_r)
         };
-        let mut rising = self.rising0 + h_r;
-        let c = m1 - s;
-        if let Some(q) = q {
-            // The mid-run task sits at column c, not the m−1 its chain
-            // state assumes: correct its two (non-tagged-adjacent) pairs.
-            let rec = self.runs[r];
-            let i_old = ctx.i(q, m1);
-            let i_new = ctx.i(q, c);
-            if rec.left != u32::MAX {
-                let li = ctx.i(seq[pos_of[q.index()] - 1], rec.left as usize);
-                rising += (li < i_new) as i32 - (li < i_old) as i32;
-            }
-            if rec.right != u32::MAX {
-                let ri = ctx.i(seq[pos_of[q.index()] + 1], rec.right as usize);
-                rising += (i_new < ri) as i32 - (i_old < ri) as i32;
-            }
-        }
-        let i_tag = ctx.i(seq[i], j);
+        let i_tag = ctx.cur[row + j];
         if i > 0 {
             // The tagged-left neighbour's column at the stop state:
             // "consumed before run r" is one position compare.
-            let col_im1 = match self.run_pos_of(seq[i - 1]) {
-                Some(p) if q.is_some() && p == r => c,
+            let col_im1 = match self.left_run {
+                Some(p) if s > 0 && p == r => c,
                 Some(p) if p < r => self.ws,
                 _ => m1,
             };
             rising += (ctx.i(seq[i - 1], col_im1) < i_tag) as i32;
         }
-        if i + 1 < n {
-            rising += (i_tag < ctx.i(seq[i + 1], self.ip1_col)) as i32;
-        }
+        rising += (i_tag < self.right_i) as i32;
         let cif = if n > 1 {
             rising as f64 / (n - 1) as f64
         } else {
             0.0
         };
         let enr = ctx.stats.energy_ratio(Energy::new(energy));
-        if !feasible {
-            return (enr, cif, f64::INFINITY);
-        }
         let dpf = if i == 0 {
             (d - te) / d
         } else {
@@ -727,7 +757,7 @@ impl DpfScratch {
                 if r > 0 {
                     dpf += width_minus1 as f64 * factor * r as f64 / i as f64;
                 }
-                if q.is_some() {
+                if s > 0 {
                     let coeff = (width_minus1 - (c - self.ws)) as f64;
                     dpf += coeff * factor * 1.0 / i as f64;
                 }
@@ -735,6 +765,66 @@ impl DpfScratch {
             }
         };
         (enr, cif, dpf)
+    }
+
+    /// Scores the candidate columns of the current row and returns the
+    /// chosen one with its suitability `B`. Candidates ascend, so the
+    /// repair journal extends monotonically; `<=` keeps the leanest
+    /// (largest) column on ties, matching the paper's descending scan.
+    ///
+    /// The row stops at its first column the exhausted journal cannot make
+    /// feasible: `TaskGraph` sorts each task's points by duration, so the
+    /// row's base makespan never decreases with the column, and every later
+    /// column is infeasible too. Their `B` is ∞ under every mask (the DPF
+    /// veto), which the `<=` scan never prefers to a finite best; a row
+    /// whose first column is infeasible returns that ∞.
+    ///
+    /// Kept out of line, so the sweep's hot loop is one symbol in a
+    /// profile.
+    #[inline(never)]
+    fn score_row(
+        &mut self,
+        ctx: &SearchContext<'_>,
+        seq: &[TaskId],
+        pos_of: &[usize],
+        tsum: f64,
+    ) -> (usize, f64) {
+        let d = ctx.deadline;
+        let lim = d + TIME_EPS;
+        let row = seq[self.i].index() * ctx.m;
+        let mut best: Option<(usize, f64)> = None;
+        for j in self.ws..ctx.m {
+            self.prof_candidates += 1;
+            let dur = ctx.dur[row + j];
+            let base_te = self.rest_te + dur;
+            let mut feasible = true;
+            while base_te + self.r_sum[self.runs.len()] > lim {
+                if !self.extend_chain(ctx, seq, pos_of) {
+                    feasible = false;
+                    break;
+                }
+            }
+            let b = if feasible {
+                let (enr, cif, dpf) = self.feasible_factors(ctx, seq, j, base_te, lim);
+                FactorBreakdown {
+                    sr: (d - (tsum + dur)) / d,
+                    cr: ctx.cr[row + j],
+                    enr,
+                    cif,
+                    dpf,
+                }
+                .total(ctx.mask)
+            } else {
+                f64::INFINITY
+            };
+            if best.is_none_or(|(_, bb)| b <= bb) {
+                best = Some((j, b));
+            }
+            if !feasible {
+                break;
+            }
+        }
+        best.expect("window contains at least one column")
     }
 }
 
@@ -753,8 +843,9 @@ pub(crate) struct ChooseBuffers {
 /// window `[ws ..= m−1]`, left in `buffers.choose.assign`.
 ///
 /// The sweep carries its row state incrementally from row to row (see
-/// [`DpfScratch`] and [`RowBases`]) and scores every candidate column of
-/// every row; results are bit-identical to the retained naive reference.
+/// [`DpfScratch`] and [`RowBases`]) and scores each row's candidate
+/// columns up to the first infeasible one; results are bit-identical to
+/// the retained naive reference.
 ///
 /// # Errors
 ///
@@ -813,35 +904,12 @@ pub(crate) fn choose_design_points_into(
             rising0 += (ctx.i(seq[pos - 1], assign[pos - 1]) < ctx.i(seq[pos], assign[pos])) as i32;
         }
     }
-    let mut col_ip1 = assign[first + 1];
 
     for i in (0..=first).rev() {
-        scratch.begin_row_carried(seq, i, bases, rising0, col_ip1);
+        let right_i = ctx.i(seq[i + 1], assign[i + 1]);
+        scratch.begin_row_carried(seq, i, bases, rising0, right_i);
         sweep_prof.rows_full += 1;
-        let mut best: Option<(usize, f64)> = None;
-        // Candidates ascending so the repair journal extends
-        // monotonically; `<=` keeps the leanest (largest) column on
-        // ties, matching the paper's descending scan.
-        for j in ws..m {
-            let ttemp = tsum + ctx.d(seq[i], j);
-            let sr = (d - ttemp) / d;
-            let cr = ctx
-                .stats
-                .current_ratio(batsched_battery::units::MilliAmps::new(ctx.i(seq[i], j)));
-            let (enr, cif, dpf) = scratch.sweep_candidate(ctx, seq, pos_of, j);
-            let b = FactorBreakdown {
-                sr,
-                cr,
-                enr,
-                cif,
-                dpf,
-            }
-            .total(ctx.mask);
-            if best.is_none_or(|(_, bb)| b <= bb) {
-                best = Some((j, b));
-            }
-        }
-        let (j, b) = best.expect("window contains at least one column");
+        let (j, b) = scratch.score_row(ctx, seq, pos_of, tsum);
         if !b.is_finite() {
             return Err(SchedulerError::WindowSearchFailed { window_start: ws });
         }
@@ -860,7 +928,6 @@ pub(crate) fn choose_design_points_into(
             }
             bases.carry_down(ctx, seq, i, j, assign[i - 1]);
             scratch.advance_row(ctx, seq, i);
-            col_ip1 = assign[i];
         }
     }
     Ok(())
@@ -1115,6 +1182,8 @@ impl EvalBuffers {
         crate::prof::Prof {
             journal_promotions: self.dpf.prof_promotions,
             journal_rollbacks: self.dpf.prof_rollbacks,
+            candidates: self.dpf.prof_candidates,
+            stop_probes: self.dpf.prof_stop_probes,
             sigma_evals,
             sigma_reused,
             sigma_fresh,

@@ -7,9 +7,9 @@ use batsched_taskgraph::topo::{descendants_mask, list_schedule, DescendantSets};
 use batsched_taskgraph::{EnergyMetric, PointId, TaskGraph, TaskId};
 
 /// The paper's `SequenceDecEnergy`: list scheduling where the ready task
-/// with the largest weight goes first. See
-/// [`InitialWeight`] for the weight-rule options and the DESIGN.md note on
-/// why `AverageCurrent` is the default.
+/// with the largest weight goes first. See [`InitialWeight`] for the
+/// weight-rule options; `AverageCurrent` is the default because it is the
+/// rule that reproduces Table 2's S1.
 pub fn initial_sequence(g: &TaskGraph, rule: InitialWeight, metric: EnergyMetric) -> Vec<TaskId> {
     match rule {
         InitialWeight::AverageCurrent => list_schedule(g, |g, t| average_current(g, t).value()),
@@ -92,8 +92,8 @@ mod tests {
 
     #[test]
     fn g3_average_energy_rule_differs_from_table2() {
-        // The §4.1 prose ("average energy") puts T2 before T4 — evidence for
-        // the DESIGN.md §4.1 discrepancy note.
+        // The §4.1 prose ("average energy") puts T2 before T4, which
+        // Table 2's S1 does not: why the current rule is the default.
         let g = g3();
         let seq = initial_sequence(&g, InitialWeight::AverageEnergy, EnergyMetric::Charge);
         let pos = |x: TaskId| seq.iter().position(|&y| y == x).unwrap();

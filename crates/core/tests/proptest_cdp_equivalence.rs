@@ -11,7 +11,7 @@
 
 use batsched_battery::units::Minutes;
 use batsched_core::search::DiagSearch;
-use batsched_core::{FactorMask, SchedulerConfig};
+use batsched_core::{FactorMask, SchedulerConfig, SchedulerError};
 use batsched_taskgraph::analysis::{max_makespan, min_makespan};
 use batsched_taskgraph::synth::{
     chain, fork_join, layered, random_dag, Rounding, ScalingScheme, TaskParams,
@@ -44,8 +44,75 @@ fn arb_graph() -> impl Strategy<Value = TaskGraph> {
     })
 }
 
+/// `CT(col)`: the makespan with every task in column `col`.
+fn column_time(g: &TaskGraph, col: usize) -> f64 {
+    g.task_ids()
+        .map(|t| g.task(t).points[col].duration.value())
+        .sum()
+}
+
+/// Runs every feasible window of `g` under a deadline just above `CT(ws)`
+/// (a `tight` fraction of the way to `CT(ws + 1)`), so the narrowest
+/// feasible window is `ws` and its repair journal runs dry early. Asserts
+/// bit-identity with the reference on each window and returns the
+/// candidates the kernel scored with the sum of `rows × window width`.
+fn tight_narrow_sweeps(g: &TaskGraph, ws: usize, tight: f64) -> (u64, u64) {
+    let (n, m) = (g.task_count() as u64, g.point_count());
+    let ct = column_time(g, ws);
+    let d = Minutes::new(ct + tight * (column_time(g, ws + 1) - ct));
+    let seq = topological_order(g);
+    let mut diag = DiagSearch::new(g, &SchedulerConfig::paper(), d).unwrap();
+    let (mut candidates, mut widths) = (0, 0);
+    for w in diag.feasible_windows() {
+        let naive = diag.choose_reference(&seq, w).unwrap();
+        let before = diag.prof();
+        let fast = diag.choose(&seq, w).unwrap().to_vec();
+        assert_eq!(fast, naive, "ws={w} d={}", d.value());
+        candidates += diag.prof().since(&before).candidates;
+        widths += (n - 1) * (m - w) as u64;
+    }
+    (candidates, widths)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Tight deadlines on narrow windows, where rows stop at their first
+    /// infeasible column: the kernel stays bit-identical to the reference
+    /// and never scores more candidates than the windows are wide.
+    #[test]
+    fn tight_deadlines_on_narrow_windows_stay_bit_identical(
+        g in arb_graph(),
+        pick in 0usize..64,
+        tight in 0.0f64..0.3,
+    ) {
+        let ws = pick % (g.point_count() - 1);
+        let (candidates, widths) = tight_narrow_sweeps(&g, ws, tight);
+        prop_assert!(candidates <= widths, "{} > {}", candidates, widths);
+    }
+
+    /// On a window whose all-floor makespan `CT(ws)` already misses the
+    /// deadline, the kernel and the reference fail the same way: no column
+    /// of the first row can be repaired. Windows up to `m − 2`, the ones
+    /// `EvaluateWindows` visits (the reference's repair loop assumes a
+    /// free task can always move below `m − 1`).
+    #[test]
+    fn infeasible_windows_fail_like_the_reference(
+        g in arb_graph(),
+        slack in 0.05f64..1.0,
+    ) {
+        let lo = min_makespan(&g).value();
+        let hi = max_makespan(&g).value();
+        let d = Minutes::new(lo + (hi - lo) * slack);
+        let seq = topological_order(&g);
+        let mut diag = DiagSearch::new(&g, &SchedulerConfig::paper(), d).unwrap();
+        let narrowest = g.point_count() - 2;
+        for ws in (0..=narrowest).filter(|&ws| column_time(&g, ws) > d.value() + 1e-6) {
+            let expected = SchedulerError::WindowSearchFailed { window_start: ws };
+            prop_assert_eq!(diag.choose_reference(&seq, ws).unwrap_err(), expected.clone());
+            prop_assert_eq!(diag.choose(&seq, ws).unwrap_err(), expected);
+        }
+    }
 
     /// The sweep kernel's `ChooseDesignPoints` equals the retained naive
     /// reference bit-for-bit on every feasible window, with the kernel's
@@ -243,4 +310,37 @@ fn long_sequences_stay_bit_identical_to_reference() {
             }
         }
     }
+}
+
+/// The tight-deadline family actually exercises the early row stop: over a
+/// fixed set of layered instances, the kernel scores fewer candidates than
+/// the windows are wide (every row scoring its full width would make the
+/// two equal), and every window stays bit-identical to the reference.
+#[test]
+fn tight_deadlines_stop_rows_early() {
+    let m = 6;
+    let params = TaskParams {
+        current_range: (50.0, 950.0),
+        duration_range: (1.0, 15.0),
+        factors: (0..m)
+            .map(|j| 1.0 - 0.67 * j as f64 / (m - 1) as f64)
+            .collect(),
+        scheme: ScalingScheme::ReversedDuration,
+        rounding: Rounding::PAPER,
+    };
+    let mut stopped_instances = 0;
+    for seed in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(0x7167_0000 + seed);
+        let g = layered(6, 4, 0.3, &params, &mut rng).unwrap();
+        let ws = 1 + seed as usize % (m - 2);
+        let (candidates, widths) = tight_narrow_sweeps(&g, ws, 0.1);
+        assert!(candidates <= widths, "seed={seed}: {candidates} > {widths}");
+        if candidates < widths {
+            stopped_instances += 1;
+        }
+    }
+    assert!(
+        stopped_instances >= 12,
+        "rows stopped early on only {stopped_instances} of 24 instances"
+    );
 }

@@ -178,24 +178,41 @@ impl ScheduleRequest {
     /// canonical forms are answered identically, so the cache may treat
     /// them as one.
     pub fn canonical(&self) -> ScheduleRequest {
+        let (model, max_iterations) = self.defaulted();
         ScheduleRequest {
             v: WIRE_VERSION,
             graph: self.graph.clone(),
             deadline: self.deadline,
-            model: Some(self.model.clone().unwrap_or_else(ModelSpec::default_rv)),
+            model: Some(model),
             capacity: self.capacity,
-            max_iterations: Some(self.max_iterations.unwrap_or(DEFAULT_MAX_ITERATIONS)),
+            max_iterations: Some(max_iterations),
         }
+    }
+
+    /// The model and iteration cap this request runs with: its own, or
+    /// the defaults the canonical form spells out.
+    fn defaulted(&self) -> (ModelSpec, usize) {
+        (
+            self.model.clone().unwrap_or_else(ModelSpec::default_rv),
+            self.max_iterations.unwrap_or(DEFAULT_MAX_ITERATIONS),
+        )
     }
 
     /// The cache key: FNV-1a 64 over the binary encoding of
     /// [`Self::canonical`]. That encoding spells every number as its f64
     /// bits and every list in the graph's normalised order, so it is exact
     /// and unique; both wire formats decode to a [`ScheduleRequest`] and
-    /// key through this one function. Key values are opaque and may change
+    /// key through this one function. The canonical twin is encoded from
+    /// a borrow (the defaults are written in place of absent fields), so
+    /// keying never clones the graph. Key values are opaque and may change
     /// between releases.
     pub fn content_hash(&self) -> u64 {
-        fnv1a64(&wire_bin::encode_request(&self.canonical()))
+        let (model, max_iterations) = self.defaulted();
+        fnv1a64(&wire_bin::encode_request_with(
+            self,
+            Some(&model),
+            Some(max_iterations),
+        ))
     }
 
     /// The content hash as the 16-hex-digit cache key echoed in responses.
@@ -520,12 +537,12 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Builds the scheduler configuration a request asks for.
 pub fn scheduler_config(req: &ScheduleRequest) -> SchedulerConfig {
-    let spec = req.model.clone().unwrap_or_else(ModelSpec::default_rv);
+    let (spec, max_iterations) = req.defaulted();
     let (beta, terms) = spec.search_params();
     SchedulerConfig {
         beta,
         series_terms: terms,
-        max_iterations: req.max_iterations.unwrap_or(DEFAULT_MAX_ITERATIONS),
+        max_iterations,
         ..SchedulerConfig::paper()
     }
 }

@@ -169,6 +169,17 @@ fn check_header(r: &mut Reader<'_>, kind: u8, label: &str) -> Result<(), WireErr
 /// graph's normalised order, so the output always satisfies the sortedness
 /// invariants [`decode_request`] enforces.
 pub fn encode_request(req: &ScheduleRequest) -> Vec<u8> {
+    encode_request_with(req, req.model.as_ref(), req.max_iterations)
+}
+
+/// Encodes `req` as if its `model` and `max_iterations` fields held the
+/// given values — how the content hash encodes a request's canonical twin
+/// from a borrow, without cloning its graph.
+pub(crate) fn encode_request_with(
+    req: &ScheduleRequest,
+    model: Option<&ModelSpec>,
+    max_iterations: Option<usize>,
+) -> Vec<u8> {
     let g = &req.graph;
     // lint:allow(uncapped-wire-alloc): encoder, not decoder — the size comes
     // from an already-validated in-memory graph, not from wire input.
@@ -194,7 +205,7 @@ pub fn encode_request(req: &ScheduleRequest) -> Vec<u8> {
         out.extend_from_slice(&(b.index() as u32).to_le_bytes());
     }
     out.extend_from_slice(&req.deadline.to_bits().to_le_bytes());
-    match &req.model {
+    match model {
         None => out.push(0),
         Some(ModelSpec::Rv { beta, terms }) => {
             out.push(1);
@@ -224,7 +235,7 @@ pub fn encode_request(req: &ScheduleRequest) -> Vec<u8> {
             out.extend_from_slice(&c.to_bits().to_le_bytes());
         }
     }
-    match req.max_iterations {
+    match max_iterations {
         None => out.push(0),
         Some(n) => {
             out.push(1);

@@ -281,6 +281,8 @@ const METRICS_INVENTORY: &[&str] = &[
     "batsched_solver_rows_carried_total counter",
     "batsched_solver_journal_promotions_total counter",
     "batsched_solver_journal_rollbacks_total counter",
+    "batsched_solver_candidates_total counter",
+    "batsched_solver_stop_probes_total counter",
     "batsched_solver_sigma_evals_total counter",
     "batsched_solver_sigma_reused_total counter",
     "batsched_solver_sigma_fresh_total counter",

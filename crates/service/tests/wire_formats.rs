@@ -5,7 +5,7 @@
 //! the other format bit-identically after a restart.
 
 use batsched_service::wire::{
-    fnv1a64, parse_request, ModelSpec, ScheduleRequest, ScheduleResponse,
+    fnv1a64, parse_request, ModelSpec, ScheduleRequest, ScheduleResponse, DEFAULT_MAX_ITERATIONS,
 };
 use batsched_service::{
     decode_request, decode_response, encode_request, Disposition, Service, ServiceConfig,
@@ -120,9 +120,25 @@ proptest! {
         prop_assert_eq!(bin_hash, req.content_hash(), "binary hash != JSON hash");
         prop_assert_eq!(decoded.key(), parsed.key(), "cache keys diverge across formats");
 
-        // And the canonical form oracle agrees with the hash.
+        // And the canonical form oracle agrees with the hash, which encodes
+        // the canonical twin from a borrow: for every combination of
+        // absent, default-spelled and other values of the optional fields.
         let oracle = fnv1a64(&encode_request(&req.canonical()));
         prop_assert_eq!(oracle, bin_hash, "canonical form oracle diverged");
+        for model in [None, Some(ModelSpec::default_rv()), req.model.clone()] {
+            for capacity in [None, req.capacity.or(Some(5_000.0))] {
+                for max_iterations in [None, Some(DEFAULT_MAX_ITERATIONS), Some(7)] {
+                    let variant = ScheduleRequest {
+                        model: model.clone(),
+                        capacity,
+                        max_iterations,
+                        ..req.clone()
+                    };
+                    let oracle = fnv1a64(&encode_request(&variant.canonical()));
+                    prop_assert_eq!(variant.content_hash(), oracle, "{:?}", variant);
+                }
+            }
+        }
     }
 
     /// Unpanickable decoder: flipping any single byte of a valid encoding

@@ -5,10 +5,10 @@
 //!   against re-synthesis from the published scaling factors).
 //! * [`g2`] — the robotic-arm-controller case study of §5: 9 tasks, 4 design
 //!   points, data exactly as printed in **Figure 5**. The paper's figure
-//!   shows the DAG only as an image; the precedence edges here are a
-//!   documented reconstruction (see `DESIGN.md` §4.7) — with sequential
-//!   execution the makespan is edge-independent, so feasibility at every
-//!   deadline is unaffected.
+//!   shows the DAG only as an image; the precedence edges here
+//!   ([`G2_EDGES`]) are a reconstruction read off that image — with
+//!   sequential execution the makespan is edge-independent, so feasibility
+//!   at every deadline is unaffected.
 //!
 //! The paper's deadline/β parameters are exposed as constants so the
 //! reproduction harness and tests share one source of truth.
