@@ -1004,7 +1004,12 @@ fn calculate_dpf_reference(
         };
         let r = pos_of[q.index()];
         let c = stemp[r];
-        debug_assert!(c > ws, "free tasks never sit below the window start");
+        if c <= ws {
+            // Already at the window floor (every free task, on the
+            // single-column window ws = m−1): it cannot be promoted.
+            etemp[q.index()] = true;
+            continue;
+        }
         cum += ctx.d(seq[r], c - 1) - ctx.d(seq[r], c);
         cum_e += ctx.e(seq[r], c - 1) - ctx.e(seq[r], c);
         stemp[r] = c - 1;

@@ -93,9 +93,9 @@ proptest! {
 
     /// On a window whose all-floor makespan `CT(ws)` already misses the
     /// deadline, the kernel and the reference fail the same way: no column
-    /// of the first row can be repaired. Windows up to `m − 2`, the ones
-    /// `EvaluateWindows` visits (the reference's repair loop assumes a
-    /// free task can always move below `m − 1`).
+    /// of the first row can be repaired. Every window up to the
+    /// single-column `m − 1`, where a free task already sits at the window
+    /// floor and cannot be promoted.
     #[test]
     fn infeasible_windows_fail_like_the_reference(
         g in arb_graph(),
@@ -106,7 +106,7 @@ proptest! {
         let d = Minutes::new(lo + (hi - lo) * slack);
         let seq = topological_order(&g);
         let mut diag = DiagSearch::new(&g, &SchedulerConfig::paper(), d).unwrap();
-        let narrowest = g.point_count() - 2;
+        let narrowest = g.point_count() - 1;
         for ws in (0..=narrowest).filter(|&ws| column_time(&g, ws) > d.value() + 1e-6) {
             let expected = SchedulerError::WindowSearchFailed { window_start: ws };
             prop_assert_eq!(diag.choose_reference(&seq, ws).unwrap_err(), expected.clone());

@@ -53,7 +53,7 @@ pub struct FileClass {
 /// Request-serving modules of `crates/service`: a panic here escapes the
 /// solver's `catch_unwind` and kills a connection/router/supervisor
 /// thread (PR 6).
-const SERVING: [&str; 10] = [
+const SERVING: [&str; 12] = [
     "crates/service/src/http.rs",
     "crates/service/src/http/client.rs",
     "crates/service/src/fleet.rs",
@@ -62,28 +62,37 @@ const SERVING: [&str; 10] = [
     "crates/service/src/disk.rs",
     "crates/service/src/wire.rs",
     "crates/service/src/wire_bin.rs",
+    "crates/service/src/wire_json.rs",
     "crates/service/src/metrics.rs",
     "crates/service/src/trace.rs",
+    VENDORED_JSON,
 ];
 
 /// Modules that decode wire- or disk-derived bytes: allocations sized
 /// from decoded values must be visibly capped (PR 8's `terms` DoS fix).
-const DECODER: [&str; 5] = [
+const DECODER: [&str; 7] = [
     "crates/service/src/wire.rs",
     "crates/service/src/wire_bin.rs",
+    "crates/service/src/wire_json.rs",
     "crates/service/src/disk.rs",
     "crates/service/src/http.rs",
     "crates/service/src/http/client.rs",
+    VENDORED_JSON,
 ];
 
 /// Bit-identity kernel and canonical-hash modules (PRs 1–4, 8): hash
 /// iteration order would silently break the bit-identity proptests.
-const BIT_IDENTITY: [&str; 4] = [
+const BIT_IDENTITY: [&str; 5] = [
     "crates/core/src/search.rs",
     "crates/battery/src/eval.rs",
     "crates/service/src/wire.rs",
     "crates/service/src/wire_bin.rs",
+    "crates/service/src/wire_json.rs",
 ];
+
+/// The vendored JSON lexer: the request path's parser, so the one
+/// `vendor/` file the sweep covers.
+const VENDORED_JSON: &str = "vendor/serde/src/json.rs";
 
 /// Classifies a forward-slash workspace-relative path.
 pub fn classify(rel: &str) -> FileClass {
@@ -217,9 +226,10 @@ impl Linter {
     }
 
     /// Sweeps the workspace rooted at `root`: `src/` plus every
-    /// `crates/*/src/` tree (recursively, including `src/bin/`).
-    /// `vendor/` shims, `target/`, integration-test dirs and the lint
-    /// fixture corpus are outside those trees and never scanned.
+    /// `crates/*/src/` tree (recursively, including `src/bin/`), plus the
+    /// vendored JSON lexer. The other `vendor/` shims, `target/`,
+    /// integration-test dirs and the lint fixture corpus are outside
+    /// those trees and never scanned.
     pub fn lint_workspace(&self, root: &Path) -> std::io::Result<Report> {
         let mut rep = Report::default();
         for rel in workspace_files(root)? {
@@ -251,6 +261,9 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<String>> {
         if r.is_dir() {
             walk(&r, root, &mut rels)?;
         }
+    }
+    if root.join(VENDORED_JSON).is_file() {
+        rels.push(VENDORED_JSON.to_string());
     }
     rels.sort();
     Ok(rels)

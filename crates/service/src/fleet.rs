@@ -1293,10 +1293,11 @@ fn proxy_schedule(
     // Routing key: FNV-1a over the raw body bytes, folded onto a home
     // slot. Raw-byte hashing keeps routing allocation- and parse-free;
     // the canonical cross-format key stays a worker-side concern (each
-    // wire spelling of a document consistently warms one slice).
+    // wire spelling of a document consistently warms one slice). The same
+    // hash prefixes a generated trace id.
     let hash = wire::fnv1a64(&req.body);
     let trace_id = req.request_id.clone().unwrap_or_else(|| {
-        crate::trace::make_trace_id(&req.body, shared.trace_seq.fetch_add(1, Ordering::Relaxed))
+        crate::trace::make_trace_id(hash, shared.trace_seq.fetch_add(1, Ordering::Relaxed))
     });
 
     let mut tried = vec![false; shared.cfg.size];

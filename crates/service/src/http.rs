@@ -52,7 +52,7 @@
 use crate::service::ServiceConfig;
 use crate::service::{Disposition, Service};
 use crate::trace::{self, Span};
-use crate::wire::{ErrorResponse, ScheduleResponse};
+use crate::wire::{self, ErrorResponse, ScheduleResponse};
 use crate::wire_bin::{self, WireFormat};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -397,10 +397,13 @@ fn serve_one(
                 )?;
                 return Ok(LoopExit::Served);
             };
+            // One hash of the body: the trace id's prefix and the worker's
+            // alias key.
+            let raw_key = wire::fnv1a64(&req.body);
             let trace_id = req
                 .request_id
                 .clone()
-                .unwrap_or_else(|| trace::make_trace_id(&req.body, service.next_trace_seq()));
+                .unwrap_or_else(|| trace::make_trace_id(raw_key, service.next_trace_seq()));
             // Connection-level fault sites need the body text for their
             // key predicate, but `call_bytes` consumes the body — copy it
             // only while a plane is armed (never on the production path).
@@ -409,7 +412,7 @@ fn serve_one(
             } else {
                 None
             };
-            let reply = service.call_bytes(req.body, format);
+            let reply = service.call_keyed(req.body, format, raw_key);
             let status = trace::status_code(reply.disposition);
             if let Some(key) = &fault_key {
                 // A stalled upstream holds the answer: the request was read

@@ -4,6 +4,8 @@
 
 use crate::service::{Disposition, Service};
 use crate::trace::{self, Span};
+use crate::wire;
+use crate::wire_bin::WireFormat;
 use std::io::{self, BufRead, Write};
 use std::time::Instant;
 
@@ -42,8 +44,10 @@ pub fn run_jsonl<R: BufRead, W: Write>(
             continue;
         }
         let started = Instant::now();
-        let trace_id = trace::make_trace_id(line.as_bytes(), service.next_trace_seq());
-        let reply = service.call(line);
+        // One hash of the line: the trace id's prefix and the alias key.
+        let raw_key = wire::fnv1a64(line.as_bytes());
+        let trace_id = trace::make_trace_id(raw_key, service.next_trace_seq());
+        let reply = service.call_keyed(line.into_bytes(), WireFormat::Json, raw_key);
         summary.requests += 1;
         match reply.disposition {
             Disposition::Ok { cached } => summary.cache_hits += u64::from(cached),

@@ -82,6 +82,7 @@ pub mod service;
 pub mod trace;
 pub mod wire;
 pub mod wire_bin;
+mod wire_json;
 
 pub use cache::{LruCache, ShardedCache};
 pub use disk::{DiskTier, FsyncPolicy};

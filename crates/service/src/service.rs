@@ -250,6 +250,9 @@ struct Job {
     /// as declared by `format`. Validation happens on the worker.
     body: Vec<u8>,
     format: WireFormat,
+    /// `fnv1a64(body)`, computed once where the body arrived: the edge
+    /// that hashed it for a trace id or a route reuses it as the alias key.
+    raw_key: u64,
     reply: Sender<Reply>,
     submitted: Instant,
 }
@@ -917,6 +920,18 @@ impl Service {
         body: Vec<u8>,
         format: WireFormat,
     ) -> Result<Receiver<Reply>, Box<Reply>> {
+        let raw_key = wire::fnv1a64(&body);
+        self.submit_keyed(body, format, raw_key)
+    }
+
+    /// [`Service::submit_bytes`] for a body whose `fnv1a64` the caller
+    /// already holds.
+    fn submit_keyed(
+        &self,
+        body: Vec<u8>,
+        format: WireFormat,
+        raw_key: u64,
+    ) -> Result<Receiver<Reply>, Box<Reply>> {
         let started = Instant::now();
         let overload = |started: Instant, telemetry: &Telemetry| {
             telemetry.bump(Counter::Rejected);
@@ -935,6 +950,7 @@ impl Service {
         match tx.try_send(Job {
             body,
             format,
+            raw_key,
             reply: reply_tx,
             submitted: started,
         }) {
@@ -964,8 +980,15 @@ impl Service {
     /// [`Service::call`] for a raw document in the declared wire format.
     /// The reply body is always canonical JSON regardless of `format`.
     pub fn call_bytes(&self, body: Vec<u8>, format: WireFormat) -> Reply {
+        let raw_key = wire::fnv1a64(&body);
+        self.call_keyed(body, format, raw_key)
+    }
+
+    /// [`Service::call_bytes`] for a body whose `fnv1a64` the caller
+    /// already holds (the frontends hash it for the trace id).
+    pub(crate) fn call_keyed(&self, body: Vec<u8>, format: WireFormat, raw_key: u64) -> Reply {
         let started = Instant::now();
-        let reply = self.call_inner(body, format, started);
+        let reply = self.call_inner(body, format, raw_key, started);
         // The end-to-end histogram is observed here — once per answered
         // request, whatever the outcome — so its `_count` is exactly the
         // number of requests served through this entry point.
@@ -976,8 +999,14 @@ impl Service {
         reply
     }
 
-    fn call_inner(&self, body: Vec<u8>, format: WireFormat, started: Instant) -> Reply {
-        let rx = match self.submit_bytes(body, format) {
+    fn call_inner(
+        &self,
+        body: Vec<u8>,
+        format: WireFormat,
+        raw_key: u64,
+        started: Instant,
+    ) -> Reply {
+        let rx = match self.submit_keyed(body, format, raw_key) {
             Ok(rx) => rx,
             Err(reply) => return *reply,
         };
@@ -1194,7 +1223,14 @@ fn worker_loop(id: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) -> bool {
         // the delta around `answer` is what this request cost.
         let prof_before = ws.prof();
         match catch_unwind(AssertUnwindSafe(|| {
-            answer(&job.body, job.format, shared, &mut ws, job.submitted)
+            answer(
+                &job.body,
+                job.format,
+                job.raw_key,
+                shared,
+                &mut ws,
+                job.submitted,
+            )
         })) {
             Ok(mut reply) => {
                 reply.trace.queue_us = queue_us;
@@ -1244,6 +1280,7 @@ fn worker_loop(id: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) -> bool {
 fn answer(
     body: &[u8],
     format: WireFormat,
+    raw_key: u64,
     shared: &Shared,
     ws: &mut SolverWorkspace,
     submitted: Instant,
@@ -1279,7 +1316,6 @@ fn answer(
     // document byte-for-byte (a hash collision is a miss, not a lie).
     // Works identically for JSON and binary spellings.
     let t = Instant::now();
-    let raw_key = wire::fnv1a64(body);
     let alias_hit = shared.cache.get_by_alias(raw_key, body);
     trace.cache_us += us(t);
     if let Some(cached) = alias_hit {

@@ -18,7 +18,6 @@
 
 use crate::logfmt::Level;
 use crate::service::{Disposition, Reply};
-use crate::wire;
 use crate::wire_bin::WireFormat;
 use batsched_core::Prof;
 use serde::Serialize;
@@ -91,11 +90,13 @@ pub fn status_code(disposition: Disposition) -> u16 {
 }
 
 /// Generates a trace id for a request without a client-supplied one:
-/// the raw body's FNV-1a hash (correlates replays of the same document)
-/// joined with a process-wide monotonic sequence (keeps every request
-/// distinct, including pipelined duplicates on one connection).
-pub fn make_trace_id(body: &[u8], seq: u64) -> String {
-    format!("{:016x}-{:x}", wire::fnv1a64(body), seq)
+/// the raw body's FNV-1a hash [`crate::wire::fnv1a64`] (correlates replays of
+/// the same document; the caller computes it once and reuses it as the
+/// cache's alias key) joined with a process-wide monotonic sequence (keeps
+/// every request distinct, including pipelined duplicates on one
+/// connection).
+pub fn make_trace_id(body_hash: u64, seq: u64) -> String {
+    format!("{body_hash:016x}-{seq:x}")
 }
 
 /// Validates a client-supplied `X-Request-Id`: trimmed, non-empty, at most
@@ -271,10 +272,15 @@ mod tests {
 
     #[test]
     fn trace_ids_are_distinct_per_sequence_and_correlated_per_body() {
-        let a0 = make_trace_id(b"body-a", 0);
-        let a1 = make_trace_id(b"body-a", 1);
-        let b0 = make_trace_id(b"body-b", 0);
+        let (a, b) = (
+            crate::wire::fnv1a64(b"body-a"),
+            crate::wire::fnv1a64(b"body-b"),
+        );
+        let a0 = make_trace_id(a, 0);
+        let a1 = make_trace_id(a, 1);
+        let b0 = make_trace_id(b, 0);
         assert_ne!(a0, a1);
+        assert_eq!(a0.split('-').next(), Some(format!("{a:016x}").as_str()));
         assert_eq!(a0.split('-').next(), a1.split('-').next());
         assert_ne!(a0.split('-').next(), b0.split('-').next());
     }

@@ -23,6 +23,7 @@ use batsched_battery::{CoulombCounter, KibamModel, MilliAmpMinutes, PeukertModel
 use batsched_core::{SchedulerConfig, SchedulerError};
 use batsched_taskgraph::io::{self, IoError};
 use batsched_taskgraph::TaskGraph;
+use serde::json::Error as JsonError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -278,6 +279,14 @@ pub enum WireError {
 }
 
 impl WireError {
+    /// A JSON document that is not an object.
+    pub(crate) fn not_an_object() -> Self {
+        Self::BadField {
+            field: "(root)",
+            message: "expected a JSON object".into(),
+        }
+    }
+
     /// Stable machine-readable error code for the response body.
     pub fn code(&self) -> &'static str {
         match self {
@@ -318,100 +327,141 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Parses and fully validates one request document. The graph goes through
-/// [`io::graph_from_value`] (typed rejection of duplicate edges, bad
-/// numbers, cycles, …); envelope numbers are range-checked; model
+/// Parses and fully validates one request document in a single pass (the
+/// streaming decoder in `wire_json.rs`). The graph goes through the typed
+/// [`io::GraphFields::build`] checks (typed rejection of duplicate edges,
+/// bad numbers, cycles, …); envelope numbers are range-checked; model
 /// parameters are instantiated once to validate them.
 ///
 /// # Errors
 ///
 /// Every [`WireError`] variant is reachable; see its docs.
 pub fn parse_request(doc: &str) -> Result<ScheduleRequest, WireError> {
+    crate::wire_json::decode(doc)
+}
+
+/// The tree path [`parse_request`] replaced: parse the document into a
+/// `Value` tree, then deserialise the fields out of it. Kept as the oracle
+/// the streaming decoder is tested against (same request or same error).
+#[doc(hidden)]
+pub fn parse_request_reference(doc: &str) -> Result<ScheduleRequest, WireError> {
     let v = serde::json::parse(doc).map_err(|e| WireError::Syntax {
         message: e.to_string(),
     })?;
-    if v.as_obj().is_none() {
-        return Err(WireError::BadField {
-            field: "(root)",
-            message: "expected a JSON object".into(),
-        });
+    let obj = v.as_obj().ok_or_else(WireError::not_an_object)?;
+    let member = |key: &str| obj.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    Fields {
+        v: member("v").map(Deserialize::from_value),
+        graph: member("graph").map(io::GraphFields::from_value),
+        deadline: member("deadline").map(Deserialize::from_value),
+        model: member("model").map(Deserialize::from_value),
+        capacity: member("capacity").map(Deserialize::from_value),
+        max_iterations: member("max_iterations").map(Deserialize::from_value),
     }
-    let req_field = |name: &'static str| v.get(name).ok_or(WireError::MissingField { field: name });
-    let bad = |name: &'static str, e: &dyn fmt::Display| WireError::BadField {
-        field: name,
-        message: e.to_string(),
-    };
+    .into_request()
+}
 
-    let version: u32 = serde::Deserialize::from_value(req_field("v")?).map_err(|e| bad("v", &e))?;
-    if version != WIRE_VERSION {
-        return Err(WireError::Version { found: version });
-    }
+/// The request fields of one JSON document, each decoded on its own: `None`
+/// for an absent key, else the first occurrence's value or type error.
+/// Both JSON decoders fill one; [`Fields::into_request`] judges it.
+#[derive(Debug, Default)]
+pub(crate) struct Fields {
+    pub(crate) v: Option<Result<u32, JsonError>>,
+    pub(crate) graph: Option<io::GraphFields>,
+    pub(crate) deadline: Option<Result<f64, JsonError>>,
+    pub(crate) model: Option<Result<Option<ModelSpec>, JsonError>>,
+    pub(crate) capacity: Option<Result<Option<f64>, JsonError>>,
+    pub(crate) max_iterations: Option<Result<Option<usize>, JsonError>>,
+}
 
-    let graph = io::graph_from_value(req_field("graph")?).map_err(WireError::Graph)?;
-    // The binary encoding is the canonical form, and it counts name bytes
-    // and design points in 16 bits: a graph it cannot spell exactly would
-    // have no unique key, so it is not admitted.
-    let cap = usize::from(u16::MAX);
-    if let Some(t) = graph
-        .task_ids()
-        .map(|id| graph.task(id))
-        .find(|t| t.name.len() > cap || t.points.len() > cap)
-    {
-        return Err(WireError::Graph(IoError::Shape {
-            message: format!(
-                "task names are capped at {cap} bytes and design points at {cap} per task; \
-                 a task has {} bytes and {} points",
-                t.name.len(),
-                t.points.len()
-            ),
-        }));
-    }
+impl Fields {
+    /// Validates the fields in one fixed order — `v`, `graph`, `deadline`,
+    /// `model`, `capacity`, `max_iterations` — so a document with several
+    /// faults always reports the same one. `null` means absent for the
+    /// three optional fields.
+    pub(crate) fn into_request(self) -> Result<ScheduleRequest, WireError> {
+        let missing = |field: &'static str| WireError::MissingField { field };
+        let bad = |field: &'static str| {
+            move |e: JsonError| WireError::BadField {
+                field,
+                message: e.to_string(),
+            }
+        };
 
-    let deadline: f64 =
-        serde::Deserialize::from_value(req_field("deadline")?).map_err(|e| bad("deadline", &e))?;
-    if !(deadline.is_finite() && deadline > 0.0) {
-        return Err(WireError::InvalidDeadline { deadline });
-    }
-
-    let model: Option<ModelSpec> = match v.get("model") {
-        None => None,
-        Some(mv) => serde::Deserialize::from_value(mv).map_err(|e| WireError::InvalidModel {
-            message: e.to_string(),
-        })?,
-    };
-    if let Some(spec) = &model {
-        spec.build()?; // validate parameters now, with a typed error
-    }
-
-    let capacity: Option<f64> = match v.get("capacity") {
-        None => None,
-        Some(cv) => serde::Deserialize::from_value(cv).map_err(|e| bad("capacity", &e))?,
-    };
-    if let Some(c) = capacity {
-        if !(c.is_finite() && c > 0.0) {
-            return Err(WireError::InvalidCapacity { capacity: c });
+        let version = self.v.ok_or(missing("v"))?.map_err(bad("v"))?;
+        if version != WIRE_VERSION {
+            return Err(WireError::Version { found: version });
         }
-    }
 
-    let max_iterations: Option<usize> = match v.get("max_iterations") {
-        None => None,
-        Some(mv) => serde::Deserialize::from_value(mv).map_err(|e| bad("max_iterations", &e))?,
-    };
-    if max_iterations == Some(0) {
-        return Err(WireError::BadField {
-            field: "max_iterations",
-            message: "must be at least 1".into(),
-        });
-    }
+        let graph = self
+            .graph
+            .ok_or(missing("graph"))?
+            .build()
+            .map_err(WireError::Graph)?;
+        // The binary encoding is the canonical form, and it counts name
+        // bytes and design points in 16 bits: a graph it cannot spell
+        // exactly would have no unique key, so it is not admitted.
+        let cap = usize::from(u16::MAX);
+        if let Some(t) = graph
+            .task_ids()
+            .map(|id| graph.task(id))
+            .find(|t| t.name.len() > cap || t.points.len() > cap)
+        {
+            return Err(WireError::Graph(IoError::Shape {
+                message: format!(
+                    "task names are capped at {cap} bytes and design points at {cap} per task; \
+                     a task has {} bytes and {} points",
+                    t.name.len(),
+                    t.points.len()
+                ),
+            }));
+        }
 
-    Ok(ScheduleRequest {
-        v: version,
-        graph,
-        deadline,
-        model,
-        capacity,
-        max_iterations,
-    })
+        let deadline = self
+            .deadline
+            .ok_or(missing("deadline"))?
+            .map_err(bad("deadline"))?;
+        if !(deadline.is_finite() && deadline > 0.0) {
+            return Err(WireError::InvalidDeadline { deadline });
+        }
+
+        let model = self
+            .model
+            .unwrap_or(Ok(None))
+            .map_err(|e| WireError::InvalidModel {
+                message: e.to_string(),
+            })?;
+        if let Some(spec) = &model {
+            spec.build()?; // validate parameters now, with a typed error
+        }
+
+        let capacity = self.capacity.unwrap_or(Ok(None)).map_err(bad("capacity"))?;
+        if let Some(c) = capacity {
+            if !(c.is_finite() && c > 0.0) {
+                return Err(WireError::InvalidCapacity { capacity: c });
+            }
+        }
+
+        let max_iterations = self
+            .max_iterations
+            .unwrap_or(Ok(None))
+            .map_err(bad("max_iterations"))?;
+        if max_iterations == Some(0) {
+            return Err(WireError::BadField {
+                field: "max_iterations",
+                message: "must be at least 1".into(),
+            });
+        }
+
+        Ok(ScheduleRequest {
+            v: version,
+            graph,
+            deadline,
+            model,
+            capacity,
+            max_iterations,
+        })
+    }
 }
 
 /// A successful scheduling answer.

@@ -22,7 +22,7 @@
 
 use crate::wire::{ModelSpec, ScheduleRequest, ScheduleResponse, WireError, WIRE_VERSION};
 use batsched_battery::units::{MilliAmps, Minutes, Volts};
-use batsched_taskgraph::io::IoError;
+use batsched_taskgraph::io::{self, IoError};
 use batsched_taskgraph::{DesignPoint, TaskGraph, TaskNode};
 
 /// The negotiated media type for binary requests and responses.
@@ -292,21 +292,17 @@ pub(crate) fn decode(buf: &[u8]) -> Result<ScheduleRequest, WireError> {
             let duration = r.f64("duration")?;
             let current = r.f64("current")?;
             let voltage = r.f64("voltage")?;
-            let bad = |message: &str| {
-                WireError::Graph(IoError::InvalidValue {
+            let point = DesignPoint::with_voltage(
+                MilliAmps::new(current),
+                Minutes::new(duration),
+                Volts::new(voltage),
+            );
+            if let Some(message) = io::point_fault(&point) {
+                return Err(WireError::Graph(IoError::InvalidValue {
                     task: name.to_string(),
                     point: j,
                     message: message.into(),
-                })
-            };
-            if !(duration.is_finite() && duration > 0.0) {
-                return Err(bad("duration must be positive and finite"));
-            }
-            if !(current.is_finite() && current >= 0.0) {
-                return Err(bad("current must be non-negative and finite"));
-            }
-            if !(voltage.is_finite() && voltage > 0.0) {
-                return Err(bad("voltage must be positive and finite"));
+                }));
             }
             if duration < prev_duration {
                 return Err(berr(format!(
@@ -314,11 +310,7 @@ pub(crate) fn decode(buf: &[u8]) -> Result<ScheduleRequest, WireError> {
                 )));
             }
             prev_duration = duration;
-            points.push(DesignPoint::with_voltage(
-                MilliAmps::new(current),
-                Minutes::new(duration),
-                Volts::new(voltage),
-            ));
+            points.push(point);
         }
         tasks.push(TaskNode {
             name: name.to_string(),

@@ -7,6 +7,7 @@
 
 use batsched_service::http::client::{Conn, Response};
 use batsched_service::prelude::*;
+use batsched_service::wire::fnv1a64;
 use batsched_service::{HistogramSnapshot, LogTarget, Service, BUCKET_BOUNDS_US};
 use batsched_taskgraph::paper::g2;
 use proptest::prelude::*;
@@ -242,6 +243,85 @@ fn jsonl_frontend_spans_one_line_per_request() {
         ids[1].split_once('-').map(|(h, _)| h),
         "identical bodies share a hash prefix"
     );
+    std::fs::remove_file(&span_path).unwrap();
+}
+
+#[test]
+fn generated_ids_carry_the_body_hash_and_duplicates_take_the_alias_path() {
+    let span_path = tmp_file("alias_spans");
+    let svc = Arc::new(Service::start(ServiceConfig {
+        log_json: Some(LogTarget::File(span_path.clone())),
+        ..ServiceConfig::default()
+    }));
+    let server = HttpServer::bind(Arc::clone(&svc), "127.0.0.1:0").expect("bind");
+    let mut stream = connect(server.local_addr());
+
+    // Each body twice, byte for byte, in both wire formats. The first JSON
+    // request solves, the first binary one hits the canonical entry, and
+    // each duplicate is replayed from the alias index without decoding.
+    let req = ScheduleRequest::new(batsched_taskgraph::paper::g3(), 230.0);
+    let json = serde_json::to_string(&req)
+        .expect("serialises")
+        .into_bytes();
+    let bin = encode_request(&req);
+    let sent = [
+        (&json, "application/json"),
+        (&json, "application/json"),
+        (&bin, batsched_service::wire_bin::CONTENT_TYPE),
+        (&bin, batsched_service::wire_bin::CONTENT_TYPE),
+    ];
+    for (k, (body, content_type)) in sent.iter().enumerate() {
+        let header = format!("Content-Type: {content_type}");
+        let r = stream
+            .call("POST", "/v1/schedule", &[&header], body, k + 1 < sent.len())
+            .expect("exchange");
+        assert_eq!(r.status, 200, "{}", r.text());
+        let id = request_id(&r);
+        let prefix = id.split_once('-').expect("hash-seq form").0;
+        assert_eq!(prefix, format!("{:016x}", fnv1a64(body)), "{id}");
+    }
+    // The edge keyed the alias index as the in-process entry point does:
+    // a third copy through `call_bytes` takes the alias path too.
+    for (body, format) in [(&json, WireFormat::Json), (&bin, WireFormat::Binary)] {
+        let direct = svc.call_bytes(body.clone(), format);
+        assert!(matches!(
+            direct.disposition,
+            Disposition::Ok { cached: true }
+        ));
+        assert_eq!(
+            direct.trace.parse_us + direct.trace.hash_us,
+            0,
+            "{format:?}"
+        );
+    }
+
+    drop(stream);
+    server.stop();
+    server.wait();
+    svc.shutdown();
+
+    let raw = std::fs::read_to_string(&span_path).expect("span log written");
+    let spans: Vec<&str> = raw.lines().filter(|l| l.contains("\"trace_id\"")).collect();
+    assert_eq!(spans.len(), sent.len(), "{raw}");
+    let field = |span: &str, name: &str| -> u64 {
+        let tag = format!("\"{name}\":");
+        let at = span.find(&tag).unwrap_or_else(|| panic!("{name}: {span}"));
+        span[at + tag.len()..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect::<String>()
+            .parse()
+            .expect("integer field")
+    };
+    for pair in spans.chunks(2) {
+        let (first, dup) = (pair[0], pair[1]);
+        assert!(
+            field(first, "parse_us") > 0,
+            "the first copy is decoded: {first}"
+        );
+        assert!(dup.contains("\"outcome\":\"hit\""), "{dup}");
+        assert_eq!(field(dup, "parse_us") + field(dup, "hash_us"), 0, "{dup}");
+    }
     std::fs::remove_file(&span_path).unwrap();
 }
 

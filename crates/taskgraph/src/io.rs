@@ -8,6 +8,7 @@
 //! context) and semantic graph violations, instead of flattening everything
 //! into one message.
 
+use crate::design_point::DesignPoint;
 use crate::graph::{TaskGraph, TaskGraphError, TaskNode};
 use serde::json::Value;
 use std::fmt;
@@ -110,41 +111,86 @@ pub fn from_json_typed(json: &str) -> Result<TaskGraph, IoError> {
 ///
 /// Every [`IoError`] variant except `Syntax`.
 pub fn graph_from_value(v: &Value) -> Result<TaskGraph, IoError> {
-    let shape_err = |message: String| IoError::Shape { message };
-    if v.as_obj().is_none() {
-        return Err(shape_err("expected a JSON object".into()));
-    }
-    let tasks_v = v
-        .get("tasks")
-        .ok_or_else(|| shape_err("missing field `tasks`".into()))?;
-    let tasks: Vec<TaskNode> = serde::Deserialize::from_value(tasks_v)
-        .map_err(|e| shape_err(format!("field `tasks`: {e}")))?;
-    let edges_v = v
-        .get("edges")
-        .ok_or_else(|| shape_err("missing field `edges`".into()))?;
-    let edges: Vec<(usize, usize)> = serde::Deserialize::from_value(edges_v)
-        .map_err(|e| shape_err(format!("field `edges`: {e}")))?;
+    GraphFields::from_value(v).build()
+}
 
-    for t in &tasks {
-        for (j, p) in t.points.iter().enumerate() {
-            let bad = |message: &str| IoError::InvalidValue {
-                task: t.name.clone(),
-                point: j,
-                message: message.into(),
-            };
-            if !(p.duration.is_finite() && p.duration.value() > 0.0) {
-                return Err(bad("duration must be positive and finite"));
-            }
-            if !(p.current.is_finite() && p.current.is_non_negative()) {
-                return Err(bad("current must be non-negative and finite"));
-            }
-            if !(p.voltage.is_finite() && p.voltage.value() > 0.0) {
-                return Err(bad("voltage must be positive and finite"));
-            }
+/// A graph value's fields as some JSON reader decoded them, not yet
+/// judged: what [`graph_from_value`] reads out of a tree, and what a
+/// streaming decoder reads straight off the bytes. [`GraphFields::build`]
+/// is the one verdict both get.
+#[derive(Debug, Default)]
+pub struct GraphFields {
+    /// Whether the graph value was a JSON object (the fields below are
+    /// unset when it was not).
+    pub object: bool,
+    /// The first `tasks` member, decoded; `None` when absent.
+    pub tasks: Option<Result<Vec<TaskNode>, serde::json::Error>>,
+    /// The first `edges` member, decoded; `None` when absent.
+    pub edges: Option<Result<Vec<(usize, usize)>, serde::json::Error>>,
+}
+
+impl GraphFields {
+    /// Decodes the fields of a parsed graph value.
+    pub fn from_value(v: &Value) -> Self {
+        let Some(obj) = v.as_obj() else {
+            return Self::default();
+        };
+        let member = |key: &str| obj.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        Self {
+            object: true,
+            tasks: member("tasks").map(serde::Deserialize::from_value),
+            edges: member("edges").map(serde::Deserialize::from_value),
         }
     }
 
-    Ok(TaskGraph::from_parts(tasks, edges, true)?)
+    /// Judges the fields: the shape (object, then `tasks`, then `edges`),
+    /// each design point's numbers, then the graph invariants through
+    /// [`TaskGraph::from_parts`] with duplicate edges rejected.
+    ///
+    /// # Errors
+    ///
+    /// Every [`IoError`] variant except `Syntax`.
+    pub fn build(self) -> Result<TaskGraph, IoError> {
+        let shape = |e: serde::json::Error| IoError::Shape {
+            message: e.to_string(),
+        };
+        if !self.object {
+            return Err(IoError::Shape {
+                message: "expected a JSON object".into(),
+            });
+        }
+        let tasks = serde::json::field_result(self.tasks, "tasks").map_err(shape)?;
+        let edges = serde::json::field_result(self.edges, "edges").map_err(shape)?;
+        for t in &tasks {
+            for (j, p) in t.points.iter().enumerate() {
+                if let Some(message) = point_fault(p) {
+                    return Err(IoError::InvalidValue {
+                        task: t.name.clone(),
+                        point: j,
+                        message: message.into(),
+                    });
+                }
+            }
+        }
+        Ok(TaskGraph::from_parts(tasks, edges, true)?)
+    }
+}
+
+/// What is wrong with a design point's numbers for an interchange
+/// document, if anything: a duration that is not positive and finite, a
+/// current that is not non-negative and finite, or a voltage that is not
+/// positive and finite. Checked before graph construction so the report
+/// can name the exact task and point.
+pub fn point_fault(p: &DesignPoint) -> Option<&'static str> {
+    if !(p.duration.is_finite() && p.duration.value() > 0.0) {
+        Some("duration must be positive and finite")
+    } else if !(p.current.is_finite() && p.current.is_non_negative()) {
+        Some("current must be non-negative and finite")
+    } else if !(p.voltage.is_finite() && p.voltage.value() > 0.0) {
+        Some("voltage must be positive and finite")
+    } else {
+        None
+    }
 }
 
 /// Renders the DAG in Graphviz DOT format, labelling each task with its
