@@ -1252,6 +1252,7 @@ fn run_metrics_smoke(addr: &str) {
         "request histogram must count exactly the requests served"
     );
     for stage in [
+        "read",
         "queue",
         "parse",
         "hash",
@@ -1259,6 +1260,7 @@ fn run_metrics_smoke(addr: &str) {
         "disk",
         "solve",
         "serialize",
+        "write",
     ] {
         let stage_count = metrics_value(
             &text,

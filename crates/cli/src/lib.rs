@@ -20,6 +20,7 @@ use batsched_taskgraph::{io as gio, TaskGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
+use std::time::Duration;
 
 /// CLI failure: a message and a suggestion to try `--help`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -464,19 +465,44 @@ fn cmd_demo(opts: &Opts, out: &mut String) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parses a sizing option (`--workers`, `--queue`, `--cache`).
-fn sizing(opts: &Opts, key: &str, default: usize, min: usize) -> Result<usize, CliError> {
-    let Some(raw) = opts.get(key) else {
-        return Ok(default);
+/// Parses `--key` as a `T` (`None` when absent); `what` names the
+/// expected value in the error.
+fn parsed<T: std::str::FromStr>(opts: &Opts, key: &str, what: &str) -> Result<Option<T>, CliError> {
+    let parse = |raw: &str| {
+        raw.parse()
+            .map_err(|_| err(format!("--{key} expects {what}, got '{raw}'")))
     };
-    let n: usize = raw
-        .parse()
-        .map_err(|_| err(format!("--{key} expects an integer, got '{raw}'")))?;
-    if n < min {
-        return Err(err(format!("--{key} must be at least {min}")));
-    }
-    Ok(n)
+    opts.get(key).map(parse).transpose()
 }
+
+/// Parses an integer option of at least `min`, `default` when absent.
+fn bounded<T>(opts: &Opts, key: &str, what: &str, default: T, min: T) -> Result<T, CliError>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+{
+    match parsed(opts, key, what)? {
+        None => Ok(default),
+        Some(n) if n < min => Err(err(format!("--{key} must be at least {min}"))),
+        Some(n) => Ok(n),
+    }
+}
+
+/// Parses a sizing option (`--workers`, `--queue`, `--cache`, …).
+fn sizing<T>(opts: &Opts, key: &str, default: T, min: T) -> Result<T, CliError>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+{
+    bounded(opts, key, "an integer", default, min)
+}
+
+/// Parses a duration option given in milliseconds.
+fn millis(opts: &Opts, key: &str, default: Duration, min: u64) -> Result<Duration, CliError> {
+    let default = default.as_millis() as u64;
+    let ms = bounded(opts, key, MILLISECONDS, default, min)?;
+    Ok(Duration::from_millis(ms))
+}
+
+const MILLISECONDS: &str = "an integer (milliseconds)";
 
 /// Parses `--fsync never|always|N` into a [`batsched_service::FsyncPolicy`].
 fn fsync_policy(opts: &Opts) -> Result<batsched_service::FsyncPolicy, CliError> {
@@ -499,62 +525,42 @@ fn fsync_policy(opts: &Opts) -> Result<batsched_service::FsyncPolicy, CliError> 
     }
 }
 
-fn cmd_serve(opts: &Opts, out: &mut String) -> Result<(), CliError> {
-    use batsched_service::{
-        FaultPlane, FaultRule, HttpServer, Level, LogTarget, Service, ServiceConfig, StartError,
-    };
-    let request_timeout = match opts.get("request-timeout") {
-        None => None,
-        Some(raw) => {
-            let ms: u64 = raw.parse().map_err(|_| {
-                err(format!(
-                    "--request-timeout expects an integer (milliseconds), got '{raw}'"
-                ))
-            })?;
-            Some(std::time::Duration::from_millis(ms))
-        }
-    };
-    let cfg = ServiceConfig {
-        workers: sizing(opts, "workers", 2, 1)?,
-        queue_capacity: sizing(opts, "queue", 64, 1)?,
-        cache_capacity: sizing(opts, "cache", 256, 1)?,
-        cache_shards: sizing(opts, "shards", 8, 1)?,
+/// The service configuration `serve` runs with: each option absent from
+/// the command line keeps its [`ServiceConfig::default`] value.
+fn serve_config(opts: &Opts) -> Result<batsched_service::ServiceConfig, CliError> {
+    use batsched_service::{Level, LogTarget, ServiceConfig};
+    let d = ServiceConfig::default();
+    Ok(ServiceConfig {
+        workers: sizing(opts, "workers", d.workers, 1)?,
+        queue_capacity: sizing(opts, "queue", d.queue_capacity, 1)?,
+        cache_capacity: sizing(opts, "cache", d.cache_capacity, 1)?,
+        cache_shards: sizing(opts, "shards", d.cache_shards, 1)?,
         disk_path: opts.get("disk-cache").map(std::path::PathBuf::from),
-        request_timeout,
+        request_timeout: parsed(opts, "request-timeout", MILLISECONDS)?.map(Duration::from_millis),
         fsync_policy: fsync_policy(opts)?,
-        disk_breaker_threshold: u32::try_from(sizing(opts, "disk-breaker", 3, 1)?)
-            .map_err(|_| err("--disk-breaker is out of range"))?,
-        disk_probe_interval: std::time::Duration::from_millis(sizing(
-            opts,
-            "disk-probe-ms",
-            2_000,
-            1,
-        )? as u64),
+        disk_breaker_threshold: sizing(opts, "disk-breaker", d.disk_breaker_threshold, 1)?,
+        disk_probe_interval: millis(opts, "disk-probe-ms", d.disk_probe_interval, 1)?,
         log_json: opts.get("log-json").map(LogTarget::parse),
         log_level: match opts.get("log-level") {
-            None => Level::Info,
+            None => d.log_level,
             Some(raw) => Level::parse(raw).ok_or_else(|| {
                 err(format!(
                     "--log-level expects error, warn, info or debug, got '{raw}'"
                 ))
             })?,
         },
-        log_rate_limit: u32::try_from(sizing(opts, "log-rate-limit", 5_000, 1)?)
-            .map_err(|_| err("--log-rate-limit is out of range"))?,
+        log_rate_limit: sizing(opts, "log-rate-limit", d.log_rate_limit, 1)?,
         // Zero values parse here but are rejected by the service's typed
         // config validation, like --request-timeout 0.
-        idle_timeout: std::time::Duration::from_millis(
-            sizing(opts, "idle-timeout-ms", 5_000, 0)? as u64
-        ),
-        max_requests_per_conn: sizing(opts, "max-requests-per-conn", 1024, 0)?,
-        fleet_worker: match opts.get("worker-id") {
-            None => None,
-            Some(raw) => Some(
-                raw.parse::<u32>()
-                    .map_err(|_| err(format!("--worker-id expects an integer, got '{raw}'")))?,
-            ),
-        },
-    };
+        idle_timeout: millis(opts, "idle-timeout-ms", d.idle_timeout, 0)?,
+        max_requests_per_conn: sizing(opts, "max-requests-per-conn", d.max_requests_per_conn, 0)?,
+        fleet_worker: parsed(opts, "worker-id", "an integer")?,
+    })
+}
+
+fn cmd_serve(opts: &Opts, out: &mut String) -> Result<(), CliError> {
+    use batsched_service::{FaultPlane, FaultRule, HttpServer, Service, ServiceConfig, StartError};
+    let cfg = serve_config(opts)?;
     let fault_specs = opts.get_all("fault");
     let faults = if fault_specs.is_empty() {
         FaultPlane::disarmed()
@@ -614,36 +620,32 @@ fn cmd_serve(opts: &Opts, out: &mut String) -> Result<(), CliError> {
     }
 }
 
+/// The router configuration `fleet` runs with: each option absent from
+/// the command line keeps its [`FleetConfig::default`] value. Zero sizes
+/// and durations parse here and surface as typed fleet config errors from
+/// `Fleet::start`, before anything is spawned.
+fn fleet_config(opts: &Opts) -> Result<batsched_service::FleetConfig, CliError> {
+    use batsched_service::FleetConfig;
+    let d = FleetConfig::default();
+    Ok(FleetConfig {
+        size: sizing(opts, "size", d.size, 0)?,
+        retry_budget: sizing(opts, "retry-budget", d.retry_budget, 0)?,
+        upstream_timeout: millis(opts, "upstream-timeout-ms", d.upstream_timeout, 0)?,
+        probe_interval: millis(opts, "probe-interval-ms", d.probe_interval, 0)?,
+        backoff_base: millis(opts, "restart-backoff-ms", d.backoff_base, 0)?,
+        backoff_max: millis(opts, "restart-backoff-max-ms", d.backoff_max, 0)?,
+        breaker_threshold: sizing(opts, "breaker", d.breaker_threshold, 0)?,
+        drain_timeout: millis(opts, "drain-timeout-ms", d.drain_timeout, 0)?,
+        start_timeout: millis(opts, "start-timeout-ms", d.start_timeout, 0)?,
+    })
+}
+
 fn cmd_fleet(opts: &Opts, out: &mut String) -> Result<(), CliError> {
-    use batsched_service::{Fleet, FleetConfig, ProcessLauncher};
-    use std::time::Duration;
+    use batsched_service::{Fleet, ProcessLauncher};
     let addr = opts
         .get("http")
         .ok_or_else(|| err("fleet needs --http <addr>"))?;
-    let ms = |key: &str, default: u64| -> Result<u64, CliError> {
-        match opts.get(key) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| {
-                err(format!(
-                    "--{key} expects an integer (milliseconds), got '{raw}'"
-                ))
-            }),
-        }
-    };
-    // Zero sizes/durations parse here and surface as typed fleet config
-    // errors from Fleet::start, before anything is spawned.
-    let cfg = FleetConfig {
-        size: sizing(opts, "size", 3, 0)?,
-        retry_budget: sizing(opts, "retry-budget", 2, 0)?,
-        upstream_timeout: Duration::from_millis(ms("upstream-timeout-ms", 10_000)?),
-        probe_interval: Duration::from_millis(ms("probe-interval-ms", 150)?),
-        backoff_base: Duration::from_millis(ms("restart-backoff-ms", 200)?),
-        backoff_max: Duration::from_millis(ms("restart-backoff-max-ms", 5_000)?),
-        breaker_threshold: u32::try_from(sizing(opts, "breaker", 3, 0)?)
-            .map_err(|_| err("--breaker is out of range"))?,
-        drain_timeout: Duration::from_millis(ms("drain-timeout-ms", 30_000)?),
-        start_timeout: Duration::from_millis(ms("start-timeout-ms", 30_000)?),
-    };
+    let cfg = fleet_config(opts)?;
     let size = cfg.size;
     let program = std::env::current_exe()
         .map_err(|e| err(format!("cannot locate the batsched binary: {e}")))?;
@@ -923,6 +925,15 @@ mod tests {
         assert!(e.0.contains("invalid service config"), "{e}");
         let e = run(&sv(&["serve", "--jsonl", "--worker-id", "one"]), &mut out).unwrap_err();
         assert!(e.0.contains("--worker-id expects an integer"), "{e}");
+    }
+
+    #[test]
+    fn absent_options_keep_the_config_defaults() {
+        use batsched_service::{FleetConfig, ServiceConfig};
+        let opts = parse_args(&sv(&["--jsonl"])).unwrap();
+        assert_eq!(serve_config(&opts).unwrap(), ServiceConfig::default());
+        let opts = parse_args(&sv(&["--http", "127.0.0.1:0"])).unwrap();
+        assert_eq!(fleet_config(&opts).unwrap(), FleetConfig::default());
     }
 
     #[test]

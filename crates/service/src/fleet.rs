@@ -1208,7 +1208,8 @@ fn serve_fleet_one(
     keep_alive: bool,
 ) -> io::Result<LoopExit> {
     // Framing failures mirror the worker frontend exactly: typed error,
-    // then close — the router never guesses where the next request starts.
+    // then a lingering close — the router never guesses where the next
+    // request starts.
     let req = match request {
         Ok(req) => req,
         Err(e) => {
@@ -1224,23 +1225,21 @@ fn serve_fleet_one(
         ("POST", "/v1/schedule") => proxy_schedule(&req, stream, shared, keep_alive),
         ("GET", "/readyz") => {
             let status = status_of(shared);
-            let (code, body) = if status.ready {
-                (200, r#"{"ready":true}"#.to_string())
+            let readiness = if status.ready {
+                Ok(())
             } else {
                 let mut reasons: Vec<String> = status
                     .workers
                     .iter()
                     .filter(|w| w.state != "ready")
-                    .map(|w| format!("\"worker_{}_{}\"", w.id, w.state))
+                    .map(|w| format!("worker_{}_{}", w.id, w.state))
                     .collect();
                 if shared.shutting_down.load(Ordering::SeqCst) {
-                    reasons.push("\"shutting_down\"".to_string());
+                    reasons.push("shutting_down".to_string());
                 }
-                let reasons = reasons.join(",");
-                (503, format!("{{\"ready\":false,\"reasons\":[{reasons}]}}"))
+                Err(reasons)
             };
-            write_response(stream, code, &body, &echo, keep_alive)?;
-            Ok(LoopExit::Served)
+            http::write_readyz(stream, readiness, &echo, keep_alive)
         }
         ("GET", "/v1/fleet") => {
             // lint:allow(panic-path): FleetStatus is an owned in-memory struct
@@ -1250,15 +1249,7 @@ fn serve_fleet_one(
             Ok(LoopExit::Served)
         }
         ("GET", "/v1/metrics") => {
-            write_response_bytes(
-                stream,
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                metrics_of(shared).as_bytes(),
-                &echo,
-                keep_alive,
-            )?;
-            Ok(LoopExit::Served)
+            http::write_metrics(stream, &metrics_of(shared), &echo, keep_alive)
         }
         ("POST", path) if path.starts_with("/v1/fleet/drain/") => {
             let spec = path.strip_prefix("/v1/fleet/drain/").unwrap_or_default();

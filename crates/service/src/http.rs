@@ -48,10 +48,10 @@
 //! count, bounds solving concurrency — the queue provides the
 //! backpressure).
 
+use crate::service::Service;
 #[cfg(doc)]
 use crate::service::ServiceConfig;
-use crate::service::{Disposition, Service};
-use crate::trace::{self, Span};
+use crate::trace::{self, Stage};
 use crate::wire::{self, ErrorResponse, ScheduleResponse};
 use crate::wire_bin::{self, WireFormat};
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -366,7 +366,6 @@ fn serve_one(
         Ok(req) => req,
         Err(e) => {
             reject(stream, e)?;
-            linger_close(stream);
             return Ok(LoopExit::AnnouncedClose);
         }
     };
@@ -412,8 +411,10 @@ fn serve_one(
             } else {
                 None
             };
-            let reply = service.call_keyed(req.body, format, raw_key);
-            let status = trace::status_code(reply.disposition);
+            let mut reply = service.call_keyed(req.body, format, raw_key);
+            reply.trace.add(Stage::Read, read_us);
+            let labels = reply.disposition.labels(reply.trace.served_from_disk);
+            let status = labels.status;
             if let Some(key) = &fault_key {
                 // A stalled upstream holds the answer: the request was read
                 // and answered internally, but no response byte leaves —
@@ -429,14 +430,10 @@ fn serve_one(
                     return Ok(LoopExit::AnnouncedClose);
                 }
             }
-            let x_cache = match reply.disposition {
-                Disposition::Ok { cached: true } => Some("X-Cache: hit"),
-                Disposition::Ok { cached: false } => Some("X-Cache: miss"),
-                _ => None,
-            };
             let rid_header = format!("X-Request-Id: {trace_id}");
+            let x_cache = labels.x_cache.map(|value| format!("X-Cache: {value}"));
             let mut headers: Vec<&str> = vec![rid_header.as_str()];
-            headers.extend(x_cache);
+            headers.extend(x_cache.as_deref());
             let write_started = Instant::now();
             // `Accept`-negotiated binary responses are transcoded at this
             // edge from the canonical JSON the service (and its cache
@@ -462,44 +459,55 @@ fn serve_one(
                 None => write_response(stream, status, &reply.body, &headers, keep_alive)?,
             }
             let write_us = write_started.elapsed().as_micros() as u64;
-            service.observe_http(read_us, write_us);
-            let total_us = started.elapsed().as_micros() as u64;
-            service.log_span(
-                &Span::new(trace_id, &reply, read_us, write_us, total_us)
-                    .with_fleet_worker(service.fleet_worker()),
-            );
+            reply.trace.add(Stage::Write, write_us);
+            service.observe_http(&reply.trace);
+            service.log_span(trace_id, &reply, started);
             Ok(LoopExit::Served)
         }
         ("GET", "/v1/stats") => {
             write_response(stream, 200, &service.stats_json(), &echo, keep_alive)?;
             Ok(LoopExit::Served)
         }
-        ("GET", "/v1/metrics") => {
-            write_response_bytes(
-                stream,
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                service.metrics_text().as_bytes(),
-                &echo,
-                keep_alive,
-            )?;
-            Ok(LoopExit::Served)
-        }
-        ("GET", "/readyz") => {
-            match service.readiness() {
-                Ok(()) => {
-                    write_response(stream, 200, r#"{"ready":true}"#, &echo, keep_alive)?;
-                }
-                Err(reasons) => {
-                    let listed: Vec<String> = reasons.iter().map(|r| format!("\"{r}\"")).collect();
-                    let body = format!("{{\"ready\":false,\"reasons\":[{}]}}", listed.join(","));
-                    write_response(stream, 503, &body, &echo, keep_alive)?;
-                }
-            }
-            Ok(LoopExit::Served)
-        }
+        ("GET", "/v1/metrics") => write_metrics(stream, &service.metrics_text(), &echo, keep_alive),
+        ("GET", "/readyz") => write_readyz(stream, service.readiness(), &echo, keep_alive),
         _ => serve_common(&req, stream, &echo, keep_alive, shutdown),
     }
+}
+
+/// Answers `GET /v1/metrics` (daemon and router alike) with a Prometheus
+/// text exposition.
+pub(crate) fn write_metrics(
+    stream: &mut TcpStream,
+    text: &str,
+    echo: &[&str],
+    keep_alive: bool,
+) -> io::Result<LoopExit> {
+    let content_type = "text/plain; version=0.0.4; charset=utf-8";
+    write_response_bytes(stream, 200, content_type, text.as_bytes(), echo, keep_alive)?;
+    Ok(LoopExit::Served)
+}
+
+/// Answers `GET /readyz` (daemon and router alike): 200
+/// `{"ready":true}`, or 503 listing the reasons it is not ready.
+pub(crate) fn write_readyz<R: AsRef<str>>(
+    stream: &mut TcpStream,
+    readiness: Result<(), Vec<R>>,
+    echo: &[&str],
+    keep_alive: bool,
+) -> io::Result<LoopExit> {
+    let (status, body) = match readiness {
+        Ok(()) => (200, r#"{"ready":true}"#.to_string()),
+        Err(reasons) => {
+            let listed: Vec<_> = reasons
+                .iter()
+                .map(|r| format!("\"{}\"", r.as_ref()))
+                .collect();
+            let body = format!("{{\"ready\":false,\"reasons\":[{}]}}", listed.join(","));
+            (503, body)
+        }
+    };
+    write_response(stream, status, &body, echo, keep_alive)?;
+    Ok(LoopExit::Served)
 }
 
 /// A sane client-supplied `X-Request-Id` is echoed on every response,
@@ -609,8 +617,9 @@ impl From<io::Error> for RequestError {
 }
 
 /// Answers a request that failed framing with its typed error, announcing
-/// `Connection: close`: after a malformed head or a short body the next
-/// request's start is unknowable. An I/O error is returned as is.
+/// `Connection: close`, then lingers (see [`linger_close`]): after a
+/// malformed head or a short body the next request's start is unknowable.
+/// An I/O error is returned as is.
 pub(crate) fn reject(stream: &mut TcpStream, err: RequestError) -> io::Result<()> {
     let (status, error, message) = match err {
         RequestError::TooLarge => (
@@ -623,7 +632,9 @@ pub(crate) fn reject(stream: &mut TcpStream, err: RequestError) -> io::Result<()
         RequestError::Io(e) => return Err(e),
     };
     let body = ErrorResponse::new(error, message).to_json();
-    write_response(stream, status, &body, &[], false)
+    write_response(stream, status, &body, &[], false)?;
+    linger_close(stream);
+    Ok(())
 }
 
 fn is_timeout(e: &io::Error) -> bool {

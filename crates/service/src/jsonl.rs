@@ -3,7 +3,7 @@
 //! pair — the CLI wires it to stdin/stdout, tests to in-memory buffers.
 
 use crate::service::{Disposition, Service};
-use crate::trace::{self, Span};
+use crate::trace::{self, Stage};
 use crate::wire;
 use crate::wire_bin::WireFormat;
 use std::io::{self, BufRead, Write};
@@ -47,7 +47,7 @@ pub fn run_jsonl<R: BufRead, W: Write>(
         // One hash of the line: the trace id's prefix and the alias key.
         let raw_key = wire::fnv1a64(line.as_bytes());
         let trace_id = trace::make_trace_id(raw_key, service.next_trace_seq());
-        let reply = service.call_keyed(line.into_bytes(), WireFormat::Json, raw_key);
+        let mut reply = service.call_keyed(line.into_bytes(), WireFormat::Json, raw_key);
         summary.requests += 1;
         match reply.disposition {
             Disposition::Ok { cached } => summary.cache_hits += u64::from(cached),
@@ -62,11 +62,8 @@ pub fn run_jsonl<R: BufRead, W: Write>(
         output.write_all(b"\n")?;
         output.flush()?;
         let write_us = write_started.elapsed().as_micros() as u64;
-        let total_us = started.elapsed().as_micros() as u64;
-        service.log_span(
-            &Span::new(trace_id, &reply, 0, write_us, total_us)
-                .with_fleet_worker(service.fleet_worker()),
-        );
+        reply.trace.add(Stage::Write, write_us);
+        service.log_span(trace_id, &reply, started);
     }
     Ok(summary)
 }

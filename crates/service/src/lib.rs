@@ -98,7 +98,7 @@ pub use metrics::{Histogram, HistogramSnapshot, BUCKET_BOUNDS_US};
 pub use service::{
     solve, ConfigError, Disposition, Reply, Service, ServiceConfig, StartError, StatsSnapshot,
 };
-pub use trace::{RequestTrace, Span};
+pub use trace::{RequestTrace, Span, Stage};
 pub use wire::{
     parse_request, ErrorResponse, ModelSpec, ScheduleRequest, ScheduleResponse, WireError,
     WIRE_VERSION,

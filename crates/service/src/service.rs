@@ -30,7 +30,7 @@ use crate::disk::{DiskTier, FsyncPolicy};
 use crate::faults::FaultPlane;
 use crate::logfmt::{Level, LogTarget, SpanLog};
 use crate::metrics::{self, Histogram, Kind, Read, Series};
-use crate::trace::{RequestTrace, Span};
+use crate::trace::{Observer, RequestTrace, Span, Stage};
 use crate::wire::{self, ErrorResponse, ScheduleRequest, ScheduleResponse, WIRE_VERSION};
 use crate::wire_bin::{self, WireFormat};
 use batsched_battery::units::{MilliAmpMinutes, Minutes};
@@ -232,6 +232,44 @@ pub enum Disposition {
     Internal,
 }
 
+/// How a [`Disposition`] is reported to the client and in the span log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DispositionLabels {
+    /// Outcome label: `hit`, `disk_hit`, `solved`, `client_error`,
+    /// `overloaded`, `timeout` or `internal`.
+    pub outcome: &'static str,
+    /// HTTP status.
+    pub status: u16,
+    /// Span log severity.
+    pub level: Level,
+    /// `X-Cache` header value; `None` for typed errors.
+    pub x_cache: Option<&'static str>,
+}
+
+impl Disposition {
+    /// The one mapping from a disposition to its labels; `served_from_disk`
+    /// tells a disk-tier hit from a memory hit.
+    pub const fn labels(self, served_from_disk: bool) -> DispositionLabels {
+        let (outcome, status, level, x_cache) = match self {
+            Disposition::Ok { cached: true } => {
+                let outcome = if served_from_disk { "disk_hit" } else { "hit" };
+                (outcome, 200, Level::Info, Some("hit"))
+            }
+            Disposition::Ok { cached: false } => ("solved", 200, Level::Info, Some("miss")),
+            Disposition::ClientError => ("client_error", 400, Level::Warn, None),
+            Disposition::Overloaded => ("overloaded", 503, Level::Warn, None),
+            Disposition::Timeout => ("timeout", 504, Level::Warn, None),
+            Disposition::Internal => ("internal", 500, Level::Error, None),
+        };
+        DispositionLabels {
+            outcome,
+            status,
+            level,
+            x_cache,
+        }
+    }
+}
+
 /// One answered request: the response body plus transport metadata.
 #[derive(Debug, Clone)]
 pub struct Reply {
@@ -257,37 +295,22 @@ struct Job {
     submitted: Instant,
 }
 
-/// The `stage` label values of `batsched_stage_duration_us`, in exposition
-/// order: the HTTP read, the worker stages in [`RequestTrace`] order, and
-/// the HTTP write.
-const STAGES: [&str; 9] = [
-    "read",
-    "queue",
-    "parse",
-    "hash",
-    "cache",
-    "disk",
-    "solve",
-    "serialize",
-    "write",
-];
-
 /// The storage behind [`SERIES`] and [`Service::stats`].
 ///
-/// Stage histograms are observed once per worker-handled request, for
-/// every worker-side stage — a stage that did not run observes 0 µs — so
-/// all those `_count` series agree with each other and with the number of
-/// requests the workers handled. `total` is observed once per
-/// [`Service::call`]; `read`/`write` once per HTTP-served request;
-/// `solve_cold` only on cold solves (it feeds the solve percentiles in
-/// stats).
+/// Each stage histogram is observed by its [`Stage::observer`]: the
+/// worker stages once per worker-handled request — a stage that did not
+/// run observes 0 µs — so all those `_count` series agree with each other
+/// and with the number of requests the workers handled; `read`/`write`
+/// once per HTTP-served request. `total` is observed once per
+/// [`Service::call`]; `solve_cold` only on cold solves (it feeds the solve
+/// percentiles in stats).
 #[derive(Debug, Default)]
 struct Telemetry {
     counters: [AtomicU64; COUNTERS],
     /// The sum of every request's solver [`Prof`] delta, in
     /// [`Prof::FIELDS`] order.
     prof: [AtomicU64; Prof::FIELDS.len()],
-    stages: [Histogram; STAGES.len()],
+    stages: [Histogram; Stage::ALL.len()],
     total: Histogram,
     solve_cold: Histogram,
 }
@@ -319,29 +342,13 @@ impl Telemetry {
         Prof::from_values(self.prof.each_ref().map(|c| c.load(Ordering::Relaxed)))
     }
 
-    /// One uniform observation of every worker-side stage for a handled
-    /// request.
-    fn observe_stages(&self, t: &RequestTrace) {
-        let [_, worker @ .., _] = &self.stages;
-        let us = [
-            t.queue_us,
-            t.parse_us,
-            t.hash_us,
-            t.cache_us,
-            t.disk_us,
-            t.solve_us,
-            t.serialize_us,
-        ];
-        for (h, us) in worker.iter().zip(us) {
-            h.observe(us);
+    /// Observes the stages `observer` owns from one request's trace.
+    fn observe(&self, t: &RequestTrace, observer: Observer) {
+        for (stage, h) in Stage::ALL.into_iter().zip(&self.stages) {
+            if stage.observer() == observer {
+                h.observe(t.us(stage));
+            }
         }
-    }
-
-    /// The HTTP frontend's connection I/O for one request.
-    fn observe_http(&self, read_us: u64, write_us: u64) {
-        let [read, .., write] = &self.stages;
-        read.observe(read_us);
-        write.observe(write_us);
     }
 }
 
@@ -646,9 +653,9 @@ const SERIES: [Series<Service>; 16] = [
         vec![(String::new(), s.shared.telemetry.total.snapshot())]
     }),
     Series::histograms("batsched_stage_duration_us", Some("stage"), |s| {
-        let stages = STAGES.iter().zip(&s.shared.telemetry.stages);
+        let stages = Stage::ALL.into_iter().zip(&s.shared.telemetry.stages);
         stages
-            .map(|(stage, h)| (stage.to_string(), h.snapshot()))
+            .map(|(stage, h)| (stage.label().to_string(), h.snapshot()))
             .collect()
     }),
     Series::histograms("batsched_solve_cold_duration_us", None, |s| {
@@ -887,11 +894,6 @@ impl Service {
         (self.cfg.idle_timeout, self.cfg.max_requests_per_conn)
     }
 
-    /// This process's fleet slot, when running as a fleet worker.
-    pub fn fleet_worker(&self) -> Option<u32> {
-        self.cfg.fleet_worker
-    }
-
     /// The fault-injection plane the service was started with (disarmed in
     /// production); frontends probe it for connection-level fault sites.
     pub(crate) fn faults(&self) -> &FaultPlane {
@@ -1042,17 +1044,21 @@ impl Service {
         self.shared.trace_seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Writes one span line to the configured log sink (no-op when span
-    /// logging is disabled).
-    pub(crate) fn log_span(&self, span: &Span) {
+    /// Ends one request at the frontend that answered it, `started` being
+    /// when that frontend began timing it: renders its span, stamped with
+    /// this process's fleet slot, to the configured log sink (no-op when
+    /// span logging is disabled).
+    pub(crate) fn log_span(&self, trace_id: String, reply: &Reply, started: Instant) {
         if let Some(logger) = &self.shared.logger {
-            logger.log(span.severity(), &span.to_json());
+            let total_us = started.elapsed().as_micros() as u64;
+            let span = Span::new(trace_id, reply, total_us, self.cfg.fleet_worker);
+            logger.log(span.level, &span.to_json());
         }
     }
 
-    /// Records the HTTP frontend's connection I/O timings for one request.
-    pub(crate) fn observe_http(&self, read_us: u64, write_us: u64) {
-        self.shared.telemetry.observe_http(read_us, write_us);
+    /// Records the HTTP frontend's connection I/O stages for one request.
+    pub(crate) fn observe_http(&self, trace: &RequestTrace) {
+        self.shared.telemetry.observe(trace, Observer::Http);
     }
 
     /// Readiness for traffic: `Ok(())` when the service can serve at full
@@ -1198,23 +1204,22 @@ fn worker_loop(id: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) -> bool {
             return true; // channel closed: graceful shutdown
         };
         shared.in_queue.fetch_sub(1, Ordering::Relaxed);
-        let queue_us = job.submitted.elapsed().as_micros() as u64;
+        let mut picked_up = RequestTrace {
+            worker,
+            ..RequestTrace::default()
+        };
+        picked_up.add(Stage::Queue, job.submitted.elapsed().as_micros() as u64);
         // Shed jobs that expired while queued: the caller has already
         // answered `timeout`, so a solve here would be wasted work that
         // delays every request still inside its deadline.
         if let Some(budget) = shared.request_timeout {
             if job.submitted.elapsed() >= budget {
-                let trace = RequestTrace {
-                    queue_us,
-                    worker,
-                    ..RequestTrace::default()
-                };
-                shared.telemetry.observe_stages(&trace);
+                shared.telemetry.observe(&picked_up, Observer::Worker);
                 let _ = job.reply.send(Reply {
                     body: ErrorResponse::timeout(budget).to_json(),
                     disposition: Disposition::Timeout,
                     micros: job.submitted.elapsed().as_micros() as u64,
-                    trace,
+                    trace: picked_up,
                 });
                 continue;
             }
@@ -1223,23 +1228,15 @@ fn worker_loop(id: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) -> bool {
         // the delta around `answer` is what this request cost.
         let prof_before = ws.prof();
         match catch_unwind(AssertUnwindSafe(|| {
-            answer(
-                &job.body,
-                job.format,
-                job.raw_key,
-                shared,
-                &mut ws,
-                job.submitted,
-            )
+            answer(&job, shared, &mut ws, picked_up)
         })) {
             Ok(mut reply) => {
-                reply.trace.queue_us = queue_us;
-                reply.trace.worker = worker;
                 reply.trace.prof = ws.prof().since(&prof_before);
                 shared.telemetry.add_prof(&reply.trace.prof);
-                shared.telemetry.observe_stages(&reply.trace);
+                shared.telemetry.observe(&reply.trace, Observer::Worker);
                 if reply.disposition == (Disposition::Ok { cached: false }) {
-                    shared.telemetry.solve_cold.observe(reply.trace.solve_us);
+                    let solve_us = reply.trace.us(Stage::Solve);
+                    shared.telemetry.solve_cold.observe(solve_us);
                 }
                 let _ = job.reply.send(reply); // caller may have given up; fine
             }
@@ -1259,12 +1256,10 @@ fn worker_loop(id: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) -> bool {
                 // fault-plane involvement: an armed plane is by far the
                 // most likely panic source in this codebase.
                 let trace = RequestTrace {
-                    queue_us,
-                    worker,
                     injected: shared.faults.is_armed(),
-                    ..RequestTrace::default()
+                    ..picked_up
                 };
-                shared.telemetry.observe_stages(&trace);
+                shared.telemetry.observe(&trace, Observer::Worker);
                 let _ = job.reply.send(Reply {
                     body,
                     disposition: Disposition::Internal,
@@ -1277,17 +1272,13 @@ fn worker_loop(id: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) -> bool {
     }
 }
 
-fn answer(
-    body: &[u8],
-    format: WireFormat,
-    raw_key: u64,
-    shared: &Shared,
-    ws: &mut SolverWorkspace,
-    submitted: Instant,
-) -> Reply {
+/// Answers one job; `picked_up` is its trace so far (worker and queue
+/// wait).
+fn answer(job: &Job, shared: &Shared, ws: &mut SolverWorkspace, picked_up: RequestTrace) -> Reply {
+    let (body, format, raw_key) = (job.body.as_slice(), job.format, job.raw_key);
     let tel = &shared.telemetry;
     let finish = |disposition: Disposition, body: String, trace: RequestTrace| Reply {
-        micros: submitted.elapsed().as_micros() as u64,
+        micros: job.submitted.elapsed().as_micros() as u64,
         body,
         disposition,
         trace,
@@ -1295,7 +1286,7 @@ fn answer(
     let us = |t: Instant| t.elapsed().as_micros() as u64;
     let mut trace = RequestTrace {
         format,
-        ..RequestTrace::default()
+        ..picked_up
     };
     // Injected solver latency models a slow solve (chaos tests drive the
     // deadline machinery with it); it sits inside `catch_unwind` like the
@@ -1307,7 +1298,7 @@ fn answer(
         if let Some(delay) = shared.faults.solver_latency(body_text_for_faults()) {
             std::thread::sleep(delay);
             trace.injected = true;
-            trace.solve_us += delay.as_micros() as u64;
+            trace.add(Stage::Solve, delay.as_micros() as u64);
         }
     }
     // Fast path: an exact byte-duplicate of a previously answered request
@@ -1317,7 +1308,7 @@ fn answer(
     // Works identically for JSON and binary spellings.
     let t = Instant::now();
     let alias_hit = shared.cache.get_by_alias(raw_key, body);
-    trace.cache_us += us(t);
+    trace.add(Stage::Cache, us(t));
     if let Some(cached) = alias_hit {
         tel.bump(Counter::CacheHits);
         return finish(Disposition::Ok { cached: true }, cached, trace);
@@ -1333,7 +1324,7 @@ fn answer(
             .and_then(wire::parse_request),
         WireFormat::Binary => wire_bin::decode(body),
     };
-    trace.parse_us += us(t);
+    trace.add(Stage::Parse, us(t));
     let req = match parsed {
         Ok(req) => req,
         Err(e) => {
@@ -1347,10 +1338,10 @@ fn answer(
     };
     let t = Instant::now();
     let key = req.content_hash();
-    trace.hash_us += us(t);
+    trace.add(Stage::Hash, us(t));
     let t = Instant::now();
     let canonical_hit = shared.cache.get(key);
-    trace.cache_us += us(t);
+    trace.add(Stage::Cache, us(t));
     if let Some(cached) = canonical_hit {
         // Different spelling, same canonical question: remember this
         // spelling so its next occurrence takes the fast path.
@@ -1369,7 +1360,7 @@ fn answer(
     if let Some(disk) = shared.disk.as_ref().filter(|_| disk_allowed) {
         let t = Instant::now();
         let persisted = lock_recover(disk).get(key);
-        trace.disk_us += us(t);
+        trace.add(Stage::Disk, us(t));
         match persisted {
             Ok(Some(cached)) => {
                 shared.breaker.record_ok(tel);
@@ -1399,7 +1390,7 @@ fn answer(
     }
     let t = Instant::now();
     let solved = solve_keyed(&req, key, ws);
-    trace.solve_us += us(t);
+    trace.add(Stage::Solve, us(t));
     match solved {
         Ok(resp) => {
             let t = Instant::now();
@@ -1408,13 +1399,13 @@ fn answer(
             let rendered = serde_json::to_string(&resp).expect("responses serialise");
             shared.cache.insert(key, rendered.clone());
             shared.cache.alias(raw_key, body, key);
-            trace.serialize_us += us(t);
+            trace.add(Stage::Serialize, us(t));
             if let Some(disk) = shared.disk.as_ref().filter(|_| disk_allowed) {
                 // A failed append only costs warmth after the next restart;
                 // the in-memory answer is already correct.
                 let t = Instant::now();
                 let appended = lock_recover(disk).put(key, &rendered);
-                trace.disk_us += us(t);
+                trace.add(Stage::Disk, us(t));
                 match appended {
                     Ok(()) => shared.breaker.record_ok(tel),
                     Err(e) => {

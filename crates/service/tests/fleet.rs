@@ -5,6 +5,7 @@
 
 use batsched_service::fleet::SlotFaults;
 use batsched_service::http::client::{Conn, Response};
+use batsched_service::http::MAX_HEAD_BYTES;
 use batsched_service::wire::fnv1a64;
 use batsched_service::{
     home_slot, route, FaultPlane, FaultRule, FaultSite, Fleet, FleetConfig, InProcessLauncher,
@@ -12,6 +13,7 @@ use batsched_service::{
 };
 use batsched_taskgraph::paper::g2;
 use proptest::prelude::*;
+use std::io::Write;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -433,4 +435,25 @@ fn shutdown_endpoint_makes_fleet_wait_return() {
     finished
         .recv_timeout(Duration::from_secs(10))
         .expect("Fleet::wait returns after POST /v1/shutdown");
+}
+
+#[test]
+fn oversize_head_is_rejected_413_through_the_router() {
+    let fleet = boot(fast_fleet_config(1), None);
+    let mut c = Conn::connect(fleet.local_addr(), Duration::from_secs(30)).expect("connect");
+    // One header line twice the head limit, no newline in sight: the
+    // router rejects it with ~64 KiB of request bytes still unread, so
+    // closing without a linger resets the connection.
+    let filler = "x".repeat(2 * MAX_HEAD_BYTES);
+    let raw = format!("GET /healthz HTTP/1.1\r\nX-Filler: {filler}");
+    c.stream().write_all(raw.as_bytes()).expect("send");
+    let r = c.read_response().expect("the typed error, not a reset");
+    let r = r.expect("connection closed early");
+    assert_eq!(r.status, 413);
+    assert!(r.text().contains("too_large"), "{}", r.text());
+    let next = c.read_response().expect("clean EOF");
+    assert!(
+        next.is_none(),
+        "expected the router to close the connection"
+    );
 }

@@ -8,7 +8,7 @@
 use batsched_service::http::client::{Conn, Response};
 use batsched_service::prelude::*;
 use batsched_service::wire::fnv1a64;
-use batsched_service::{HistogramSnapshot, LogTarget, Service, BUCKET_BOUNDS_US};
+use batsched_service::{HistogramSnapshot, LogTarget, Service, Stage, BUCKET_BOUNDS_US};
 use batsched_taskgraph::paper::g2;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -289,7 +289,7 @@ fn generated_ids_carry_the_body_hash_and_duplicates_take_the_alias_path() {
             Disposition::Ok { cached: true }
         ));
         assert_eq!(
-            direct.trace.parse_us + direct.trace.hash_us,
+            direct.trace.us(Stage::Parse) + direct.trace.us(Stage::Hash),
             0,
             "{format:?}"
         );
@@ -450,11 +450,26 @@ fn metrics_inventory_is_pinned_and_agrees_with_stats() {
     let metrics = c
         .call("GET", "/v1/metrics", &[], b"", true)
         .expect("scrape");
-    let stats = c.call("GET", "/v1/stats", &[], b"", false).expect("stats");
+    let stats = c.call("GET", "/v1/stats", &[], b"", true).expect("stats");
+    let ready = c.call("GET", "/readyz", &[], b"", true).expect("readyz");
+    assert_eq!(ready.status, 200);
+    let rescrape = c
+        .call("GET", "/v1/metrics", &[], b"", false)
+        .expect("second scrape");
     drop(server);
     svc.shutdown();
 
     let metrics = String::from_utf8(metrics.body).expect("utf8 metrics");
+    // The HTTP frontend observes `read` and `write` once per answered
+    // `/v1/schedule` request; the stats, metrics and readiness routes add
+    // nothing.
+    let rescrape = String::from_utf8(rescrape.body).expect("utf8 metrics");
+    for text in [&metrics, &rescrape] {
+        for stage in ["read", "write"] {
+            let sample = format!("batsched_stage_duration_us_count{{stage=\"{stage}\"}} 3");
+            assert!(text.lines().any(|l| l == sample), "{sample}: {text}");
+        }
+    }
     let found = inventory(&metrics);
     assert_eq!(found, METRICS_INVENTORY, "{metrics}");
     let names: BTreeSet<&str> = found.iter().filter_map(|l| l.split(' ').next()).collect();

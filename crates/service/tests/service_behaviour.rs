@@ -6,7 +6,7 @@ use batsched_core::{Prof, SolverWorkspace};
 use batsched_service::http::client::Conn;
 use batsched_service::prelude::*;
 use batsched_service::wire::{self, ScheduleResponse};
-use batsched_service::Service;
+use batsched_service::{Service, Stage};
 use batsched_taskgraph::paper::{g2, g3};
 use batsched_taskgraph::synth::{layered, Rounding, ScalingScheme, TaskParams};
 use batsched_taskgraph::{PointId, TaskGraph, TaskId};
@@ -134,7 +134,7 @@ fn cold_binary_request_reports_its_hash_time() {
         reply.body
     );
     assert_eq!(reply.trace.format, WireFormat::Binary);
-    assert!(reply.trace.hash_us > 0, "{:?}", reply.trace);
+    assert!(reply.trace.us(Stage::Hash) > 0, "{:?}", reply.trace);
     let resp: ScheduleResponse = serde_json::from_str(&reply.body).expect("parses");
     assert_eq!(resp.key, req.key());
     let cold = reply.body;
@@ -145,7 +145,7 @@ fn cold_binary_request_reports_its_hash_time() {
     let hit = |reply: &Reply| {
         assert_eq!(reply.disposition, Disposition::Ok { cached: true });
         assert_eq!(reply.body, cold, "a hit must be bit-identical");
-        assert_eq!(reply.trace.solve_us, 0, "{:?}", reply.trace);
+        assert_eq!(reply.trace.us(Stage::Solve), 0, "{:?}", reply.trace);
         assert_eq!(reply.trace.prof, Prof::default(), "{:?}", reply.trace);
     };
     hit(&svc.call(json.clone()));
@@ -156,8 +156,8 @@ fn cold_binary_request_reports_its_hash_time() {
             svc.call_bytes(bin.clone(), WireFormat::Binary),
         ] {
             hit(&reply);
-            assert_eq!(reply.trace.parse_us, 0, "{:?}", reply.trace);
-            assert_eq!(reply.trace.hash_us, 0, "{:?}", reply.trace);
+            assert_eq!(reply.trace.us(Stage::Parse), 0, "{:?}", reply.trace);
+            assert_eq!(reply.trace.us(Stage::Hash), 0, "{:?}", reply.trace);
             duplicates += 1;
         }
     }
