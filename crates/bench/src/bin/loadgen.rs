@@ -686,7 +686,7 @@ fn run_fleet(quick: bool, check: bool) -> FleetReport {
     // failover. One fresh connection per request so every outcome is
     // classified (an Err is a LOST request — the acceptance gate).
     let victim = home_slot(
-        batsched_service::wire::fnv1a64(uniques[0].as_bytes()),
+        batsched_service::wire::xxh64(uniques[0].as_bytes()),
         FLEET_SIZE,
     );
     assert_eq!(

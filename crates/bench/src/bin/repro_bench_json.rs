@@ -35,8 +35,11 @@
 //!   evidence that the carried kernel killed the quadratic term;
 //! * `weights_scaling` — the eq. 4 subtree-current weights of one
 //!   re-sequencing step on the same family (n ∈ {100, 200, 400, 800}):
-//!   read off the per-solve descendant sets (`subtree_weights`) vs the
-//!   one-walk-per-task reference (`subtree_current_weights`).
+//!   the work of the read-off from the per-solve descendant sets
+//!   (`subtree_weights`), counted as the sets' total membership (one
+//!   current summed per member; a count, so it does not move with code
+//!   layout), and the time of the one-walk-per-task reference
+//!   (`subtree_current_weights`).
 
 #![forbid(unsafe_code)]
 
@@ -48,7 +51,7 @@ use batsched_bench::fitted_exponent;
 use batsched_bench::workloads::{synthetic_n50_m8, synthetic_scaling, SYNTH_N50_M8_SEED};
 use batsched_core::schedule::{entry_id, graph_evaluator};
 use batsched_core::search::DiagSearch;
-use batsched_core::sequence::{subtree_current_weights, subtree_weights};
+use batsched_core::sequence::subtree_current_weights;
 use batsched_core::{profile_of, schedule, SchedulerConfig};
 use batsched_taskgraph::analysis::{max_makespan, min_makespan};
 use batsched_taskgraph::synth::{layered, Rounding, ScalingScheme, TaskParams};
@@ -284,27 +287,26 @@ fn main() -> std::process::ExitCode {
     );
 
     // Eq. 4 weights of one re-sequencing step, both ways, on the same
-    // family (the assignment does not change the work, only the sums).
-    let weights_ns: Vec<(usize, f64, f64)> = WEIGHTS_SCALING_N
+    // family (the assignment does not change the work, only the sums):
+    // the descendant-set read-off sums one current per set member.
+    let weights_ns: Vec<(usize, usize, f64)> = WEIGHTS_SCALING_N
         .iter()
         .map(|&wn| {
             let wg = synthetic_scaling(wn);
             let sets = DescendantSets::new(&wg);
+            let members = wg.task_ids().map(|t| sets.members(t).count()).sum();
             let assignment = vec![PointId(0); wn];
-            let sets_ns = median_ns(samples, || {
-                black_box(subtree_weights(&wg, &sets, black_box(&assignment)));
-            });
             let walk_ns = median_ns(samples.min(8), || {
                 black_box(subtree_current_weights(&wg, black_box(&assignment)));
             });
-            (wn, sets_ns, walk_ns)
+            (wn, members, walk_ns)
         })
         .collect();
-    let weights_json = |pick: fn(&(usize, f64, f64)) -> String| {
+    let weights_json = |pick: fn(&(usize, usize, f64)) -> String| {
         weights_ns.iter().map(pick).collect::<Vec<_>>().join(", ")
     };
     let weights_n_json = weights_json(|w| w.0.to_string());
-    let weights_sets_json = weights_json(|w| format!("{:.0}", w.1));
+    let weights_sets_json = weights_json(|w| w.1.to_string());
     let weights_walk_json = weights_json(|w| format!("{:.0}", w.2));
 
     let speedup_full = sigma_naive / sigma_engine_full;
@@ -347,7 +349,7 @@ fn main() -> std::process::ExitCode {
          \"evaluate_windows_ns\": [{scaling_ns_json}],\n    \
          \"fitted_exponent\": {sweep_exponent:.3}\n  }},\n  \
          \"weights_scaling\": {{\n    \"n\": [{weights_n_json}],\n    \
-         \"descendant_sets_ns\": [{weights_sets_json}],\n    \
+         \"descendant_set_members\": [{weights_sets_json}],\n    \
          \"walk_per_task_ns\": [{weights_walk_json}]\n  }},\n  \
          \"speedup\": {{\n    \"sigma_full_vs_naive\": {speedup_full:.2},\n    \
          \"sigma_full_vs_old_inner_loop\": {speedup_vs_old_inner:.2},\n    \

@@ -18,7 +18,7 @@
 //!   hit before maps straight to its canonical entry, so an exact
 //!   duplicate document is answered *without parsing anything*. The alias
 //!   stores the raw document and verifies it byte-for-byte on lookup:
-//!   FNV-1a is unkeyed and trivially collidable, so a hash match alone
+//!   the body hash is unkeyed and collidable, so a hash match alone
 //!   must never replay another request's answer. Aliases may dangle after
 //!   an eviction; a dangling alias is dropped on lookup and the request
 //!   simply takes the parse path. Documents larger than
@@ -221,6 +221,11 @@ impl LruCache {
         self.entries.is_empty()
     }
 
+    /// Live alias count.
+    pub fn alias_count(&self) -> usize {
+        self.aliases.len()
+    }
+
     /// Looks `key` up, refreshing its recency on a hit.
     pub fn get(&mut self, key: u64) -> Option<String> {
         self.entries.get_refresh(key).map(|b| b.clone())
@@ -248,7 +253,7 @@ impl LruCache {
     }
 
     /// The fast path: looks the raw document up through the alias index
-    /// (keyed by `raw`, its FNV-1a hash), refreshing recency on both
+    /// (keyed by `raw`, its body hash), refreshing recency on both
     /// levels. The stored document is compared byte-for-byte — a hash
     /// collision is a miss, never a wrong answer. A dangling alias (its
     /// entry was evicted) is dropped and reported as a miss.
@@ -355,7 +360,7 @@ impl ShardedCache {
     }
 
     /// The shard `key` routes to: low content-hash bits folded with the
-    /// high half so both ends of the FNV output participate; the mask
+    /// high half so both ends of the hash participate; the mask
     /// keeps the index in range (shard count is a power of two).
     fn shard(&self, key: u64) -> &Mutex<LruCache> {
         &self.shards[((key ^ (key >> 32)) & self.mask) as usize]
@@ -378,6 +383,14 @@ impl ShardedCache {
     /// `true` when nothing is cached in any shard.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Live aliases across shards.
+    pub fn alias_count(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| Self::locked(s).alias_count())
+            .sum()
     }
 
     /// Live entry count per shard, in shard order.

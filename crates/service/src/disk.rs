@@ -1,14 +1,14 @@
 //! The disk cache tier: an append-only file of `{key, body}` records so a
 //! restarted daemon serves previously computed answers as warm hits.
 //!
-//! A record is one byte frame: the tag `0x00 'B' '3'`, the key as 8 LE
+//! A record is one byte frame: the tag `0x00 'B' '4'`, the key as 8 LE
 //! bytes, the body length as 4 LE bytes, the response body verbatim, then
 //! `\n`. Bodies are stored exactly as the cache replays them, so a disk
 //! hit is bit-identical to the response that was computed. The tag doubles
 //! as the key-scheme version: files written by older builds (JSONL lines,
-//! or `\0B2` records keyed by an earlier scheme) have no valid record
-//! prefix, so the open-time repair below truncates them to empty — their
-//! keys could never hit again anyway.
+//! or `\0B2`/`\0B3` records keyed by earlier schemes) have no valid
+//! record prefix, so the open-time repair below truncates them to empty —
+//! their keys could never hit again anyway.
 //!
 //! On open the file is scanned once to build a key → record-span index
 //! (last record per key wins); bodies stay on disk and are read on
@@ -56,7 +56,7 @@ impl Default for FsyncPolicy {
 
 /// First bytes of every record: a NUL, then a human-greppable marker that
 /// names the key scheme. Changing the key scheme changes the tag.
-const TAG: [u8; 3] = [0x00, b'B', b'3'];
+const TAG: [u8; 3] = [0x00, b'B', b'4'];
 
 /// Fixed header: 3-byte tag + 8-byte key + 4-byte body length.
 const HEADER_LEN: u64 = 15;
@@ -537,7 +537,7 @@ mod tests {
         let path = tmp_path("hostile");
         let mut t = DiskTier::open(&path).unwrap();
         // A body that itself looks like a record tag plus newlines.
-        let hostile = "\u{0}B3 not json \n weird";
+        let hostile = "\u{0}B4 not json \n weird";
         t.put(9, hostile).unwrap();
         assert_eq!(t.get(9).unwrap().as_deref(), Some(hostile));
         drop(t);
@@ -549,22 +549,28 @@ mod tests {
     #[test]
     fn a_file_from_an_older_build_is_discarded_at_open() {
         let path = tmp_path("older_build");
-        // A JSONL line followed by a `\0B2` record, both keyed by an
-        // earlier key scheme.
-        let mut old = b"{\"key\":\"0000000000000001\",\"body\":\"free-form\"}\n".to_vec();
-        old.extend_from_slice(&[0x00, b'B', b'2']);
-        old.extend_from_slice(&2u64.to_le_bytes());
-        old.extend_from_slice(&4u32.to_le_bytes());
-        old.extend_from_slice(b"blob\n");
-        std::fs::write(&path, &old).unwrap();
-        let mut t = DiskTier::open(&path).unwrap();
-        assert_eq!(t.len(), 0, "no record of an older scheme is indexed");
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0, "truncated");
-        t.put(3, RESPONSE_JSON).unwrap();
-        drop(t);
-        let mut t = DiskTier::open(&path).unwrap();
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.get(3).unwrap().as_deref(), Some(RESPONSE_JSON));
+        // A JSONL line, a `\0B2` record and a `\0B3` record, each keyed by
+        // an earlier key scheme, each alone and then all in one file.
+        let record = |tag: u8, key: u64| {
+            let mut r = vec![0x00, b'B', tag];
+            r.extend_from_slice(&key.to_le_bytes());
+            r.extend_from_slice(&4u32.to_le_bytes());
+            r.extend_from_slice(b"blob\n");
+            r
+        };
+        let jsonl = b"{\"key\":\"0000000000000001\",\"body\":\"free-form\"}\n".to_vec();
+        let all = [jsonl.clone(), record(b'2', 2), record(b'3', 3)].concat();
+        for old in [jsonl, record(b'2', 2), record(b'3', 3), all] {
+            std::fs::write(&path, &old).unwrap();
+            let mut t = DiskTier::open(&path).unwrap();
+            assert_eq!(t.len(), 0, "no record of an older scheme is indexed");
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), 0, "truncated");
+            t.put(3, RESPONSE_JSON).unwrap();
+            drop(t);
+            let mut t = DiskTier::open(&path).unwrap();
+            assert_eq!(t.len(), 1);
+            assert_eq!(t.get(3).unwrap().as_deref(), Some(RESPONSE_JSON));
+        }
         std::fs::remove_file(&path).unwrap();
     }
 }

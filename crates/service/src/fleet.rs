@@ -5,7 +5,7 @@
 //! ## Topology
 //!
 //! One router process accepts all client connections. Each `POST
-//! /v1/schedule` body is hashed (FNV-1a over the raw wire bytes — the
+//! /v1/schedule` body is hashed (XXH64 over the raw wire bytes — the
 //! same hash that keys the alias fast path) and folded onto a **home
 //! slot** `(h ^ (h >> 32)) % N`, exactly the fold the sharded memory
 //! cache uses. The same document therefore always lands on the same
@@ -1281,12 +1281,12 @@ fn proxy_schedule(
     keep_alive: bool,
 ) -> io::Result<LoopExit> {
     shared.requests.fetch_add(1, Ordering::Relaxed);
-    // Routing key: FNV-1a over the raw body bytes, folded onto a home
+    // Routing key: XXH64 over the raw body bytes, folded onto a home
     // slot. Raw-byte hashing keeps routing allocation- and parse-free;
     // the canonical cross-format key stays a worker-side concern (each
     // wire spelling of a document consistently warms one slice). The same
     // hash prefixes a generated trace id.
-    let hash = wire::fnv1a64(&req.body);
+    let hash = wire::xxh64(&req.body);
     let trace_id = req.request_id.clone().unwrap_or_else(|| {
         crate::trace::make_trace_id(hash, shared.trace_seq.fetch_add(1, Ordering::Relaxed))
     });

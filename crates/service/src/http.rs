@@ -398,7 +398,7 @@ fn serve_one(
             };
             // One hash of the body: the trace id's prefix and the worker's
             // alias key.
-            let raw_key = wire::fnv1a64(&req.body);
+            let raw_key = wire::xxh64(&req.body);
             let trace_id = req
                 .request_id
                 .clone()

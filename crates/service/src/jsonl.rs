@@ -45,7 +45,7 @@ pub fn run_jsonl<R: BufRead, W: Write>(
         }
         let started = Instant::now();
         // One hash of the line: the trace id's prefix and the alias key.
-        let raw_key = wire::fnv1a64(line.as_bytes());
+        let raw_key = wire::xxh64(line.as_bytes());
         let trace_id = trace::make_trace_id(raw_key, service.next_trace_seq());
         let mut reply = service.call_keyed(line.into_bytes(), WireFormat::Json, raw_key);
         summary.requests += 1;

@@ -7,11 +7,12 @@
 //! The pieces, bottom-up:
 //!
 //! * [`wire`] — the versioned JSON request/response format and the cache
-//!   key: FNV-1a over the binary encoding of a request's canonical twin;
+//!   key: XXH64 over the binary encoding of a request's canonical twin;
 //! * [`wire_bin`] — the binary wire format (`application/x-batsched-bin`):
 //!   a length-prefixed encoding with a single-pass, hash-free decoder.
 //!   Each request has one encoding, which is also the canonical form, so
-//!   binary and JSON spellings of one request share a cache key;
+//!   binary and JSON spellings of one request share a cache key, and a
+//!   binary body that spells no default is keyed by its own hash;
 //! * [`cache`] — the memory cache tier: an O(1) intrusive-list LRU,
 //!   sharded across independently locked shards by content-hash bits
 //!   (hit = bit-identical replay);

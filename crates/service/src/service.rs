@@ -288,8 +288,9 @@ struct Job {
     /// as declared by `format`. Validation happens on the worker.
     body: Vec<u8>,
     format: WireFormat,
-    /// `fnv1a64(body)`, computed once where the body arrived: the edge
-    /// that hashed it for a trace id or a route reuses it as the alias key.
+    /// `xxh64(body)`, computed once where the body arrived: the edge that
+    /// hashed it for a trace id or a route reuses it as the alias key, and
+    /// as the cache key of a binary body that spells no default.
     raw_key: u64,
     reply: Sender<Reply>,
     submitted: Instant,
@@ -522,6 +523,8 @@ stats_snapshot! {
         cache_shards: usize,
         /// Live entries per shard, in shard order.
         shard_occupancy: Vec<usize>,
+        /// Live raw-body aliases across shards.
+        cache_aliases: usize,
         /// `true` when a disk tier is configured.
         disk_enabled: bool,
         /// `true` while the disk-tier breaker is open (tier bypassed).
@@ -922,11 +925,11 @@ impl Service {
         body: Vec<u8>,
         format: WireFormat,
     ) -> Result<Receiver<Reply>, Box<Reply>> {
-        let raw_key = wire::fnv1a64(&body);
+        let raw_key = wire::xxh64(&body);
         self.submit_keyed(body, format, raw_key)
     }
 
-    /// [`Service::submit_bytes`] for a body whose `fnv1a64` the caller
+    /// [`Service::submit_bytes`] for a body whose `xxh64` the caller
     /// already holds.
     fn submit_keyed(
         &self,
@@ -982,11 +985,11 @@ impl Service {
     /// [`Service::call`] for a raw document in the declared wire format.
     /// The reply body is always canonical JSON regardless of `format`.
     pub fn call_bytes(&self, body: Vec<u8>, format: WireFormat) -> Reply {
-        let raw_key = wire::fnv1a64(&body);
+        let raw_key = wire::xxh64(&body);
         self.call_keyed(body, format, raw_key)
     }
 
-    /// [`Service::call_bytes`] for a body whose `fnv1a64` the caller
+    /// [`Service::call_bytes`] for a body whose `xxh64` the caller
     /// already holds (the frontends hash it for the trace id).
     pub(crate) fn call_keyed(&self, body: Vec<u8>, format: WireFormat, raw_key: u64) -> Reply {
         let started = Instant::now();
@@ -1118,6 +1121,7 @@ impl Service {
             cache_len: shard_occupancy.iter().sum(),
             cache_shards: self.shared.cache.shard_count(),
             shard_occupancy,
+            cache_aliases: self.shared.cache.alias_count(),
             disk_enabled: self.shared.disk.is_some(),
             disk_degraded: self.shared.breaker.is_open(),
             disk_entries: self.disk_entries(),
@@ -1206,6 +1210,7 @@ fn worker_loop(id: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) -> bool {
         shared.in_queue.fetch_sub(1, Ordering::Relaxed);
         let mut picked_up = RequestTrace {
             worker,
+            format: job.format,
             ..RequestTrace::default()
         };
         picked_up.add(Stage::Queue, job.submitted.elapsed().as_micros() as u64);
@@ -1284,10 +1289,13 @@ fn answer(job: &Job, shared: &Shared, ws: &mut SolverWorkspace, picked_up: Reque
         trace,
     };
     let us = |t: Instant| t.elapsed().as_micros() as u64;
-    let mut trace = RequestTrace {
-        format,
-        ..picked_up
+    // A body that is its own key needs no alias to find its entry.
+    let remember_spelling = |key: u64| {
+        if key != raw_key {
+            shared.cache.alias(raw_key, body, key);
+        }
     };
+    let mut trace = picked_up;
     // Injected solver latency models a slow solve (chaos tests drive the
     // deadline machinery with it); it sits inside `catch_unwind` like the
     // real work it stands in for. The sleep is deliberately attributed to
@@ -1302,31 +1310,38 @@ fn answer(job: &Job, shared: &Shared, ws: &mut SolverWorkspace, picked_up: Reque
         }
     }
     // Fast path: an exact byte-duplicate of a previously answered request
-    // is replayed without parsing anything — the alias index maps the raw
-    // document hash to the canonical cache entry, verifying the stored
+    // is replayed without parsing anything. A binary body that spells no
+    // default is its own cache key, so the entry is probed by the body
+    // hash; any other spelling goes through the alias index, which maps
+    // the body hash to the canonical entry and verifies the stored
     // document byte-for-byte (a hash collision is a miss, not a lie).
-    // Works identically for JSON and binary spellings.
     let t = Instant::now();
-    let alias_hit = shared.cache.get_by_alias(raw_key, body);
+    let fast_hit = match format {
+        WireFormat::Binary => shared.cache.get(raw_key),
+        WireFormat::Json => None,
+    }
+    .or_else(|| shared.cache.get_by_alias(raw_key, body));
     trace.add(Stage::Cache, us(t));
-    if let Some(cached) = alias_hit {
+    if let Some(cached) = fast_hit {
         tel.bump(Counter::CacheHits);
         return finish(Disposition::Ok { cached: true }, cached, trace);
     }
     // Admission: decode the request in its wire format, then key it. The
-    // key is computed here once and carried through to the response.
+    // key is computed here once and carried through to the response; a
+    // canonical binary body already has it.
     let t = Instant::now();
     let parsed = match format {
         WireFormat::Json => std::str::from_utf8(body)
             .map_err(|_| wire::WireError::Syntax {
                 message: "body is not UTF-8".into(),
             })
-            .and_then(wire::parse_request),
-        WireFormat::Binary => wire_bin::decode(body),
+            .and_then(wire::parse_request)
+            .map(|req| (req, None)),
+        WireFormat::Binary => wire_bin::decode_keyed(body, raw_key),
     };
     trace.add(Stage::Parse, us(t));
-    let req = match parsed {
-        Ok(req) => req,
+    let (req, body_key) = match parsed {
+        Ok(parsed) => parsed,
         Err(e) => {
             tel.bump(Counter::ClientErrors);
             return finish(
@@ -1336,19 +1351,26 @@ fn answer(job: &Job, shared: &Shared, ws: &mut SolverWorkspace, picked_up: Reque
             );
         }
     };
-    let t = Instant::now();
-    let key = req.content_hash();
-    trace.add(Stage::Hash, us(t));
-    let t = Instant::now();
-    let canonical_hit = shared.cache.get(key);
-    trace.add(Stage::Cache, us(t));
-    if let Some(cached) = canonical_hit {
-        // Different spelling, same canonical question: remember this
-        // spelling so its next occurrence takes the fast path.
-        shared.cache.alias(raw_key, body, key);
-        tel.bump(Counter::CacheHits);
-        return finish(Disposition::Ok { cached: true }, cached, trace);
-    }
+    let key = match body_key {
+        // The fast path above already probed this key.
+        Some(key) => key,
+        None => {
+            let t = Instant::now();
+            let key = req.content_hash();
+            trace.add(Stage::Hash, us(t));
+            let t = Instant::now();
+            let canonical_hit = shared.cache.get(key);
+            trace.add(Stage::Cache, us(t));
+            if let Some(cached) = canonical_hit {
+                // Different spelling, same canonical question: remember
+                // this spelling so its next occurrence takes the fast path.
+                remember_spelling(key);
+                tel.bump(Counter::CacheHits);
+                return finish(Disposition::Ok { cached: true }, cached, trace);
+            }
+            key
+        }
+    };
     // One breaker decision covers this request's disk read and (on a cold
     // solve) its disk append: while the tier is degraded both are skipped,
     // and the periodic probe request exercises the full read+write path.
@@ -1365,7 +1387,7 @@ fn answer(job: &Job, shared: &Shared, ws: &mut SolverWorkspace, picked_up: Reque
             Ok(Some(cached)) => {
                 shared.breaker.record_ok(tel);
                 shared.cache.insert(key, cached.clone());
-                shared.cache.alias(raw_key, body, key);
+                remember_spelling(key);
                 tel.bump(Counter::DiskHits);
                 trace.served_from_disk = true;
                 return finish(Disposition::Ok { cached: true }, cached, trace);
@@ -1398,7 +1420,7 @@ fn answer(job: &Job, shared: &Shared, ws: &mut SolverWorkspace, picked_up: Reque
             // with derived Serialize; serialisation cannot fail.
             let rendered = serde_json::to_string(&resp).expect("responses serialise");
             shared.cache.insert(key, rendered.clone());
-            shared.cache.alias(raw_key, body, key);
+            remember_spelling(key);
             trace.add(Stage::Serialize, us(t));
             if let Some(disk) = shared.disk.as_ref().filter(|_| disk_allowed) {
                 // A failed append only costs warmth after the next restart;

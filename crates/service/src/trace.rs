@@ -125,8 +125,8 @@ impl RequestTrace {
 }
 
 /// Generates a trace id for a request without a client-supplied one:
-/// the raw body's FNV-1a hash [`crate::wire::fnv1a64`] (correlates replays of
-/// the same document; the caller computes it once and reuses it as the
+/// the raw body's hash [`crate::wire::xxh64`] (correlates replays of the
+/// same document; the caller computes it once and reuses it as the
 /// cache's alias key) joined with a process-wide monotonic sequence (keeps
 /// every request distinct, including pipelined duplicates on one
 /// connection).
@@ -286,10 +286,7 @@ mod tests {
 
     #[test]
     fn trace_ids_are_distinct_per_sequence_and_correlated_per_body() {
-        let (a, b) = (
-            crate::wire::fnv1a64(b"body-a"),
-            crate::wire::fnv1a64(b"body-b"),
-        );
+        let (a, b) = (crate::wire::xxh64(b"body-a"), crate::wire::xxh64(b"body-b"));
         let a0 = make_trace_id(a, 0);
         let a1 = make_trace_id(a, 1);
         let b0 = make_trace_id(b, 0);

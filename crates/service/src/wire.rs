@@ -86,6 +86,13 @@ impl ModelSpec {
         }
     }
 
+    /// `true` for the paper's RV setup, compared by bits: the value an
+    /// omitted `model` field means, which the canonical form leaves out.
+    pub(crate) fn is_default(&self) -> bool {
+        matches!(self, Self::Rv { beta, terms }
+            if beta.to_bits() == DATE05_BETA.to_bits() && *terms == DATE05_TERMS)
+    }
+
     /// Short model name for reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -175,23 +182,40 @@ impl ScheduleRequest {
     }
 
     /// The canonical twin of this request: version pinned, every optional
-    /// field spelled out with its default. Two requests with equal
+    /// field that equals its default omitted. Two requests with equal
     /// canonical forms are answered identically, so the cache may treat
     /// them as one.
     pub fn canonical(&self) -> ScheduleRequest {
-        let (model, max_iterations) = self.defaulted();
+        let (model, max_iterations) = self.canonical_options();
         ScheduleRequest {
             v: WIRE_VERSION,
             graph: self.graph.clone(),
             deadline: self.deadline,
-            model: Some(model),
+            model: model.cloned(),
             capacity: self.capacity,
-            max_iterations: Some(max_iterations),
+            max_iterations,
         }
     }
 
+    /// The model and iteration cap as the canonical form spells them: a
+    /// field equal to its default, compared by bits, is left out — as the
+    /// encoders leave out a field the caller never set.
+    fn canonical_options(&self) -> (Option<&ModelSpec>, Option<usize>) {
+        (
+            self.model.as_ref().filter(|m| !m.is_default()),
+            self.max_iterations.filter(|&n| n != DEFAULT_MAX_ITERATIONS),
+        )
+    }
+
+    /// `true` when no optional field spells its default, so this request
+    /// is its own canonical twin and its binary encoding hashes to its key.
+    pub(crate) fn spells_no_default(&self) -> bool {
+        let (model, max_iterations) = self.canonical_options();
+        model.is_some() == self.model.is_some() && max_iterations == self.max_iterations
+    }
+
     /// The model and iteration cap this request runs with: its own, or
-    /// the defaults the canonical form spells out.
+    /// the defaults.
     fn defaulted(&self) -> (ModelSpec, usize) {
         (
             self.model.clone().unwrap_or_else(ModelSpec::default_rv),
@@ -199,21 +223,18 @@ impl ScheduleRequest {
         )
     }
 
-    /// The cache key: FNV-1a 64 over the binary encoding of
+    /// The cache key: [`xxh64`] over the binary encoding of
     /// [`Self::canonical`]. That encoding spells every number as its f64
     /// bits and every list in the graph's normalised order, so it is exact
     /// and unique; both wire formats decode to a [`ScheduleRequest`] and
-    /// key through this one function. The canonical twin is encoded from
-    /// a borrow (the defaults are written in place of absent fields), so
-    /// keying never clones the graph. Key values are opaque and may change
-    /// between releases.
+    /// key through this one function. A binary body that spells no default
+    /// *is* that encoding, so the service keys it by the hash of the bytes
+    /// it received ([`crate::wire_bin::decode_request`]). The canonical
+    /// twin is encoded from a borrow, so keying never clones the graph.
+    /// Key values are opaque and may change between releases.
     pub fn content_hash(&self) -> u64 {
-        let (model, max_iterations) = self.defaulted();
-        fnv1a64(&wire_bin::encode_request_with(
-            self,
-            Some(&model),
-            Some(max_iterations),
-        ))
+        let (model, max_iterations) = self.canonical_options();
+        xxh64(&wire_bin::encode_request_with(self, model, max_iterations))
     }
 
     /// The content hash as the 16-hex-digit cache key echoed in responses.
@@ -565,17 +586,87 @@ impl ErrorResponse {
     }
 }
 
-/// FNV-1a 64-bit — small, dependency-free, stable across platforms. It
-/// hashes the canonical binary encoding into the cache key
-/// ([`ScheduleRequest::content_hash`]) and raw bodies into the cache's
-/// alias index, fleet routing and trace ids. Not cryptographic: it is only
-/// ever an *index*, never a proof of identity — the cache's raw-bytes fast
-/// path re-verifies the stored document byte-for-byte before replaying, so
-/// an (accidental or adversarial) collision costs a cache miss, never a
-/// wrong answer. Canonical-key collisions between *semantically different*
-/// requests would conflate their cache slots; at 64 bits and
+/// XXH64 with seed 0 (Yann Collet's published algorithm: four 64-bit
+/// lanes over 32-byte stripes, then the tail and an avalanche). It is the
+/// one hash of the service: it hashes the canonical binary encoding into
+/// the cache key ([`ScheduleRequest::content_hash`]) and raw bodies into
+/// the cache's alias index, fleet routing and trace ids. Not
+/// cryptographic: the alias index re-verifies the stored document
+/// byte-for-byte before replaying, so a raw-body collision costs a cache
+/// miss, never a wrong answer. A collision between the keys of two
+/// *different* requests would conflate their cache slots; at 64 bits and
 /// few-hundred-entry caches that risk is accepted and documented in
 /// `docs/SERVICE.md`.
+pub fn xxh64(input: &[u8]) -> u64 {
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+    const P5: u64 = 0x27D4_EB2F_1656_67C5;
+    let round = |acc: u64, lane: u64| {
+        acc.wrapping_add(lane.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    };
+    let word = |bytes: &[u8; 8]| u64::from_le_bytes(*bytes);
+
+    let mut stripes = input.chunks_exact(32);
+    let mut h = if input.len() < 32 {
+        P5
+    } else {
+        let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in &mut stripes {
+            for (lane, bytes) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                if let Some(bytes) = bytes.first_chunk() {
+                    *lane = round(*lane, word(bytes));
+                }
+            }
+        }
+        let [a, b, c, d] = lanes;
+        let h = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        lanes.iter().fold(h, |h, &lane| {
+            (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+        })
+    };
+    h = h.wrapping_add(input.len() as u64);
+
+    let mut tail = stripes.remainder();
+    while let Some((bytes, rest)) = tail.split_first_chunk::<8>() {
+        h = (h ^ round(0, word(bytes)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+        tail = rest;
+    }
+    if let Some((bytes, rest)) = tail.split_first_chunk::<4>() {
+        h = (h ^ u64::from(u32::from_le_bytes(*bytes)).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        tail = rest;
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+/// FNV-1a 64-bit, the service's hash before [`xxh64`]. The service no
+/// longer calls it. It stays because the benchmark under `perfbench/`
+/// calls it by name: its CPU-pinning calibration loop times it over
+/// 1 MiB, so swapping the hash behind the name would change how the
+/// benchmark picks its CPU. ROADMAP item 10 moves those callers off it.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -616,10 +707,32 @@ mod tests {
         let terse = ScheduleRequest::new(g, 75.0);
         assert_eq!(spelled.content_hash(), terse.content_hash());
 
-        // Spelled-out defaults in the document hash identically after parsing.
-        let doc = serde_json::to_string(&terse.canonical()).unwrap();
+        // Spelled-out defaults in the document hash identically after
+        // parsing, and the canonical form leaves them out.
+        let doc = serde_json::to_string(&spelled).unwrap();
         let parsed = parse_request(&doc).unwrap();
         assert_eq!(parsed.content_hash(), terse.content_hash());
+        assert_eq!(spelled.canonical(), terse);
+        assert!(terse.spells_no_default() && !spelled.spells_no_default());
+    }
+
+    #[test]
+    fn defaults_are_compared_by_bits() {
+        let mut req = ScheduleRequest::new(g2(), 75.0);
+        req.model = Some(ModelSpec::Rv {
+            beta: f64::from_bits(DATE05_BETA.to_bits() + 1),
+            terms: DATE05_TERMS,
+        });
+        assert!(
+            req.spells_no_default(),
+            "a neighbouring β is not the default"
+        );
+        assert_eq!(req.canonical().model, req.model);
+        req.max_iterations = Some(DEFAULT_MAX_ITERATIONS + 1);
+        assert!(req.spells_no_default());
+        req.max_iterations = Some(DEFAULT_MAX_ITERATIONS);
+        assert!(!req.spells_no_default());
+        assert_eq!(req.canonical().max_iterations, None);
     }
 
     #[test]
@@ -722,10 +835,56 @@ mod tests {
     }
 
     #[test]
+    fn xxh64_matches_the_published_vectors() {
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        // 39 bytes: one 32-byte stripe, then a 4-byte and a 3-byte tail.
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
+    }
+
+    #[test]
     fn fnv_vector() {
         // Standard FNV-1a test vectors.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_about_half_the_output_bits() {
+        use batsched_battery::units::{MilliAmps, Minutes, Volts};
+        use batsched_taskgraph::DesignPoint;
+        let mut b = TaskGraph::builder();
+        for t in 0..40 {
+            let points = (0..4)
+                .map(|j| {
+                    DesignPoint::with_voltage(
+                        MilliAmps::new(400.0 - 50.0 * f64::from(j) - f64::from(t)),
+                        Minutes::new(1.0 + f64::from(j) + f64::from(t) / 8.0),
+                        Volts::new(1.0),
+                    )
+                })
+                .collect();
+            b.task(format!("t{t}"), points);
+        }
+        let mut body = wire_bin::encode_request(&ScheduleRequest::new(b.build().unwrap(), 500.0));
+        assert!((4000..4200).contains(&body.len()), "{} bytes", body.len());
+        let base = xxh64(&body);
+        let mut seen = std::collections::HashSet::from([base]);
+        let mut flipped_bits = 0u64;
+        let bits = body.len() * 8;
+        for bit in 0..bits {
+            body[bit / 8] ^= 1 << (bit % 8);
+            let h = xxh64(&body);
+            body[bit / 8] ^= 1 << (bit % 8);
+            assert!(seen.insert(h), "bit {bit} collides");
+            flipped_bits += u64::from((h ^ base).count_ones());
+        }
+        let mean = flipped_bits as f64 / bits as f64;
+        assert!((mean - 32.0).abs() <= 2.0, "mean flipped bits {mean}");
     }
 
     #[test]
@@ -775,7 +934,7 @@ mod tests {
             let spelled = req.canonical();
             assert_eq!(
                 req.content_hash(),
-                fnv1a64(&wire_bin::encode_request(&spelled))
+                xxh64(&wire_bin::encode_request(&spelled))
             );
             assert_eq!(spelled.content_hash(), req.content_hash(), "twins split");
             // The JSON spelling of either twin keys the same.

@@ -11,8 +11,10 @@
 //! `decode(encode(r)) == r` for every valid request. Each request has
 //! exactly one encoding, so [`encode_request`] doubles as the canonical
 //! form: the cache key ([`ScheduleRequest::content_hash`]) hashes the
-//! encoding of the request's canonical twin, and both wire formats key
-//! through that one function.
+//! encoding of the request's canonical twin, which leaves out every
+//! optional field equal to its default. A body that spells no default is
+//! therefore that encoding byte for byte, and its key is the hash of the
+//! body itself — no re-encode, no second pass.
 //!
 //! Hostile input never panics or over-allocates: every declared count is
 //! capped against the bytes actually remaining before any allocation, and
@@ -20,7 +22,7 @@
 //! while semantic violations reuse the JSON path's typed errors
 //! (`invalid_deadline`, `invalid_graph`, …) so clients see one taxonomy.
 
-use crate::wire::{ModelSpec, ScheduleRequest, ScheduleResponse, WireError, WIRE_VERSION};
+use crate::wire::{self, ModelSpec, ScheduleRequest, ScheduleResponse, WireError, WIRE_VERSION};
 use batsched_battery::units::{MilliAmps, Minutes, Volts};
 use batsched_taskgraph::io::{self, IoError};
 use batsched_taskgraph::{DesignPoint, TaskGraph, TaskNode};
@@ -248,8 +250,7 @@ pub(crate) fn encode_request_with(
 /// Decodes and fully validates one binary request, returning it with its
 /// canonical content hash ([`ScheduleRequest::content_hash`]) — the pair
 /// the JSON path gets from [`crate::wire::parse_request`] followed by
-/// `content_hash()`. The service decodes with the crate-private,
-/// hash-free `decode` and hashes once itself.
+/// `content_hash()`. The key comes from [`decode_keyed`].
 ///
 /// # Errors
 ///
@@ -257,13 +258,17 @@ pub(crate) fn encode_request_with(
 /// errors ([`WireError::Graph`], [`WireError::InvalidDeadline`], …) for
 /// semantic ones.
 pub fn decode_request(buf: &[u8]) -> Result<(ScheduleRequest, u64), WireError> {
-    let req = decode(buf)?;
-    let key = req.content_hash();
+    let (req, key) = decode_keyed(buf, wire::xxh64(buf))?;
+    let key = key.unwrap_or_else(|| req.content_hash());
     Ok((req, key))
 }
 
 /// Decodes and fully validates one binary request in a single pass with no
-/// intermediate tree.
+/// intermediate tree, and keys it when its bytes are the key: a body that
+/// is the request's canonical encoding — it spells no default — is keyed
+/// by `body_hash`, the [`wire::xxh64`] of `buf` its caller already holds.
+/// Any other body returns `None`, and its key is
+/// [`ScheduleRequest::content_hash`].
 ///
 /// Format invariants beyond framing: design points sorted by ascending
 /// duration within each task, and the edge table strictly sorted by
@@ -275,7 +280,10 @@ pub fn decode_request(buf: &[u8]) -> Result<(ScheduleRequest, u64), WireError> {
 /// [`WireError::Binary`] for framing problems; the JSON path's typed
 /// errors ([`WireError::Graph`], [`WireError::InvalidDeadline`], …) for
 /// semantic ones.
-pub(crate) fn decode(buf: &[u8]) -> Result<ScheduleRequest, WireError> {
+pub(crate) fn decode_keyed(
+    buf: &[u8],
+    body_hash: u64,
+) -> Result<(ScheduleRequest, Option<u64>), WireError> {
     let mut r = Reader::new(buf);
     check_header(&mut r, KIND_REQUEST, "request")?;
 
@@ -404,14 +412,16 @@ pub(crate) fn decode(buf: &[u8]) -> Result<ScheduleRequest, WireError> {
 
     let graph = TaskGraph::from_parts(tasks, edges, true)
         .map_err(|e| WireError::Graph(IoError::Graph(e)))?;
-    Ok(ScheduleRequest {
+    let req = ScheduleRequest {
         v: WIRE_VERSION,
         graph,
         deadline,
         model,
         capacity,
         max_iterations,
-    })
+    };
+    let key = req.spells_no_default().then_some(body_hash);
+    Ok((req, key))
 }
 
 fn push_str16(out: &mut Vec<u8>, s: &str) {
@@ -569,6 +579,28 @@ mod tests {
             let json = serde_json::to_string(&req).unwrap();
             let parsed = parse_request(&json).unwrap();
             assert_eq!(parsed.content_hash(), hash);
+        }
+    }
+
+    #[test]
+    fn a_body_that_spells_no_default_is_keyed_by_its_own_hash() {
+        for req in requests() {
+            let bin = encode_request(&req.canonical());
+            let (decoded, key) = decode_keyed(&bin, 7).unwrap();
+            assert_eq!(key, Some(7), "{req:?}");
+            assert_eq!(decoded, req.canonical());
+            assert_eq!(decode_request(&bin).unwrap().1, wire::xxh64(&bin));
+
+            let mut spelled = req.clone();
+            spelled.model.get_or_insert_with(ModelSpec::default_rv);
+            spelled
+                .max_iterations
+                .get_or_insert(wire::DEFAULT_MAX_ITERATIONS);
+            let bin = encode_request(&spelled);
+            let (_, key) = decode_keyed(&bin, 7).unwrap();
+            let canonical = spelled.canonical() == spelled;
+            assert_eq!(key, canonical.then_some(7), "{spelled:?}");
+            assert_eq!(decode_request(&bin).unwrap().1, req.content_hash());
         }
     }
 

@@ -90,9 +90,14 @@ fn read_graph(r: &mut Reader<'_>) -> Result<GraphFields, Error> {
     }
     g.object = true;
     r.begin_object()?;
+    // One design-point row buffer for every task: each row is read into it,
+    // then copied out at its exact size.
+    let mut row = Vec::new();
     while let Some(key) = r.next_key()? {
         match &*key {
-            "tasks" if g.tasks.is_none() => g.tasks = Some(read_vec(r, read_task)?),
+            "tasks" if g.tasks.is_none() => {
+                g.tasks = Some(read_vec(r, |r| read_task(r, &mut row))?);
+            }
             "edges" if g.edges.is_none() => g.edges = Some(read_vec(r, read_edge)?),
             _ => r.skip()?,
         }
@@ -104,13 +109,22 @@ fn read_graph(r: &mut Reader<'_>) -> Result<GraphFields, Error> {
 /// array's (the rest is only syntax-checked), as in `Vec::from_value`.
 fn read_vec<T: Deserialize>(
     r: &mut Reader<'_>,
-    mut item: impl FnMut(&mut Reader<'_>) -> Read<T>,
+    item: impl FnMut(&mut Reader<'_>) -> Read<T>,
 ) -> Read<Vec<T>> {
+    let mut out = Vec::new();
+    Ok(read_items(r, &mut out, item)?.map(|()| out))
+}
+
+/// [`read_vec`] into `out`, which the caller owns (and may reuse).
+fn read_items<T: Deserialize>(
+    r: &mut Reader<'_>,
+    out: &mut Vec<T>,
+    mut item: impl FnMut(&mut Reader<'_>) -> Read<T>,
+) -> Read<()> {
     if r.peek_kind()? != Kind::Arr {
-        return scalar(r);
+        return Ok(scalar::<Vec<T>>(r)?.map(drop));
     }
     r.begin_array()?;
-    let mut out = Vec::new();
     while r.next_item()? {
         match item(r)? {
             Ok(x) => out.push(x),
@@ -122,10 +136,12 @@ fn read_vec<T: Deserialize>(
             }
         }
     }
-    Ok(Ok(out))
+    Ok(Ok(()))
 }
 
-fn read_task(r: &mut Reader<'_>) -> Read<TaskNode> {
+/// A task; its design points are read into `row`, then copied out at
+/// their exact count.
+fn read_task(r: &mut Reader<'_>, row: &mut Vec<DesignPoint>) -> Read<TaskNode> {
     if r.peek_kind()? != Kind::Obj {
         return scalar(r);
     }
@@ -134,7 +150,10 @@ fn read_task(r: &mut Reader<'_>) -> Read<TaskNode> {
     while let Some(key) = r.next_key()? {
         match &*key {
             "name" if name.is_none() => name = Some(read_string(r)?),
-            "points" if points.is_none() => points = Some(read_vec(r, read_point)?),
+            "points" if points.is_none() => {
+                row.clear();
+                points = Some(read_items(r, row, read_point)?.map(|()| row.to_vec()));
+            }
             _ => r.skip()?,
         }
     }

@@ -85,6 +85,57 @@ fn solver_panic_answers_typed_error_and_respawns_the_worker() {
 }
 
 #[test]
+fn a_panicking_binary_request_is_logged_as_binary() {
+    // Regression: the panic path rebuilt its trace from the worker and the
+    // queue wait only, so a binary request that panicked was logged as
+    // JSON. One panic is answered in process, one over HTTP.
+    let span_path = tmp_disk("panic_binary_spans");
+    let faults = FaultPlane::armed([FaultRule::always(FaultSite::SolverPanic).count(2)]);
+    let svc = Arc::new(
+        Service::try_start_with_faults(
+            ServiceConfig {
+                workers: 1,
+                log_json: Some(LogTarget::File(span_path.clone())),
+                ..ServiceConfig::default()
+            },
+            faults,
+        )
+        .unwrap(),
+    );
+    let bin = encode_request(&ScheduleRequest::new(g2(), 75.0));
+
+    let reply = svc.call_bytes(bin.clone(), WireFormat::Binary);
+    assert_eq!(reply.disposition, Disposition::Internal, "{}", reply.body);
+    assert_eq!(reply.trace.format, WireFormat::Binary);
+
+    let server = HttpServer::bind(Arc::clone(&svc), "127.0.0.1:0").expect("bind");
+    let header = format!("Content-Type: {}", batsched_service::wire_bin::CONTENT_TYPE);
+    let r = connect(server.local_addr())
+        .call("POST", "/v1/schedule", &[&header], &bin, false)
+        .expect("exchange");
+    assert_eq!(r.status, 500);
+    assert_eq!(svc.stats().worker_panics, 2);
+    server.stop();
+    server.wait();
+    svc.shutdown();
+
+    let raw = std::fs::read_to_string(&span_path).expect("span log written");
+    let spans: Vec<&str> = raw.lines().filter(|l| l.contains("\"trace_id\"")).collect();
+    assert_eq!(spans.len(), 1, "one span for the HTTP request: {raw}");
+    assert!(
+        spans[0].contains("\"outcome\":\"internal\""),
+        "{}",
+        spans[0]
+    );
+    assert!(
+        spans[0].contains("\"wire_format\":\"binary\""),
+        "{}",
+        spans[0]
+    );
+    std::fs::remove_file(&span_path).unwrap();
+}
+
+#[test]
 fn worker_death_never_drops_a_submitted_request() {
     // Regression: pre-isolation, a panicking worker dropped its reply
     // sender and (with the pool dead) later jobs sat in the queue forever.

@@ -6,7 +6,7 @@
 use batsched_service::fleet::SlotFaults;
 use batsched_service::http::client::{Conn, Response};
 use batsched_service::http::MAX_HEAD_BYTES;
-use batsched_service::wire::fnv1a64;
+use batsched_service::wire::xxh64;
 use batsched_service::{
     home_slot, route, FaultPlane, FaultRule, FaultSite, Fleet, FleetConfig, InProcessLauncher,
     ScheduleRequest, ServiceConfig,
@@ -119,7 +119,7 @@ fn body_homing_on(target: usize, size: usize) -> String {
     for tenth in 600..4000u32 {
         let body = serde_json::to_string(&ScheduleRequest::new(g2(), f64::from(tenth) / 10.0))
             .expect("serialises");
-        if home_slot(fnv1a64(body.as_bytes()), size) == target {
+        if home_slot(xxh64(body.as_bytes()), size) == target {
             return body;
         }
     }

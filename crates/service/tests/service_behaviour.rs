@@ -113,12 +113,16 @@ fn cache_hit_is_bit_identical_to_recompute() {
 
 // --------------------------------------------------------- concurrency
 
-/// Both wire formats key a request with the same one canonical hash, and
-/// the trace times it as `hash_us`: a cold n=200 binary request must show
-/// a non-zero hash stage, not a free one. Its duplicates are hits that
-/// run no solve; a byte-duplicate also skips the parse and the hash. At
-/// n=200 each of those stages takes far more than 1 µs, so a stage timed
-/// at zero did not run.
+/// Both wire formats key a request with the same one canonical hash. A
+/// binary body that spells no default is that canonical encoding, so its
+/// key is the body hash the edge already computed: a cold n=200 canonical
+/// binary request times its `hash` stage at zero and leaves no alias. A
+/// binary spelling of the same request with its default model spelled out
+/// is re-encoded and hashed (a non-zero `hash` stage), gets the same key,
+/// and is aliased. Duplicates are hits that run no solve; a
+/// byte-duplicate also skips the parse and the hash. At n=200 each of
+/// those stages takes far more than 1 µs, so a stage timed at zero did not
+/// run.
 #[test]
 fn cold_binary_request_reports_its_hash_time() {
     let svc = Service::start(ServiceConfig::default());
@@ -134,26 +138,46 @@ fn cold_binary_request_reports_its_hash_time() {
         reply.body
     );
     assert_eq!(reply.trace.format, WireFormat::Binary);
-    assert!(reply.trace.us(Stage::Hash) > 0, "{:?}", reply.trace);
+    assert!(reply.trace.us(Stage::Parse) > 0, "{:?}", reply.trace);
+    assert_eq!(reply.trace.us(Stage::Hash), 0, "{:?}", reply.trace);
+    assert_eq!(
+        svc.stats().cache_aliases,
+        0,
+        "a canonical body needs no alias"
+    );
     let resp: ScheduleResponse = serde_json::from_str(&reply.body).expect("parses");
     assert_eq!(resp.key, req.key());
+    assert_eq!(resp.key, format!("{:016x}", wire::xxh64(&bin)));
     let cold = reply.body;
 
-    // The JSON spelling's first occurrence parses and keys, then hits the
-    // binary request's entry.
-    let json = body_of(&req);
     let hit = |reply: &Reply| {
         assert_eq!(reply.disposition, Disposition::Ok { cached: true });
         assert_eq!(reply.body, cold, "a hit must be bit-identical");
         assert_eq!(reply.trace.us(Stage::Solve), 0, "{:?}", reply.trace);
         assert_eq!(reply.trace.prof, Prof::default(), "{:?}", reply.trace);
     };
+    // The default model spelled out: decoded, re-encoded and hashed, then
+    // a hit on the canonical body's entry, remembered as an alias.
+    let mut spelled = req.clone();
+    spelled.model = Some(ModelSpec::default_rv());
+    let spelled_bin = encode_request(&spelled);
+    assert_ne!(spelled_bin, bin);
+    let reply = svc.call_bytes(spelled_bin.clone(), WireFormat::Binary);
+    hit(&reply);
+    assert!(reply.trace.us(Stage::Hash) > 0, "{:?}", reply.trace);
+    assert_eq!(svc.stats().cache_aliases, 1);
+
+    // The JSON spelling's first occurrence parses and keys, then hits the
+    // same entry.
+    let json = body_of(&req);
     hit(&svc.call(json.clone()));
-    let mut duplicates = 1;
+    assert_eq!(svc.stats().cache_aliases, 2);
+    let mut duplicates = 2;
     for _ in 0..5 {
         for reply in [
             svc.call(json.clone()),
             svc.call_bytes(bin.clone(), WireFormat::Binary),
+            svc.call_bytes(spelled_bin.clone(), WireFormat::Binary),
         ] {
             hit(&reply);
             assert_eq!(reply.trace.us(Stage::Parse), 0, "{:?}", reply.trace);
@@ -165,6 +189,7 @@ fn cold_binary_request_reports_its_hash_time() {
     assert_eq!(stats.solved, 1, "{stats:?}");
     assert_eq!(stats.cache_misses, 1, "{stats:?}");
     assert_eq!(stats.cache_hits, duplicates, "{stats:?}");
+    assert_eq!(stats.cache_aliases, 2, "{stats:?}");
     svc.shutdown();
 }
 

@@ -5,7 +5,7 @@
 //! the other format bit-identically after a restart.
 
 use batsched_service::wire::{
-    fnv1a64, parse_request, ModelSpec, ScheduleRequest, ScheduleResponse, DEFAULT_MAX_ITERATIONS,
+    parse_request, xxh64, ModelSpec, ScheduleRequest, ScheduleResponse, DEFAULT_MAX_ITERATIONS,
 };
 use batsched_service::{
     decode_request, decode_response, encode_request, Disposition, Service, ServiceConfig,
@@ -85,10 +85,15 @@ fn request_from_seed(
             exponent: 1.0 + rng.pos(1) / 4.0,
             reference: 1.0 + rng.pos(500),
         }),
-        _ => Some(ModelSpec::Ideal),
+        4 => Some(ModelSpec::Ideal),
+        _ => Some(ModelSpec::default_rv()),
     };
     req.capacity = (rng.next().is_multiple_of(2)).then(|| 1_000.0 + rng.pos(100_000));
-    req.max_iterations = (rng.next().is_multiple_of(2)).then(|| 1 + (rng.next() % 200) as usize);
+    req.max_iterations = match rng.next() % 3 {
+        0 => None,
+        1 => Some(DEFAULT_MAX_ITERATIONS),
+        _ => Some(1 + (rng.next() % 200) as usize),
+    };
     req
 }
 
@@ -104,7 +109,7 @@ proptest! {
         seed in 0u64..u64::MAX / 2,
         n_tasks in 1usize..6,
         n_points in 1usize..4,
-        model_kind in 0u8..5,
+        model_kind in 0u8..6,
     ) {
         let req = request_from_seed(seed, n_tasks, n_points, model_kind);
 
@@ -123,7 +128,7 @@ proptest! {
         // And the canonical form oracle agrees with the hash, which encodes
         // the canonical twin from a borrow: for every combination of
         // absent, default-spelled and other values of the optional fields.
-        let oracle = fnv1a64(&encode_request(&req.canonical()));
+        let oracle = xxh64(&encode_request(&req.canonical()));
         prop_assert_eq!(oracle, bin_hash, "canonical form oracle diverged");
         for model in [None, Some(ModelSpec::default_rv()), req.model.clone()] {
             for capacity in [None, req.capacity.or(Some(5_000.0))] {
@@ -134,10 +139,28 @@ proptest! {
                         max_iterations,
                         ..req.clone()
                     };
-                    let oracle = fnv1a64(&encode_request(&variant.canonical()));
+                    let oracle = xxh64(&encode_request(&variant.canonical()));
                     prop_assert_eq!(variant.content_hash(), oracle, "{:?}", variant);
                 }
             }
+        }
+
+        // The canonical encoding is keyed by its own hash. The same request
+        // with its defaults spelled out is another body, keyed the same by
+        // re-encoding it.
+        let canonical = req.canonical();
+        let canonical_bin = encode_request(&canonical);
+        let (_, key) = decode_request(&canonical_bin).expect("canonical body decodes");
+        prop_assert_eq!(key, xxh64(&canonical_bin));
+        prop_assert_eq!(key, req.content_hash());
+        let mut spelled = canonical.clone();
+        spelled.model.get_or_insert_with(ModelSpec::default_rv);
+        spelled.max_iterations.get_or_insert(DEFAULT_MAX_ITERATIONS);
+        if spelled != canonical {
+            let spelled_bin = encode_request(&spelled);
+            let (_, key) = decode_request(&spelled_bin).expect("spelled body decodes");
+            prop_assert_eq!(key, req.content_hash());
+            prop_assert!(key != xxh64(&spelled_bin), "a spelled default is not canonical");
         }
     }
 

@@ -175,9 +175,24 @@ pub struct TaskNode {
 #[serde(try_from = "RawTaskGraph", into = "RawTaskGraph")]
 pub struct TaskGraph {
     tasks: Vec<TaskNode>,
-    preds: Vec<Vec<TaskId>>,
-    succs: Vec<Vec<TaskId>>,
+    preds: Adjacency,
+    succs: Adjacency,
     point_count: usize,
+}
+
+/// One precedence relation in compressed sparse row form: the neighbours
+/// of task `i` are `targets[offsets[i]..offsets[i + 1]]`, ascending. Two
+/// allocations per relation, whatever the task count.
+#[derive(Debug, Clone, PartialEq)]
+struct Adjacency {
+    offsets: Vec<usize>,
+    targets: Vec<TaskId>,
+}
+
+impl Adjacency {
+    fn row(&self, i: usize) -> &[TaskId] {
+        &self.targets[self.offsets[i]..self.offsets[i + 1]]
+    }
 }
 
 impl TaskGraph {
@@ -232,25 +247,23 @@ impl TaskGraph {
 
     /// Direct predecessors (parents) of `id`.
     pub fn preds(&self, id: TaskId) -> &[TaskId] {
-        &self.preds[id.0]
+        self.preds.row(id.0)
     }
 
     /// Direct successors (children) of `id`.
     pub fn succs(&self, id: TaskId) -> &[TaskId] {
-        &self.succs[id.0]
+        self.succs.row(id.0)
     }
 
     /// All edges as `(from, to)` pairs in deterministic order.
     pub fn edges(&self) -> impl Iterator<Item = (TaskId, TaskId)> + '_ {
-        self.succs
-            .iter()
-            .enumerate()
-            .flat_map(|(u, vs)| vs.iter().map(move |&v| (TaskId(u), v)))
+        self.task_ids()
+            .flat_map(move |u| self.succs(u).iter().map(move |&v| (u, v)))
     }
 
     /// Number of edges `e`.
     pub fn edge_count(&self) -> usize {
-        self.succs.iter().map(Vec::len).sum()
+        self.succs.targets.len()
     }
 
     /// Tasks with no predecessors.
@@ -366,16 +379,36 @@ impl TaskGraph {
                 });
             }
         }
-        let mut preds: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        let mut succs: Vec<Vec<TaskId>> = vec![Vec::new(); n];
         sorted.dedup_by_key(|&mut (u, v, _)| (u, v));
+        let mut succ_offsets = vec![0usize; n + 1];
+        let mut pred_offsets = vec![0usize; n + 1];
         for &(u, v, _) in &sorted {
-            succs[u].push(TaskId(v));
-            preds[v].push(TaskId(u));
+            succ_offsets[u + 1] += 1;
+            pred_offsets[v + 1] += 1;
         }
+        for i in 0..n {
+            succ_offsets[i + 1] += succ_offsets[i];
+            pred_offsets[i + 1] += pred_offsets[i];
+        }
+        // Successors are the sorted list's targets; predecessors come from
+        // a stable counting sort of it by target, so each row ascends.
+        let succs = Adjacency {
+            targets: sorted.iter().map(|&(_, v, _)| TaskId(v)).collect(),
+            offsets: succ_offsets,
+        };
+        let mut pred_targets = vec![TaskId(0); sorted.len()];
+        let mut next = pred_offsets.clone();
+        for &(u, v, _) in &sorted {
+            pred_targets[next[v]] = TaskId(u);
+            next[v] += 1;
+        }
+        let preds = Adjacency {
+            offsets: pred_offsets,
+            targets: pred_targets,
+        };
 
         // Kahn's algorithm detects cycles.
-        let mut indeg: Vec<usize> = preds.iter().map(Vec::len).collect();
+        let mut indeg: Vec<usize> = (0..n).map(|v| preds.row(v).len()).collect();
         let mut queue: Vec<usize> = indeg
             .iter()
             .enumerate()
@@ -385,7 +418,7 @@ impl TaskGraph {
         let mut visited = 0usize;
         while let Some(u) = queue.pop() {
             visited += 1;
-            for &TaskId(v) in &succs[u] {
+            for &TaskId(v) in succs.row(u) {
                 indeg[v] -= 1;
                 if indeg[v] == 0 {
                     queue.push(v);
