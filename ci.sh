@@ -97,7 +97,7 @@ chaos_smoke() {
   # Boot a real daemon with the fault plane armed: one solver panic
   # (targeted at the G2/deadline-75 request), a burst of 10 disk-append
   # failures, and 500 ms of injected latency (2x the request deadline) on
-  # every 20th request. The rules mirror CHAOS_FAULTS in loadgen.rs —
+  # every 20th solve. The rules mirror CHAOS_FAULTS in loadgen.rs —
   # keep the two lists in lockstep.
   boot_daemon '127\.0\.0\.1:[0-9]+' \
     ./target/release/batsched serve --http 127.0.0.1:0 --disk-cache "$tmp.chaos.jsonl" \

@@ -368,8 +368,9 @@ fn metrics_value(text: &str, sample: &str) -> f64 {
 /// * fail disk appends 6 through 15 — enough consecutive errors to trip
 ///   the breaker, with leftover budget for the re-probe loop to burn
 ///   before a probe succeeds and re-arms the tier;
-/// * sleep 500 ms (2× the 250 ms request deadline) on every 20th request,
-///   at most 5 times, so some requests answer a typed `timeout`.
+/// * sleep 500 ms (2× the 250 ms request deadline) on every 20th solve,
+///   at most 5 times, so some requests answer a typed `timeout` (the
+///   probe sits in the solve, so cache hits never count toward the 20).
 const CHAOS_FAULTS: [&str; 3] = [
     "solver-panic:count=1,key=\"deadline\":75",
     "disk-append:after=5,count=10",

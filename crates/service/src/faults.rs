@@ -28,9 +28,11 @@ pub enum FaultSite {
     DiskAppend,
     /// `DiskTier::compact` (and the torn-tail repair) — the rewrite fails.
     DiskWrite,
-    /// The solver worker panics instead of solving.
+    /// The solver worker panics instead of solving. Probed once per solve
+    /// (a request the cache tiers answer never reaches it).
     SolverPanic,
-    /// The solver worker sleeps before solving.
+    /// The solver worker sleeps before solving. Probed once per solve, so
+    /// `every=20` delays every 20th solve, not every 20th request.
     SolverLatency,
     /// The HTTP frontend severs the connection mid-response body after
     /// answering — what a crashing upstream looks like to a router.
@@ -304,15 +306,15 @@ impl FaultPlane {
         Ok(())
     }
 
-    /// Solver-panic probe: `true` when the worker should panic on this
-    /// request body. The caller performs the actual `panic!` so the
-    /// backtrace points at the worker.
+    /// Solver-panic probe, once per solve: `true` when the worker should
+    /// panic on this request body. The caller performs the actual `panic!`
+    /// so the backtrace points at the worker.
     pub fn solver_panic(&self, body: &str) -> bool {
         self.fire(FaultSite::SolverPanic, body).is_some()
     }
 
-    /// Solver-latency probe: the sleep to apply before solving this
-    /// request body, if a rule fires.
+    /// Solver-latency probe, once per solve: the sleep to apply before
+    /// solving this request body, if a rule fires.
     pub fn solver_latency(&self, body: &str) -> Option<Duration> {
         self.fire(FaultSite::SolverLatency, body)
             .and_then(|r| r.rule.latency)

@@ -44,9 +44,10 @@
 //! The acceptor blocks in `accept`, so a connection is served the moment
 //! it arrives; whoever stops it raises a [`Shutdown`], which wakes the
 //! acceptor by connecting to the listener itself. Each accepted connection
-//! is handled on its own thread (the worker pool, not the connection
-//! count, bounds solving concurrency — the queue provides the
-//! backpressure).
+//! is handled on its own thread, which also answers the requests the
+//! cache tiers can answer and the malformed ones (the worker pool, not
+//! the connection count, bounds solving concurrency — the queue provides
+//! the backpressure).
 
 use crate::service::Service;
 #[cfg(doc)]
@@ -396,8 +397,8 @@ fn serve_one(
                 )?;
                 return Ok(LoopExit::Served);
             };
-            // One hash of the body: the trace id's prefix and the worker's
-            // alias key.
+            // One hash of the body: the trace id's prefix and the
+            // service's alias key.
             let raw_key = wire::xxh64(&req.body);
             let trace_id = req
                 .request_id
@@ -852,7 +853,8 @@ pub(crate) fn write_response_bytes(
 /// Writes one HTTP/1.1 message, requests (see [`client::Conn::send`]) and
 /// responses alike: `start` — the start line and any leading header lines,
 /// without the last CRLF — then the framing headers, `extra_headers` and
-/// `body`.
+/// `body`. Head and body go out in one write, so on a `TCP_NODELAY`
+/// socket the peer wakes once per message, not once per part.
 fn write_message(
     stream: &mut TcpStream,
     start: &str,
@@ -870,8 +872,10 @@ fn write_message(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    let mut message = Vec::with_capacity(head.len() + body.len());
+    message.extend_from_slice(head.as_bytes());
+    message.extend_from_slice(body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 

@@ -91,4 +91,30 @@ mod tests {
         assert!(lines[2].contains("bad_json"));
         svc.shutdown();
     }
+
+    #[test]
+    fn a_duplicate_line_is_answered_at_the_edge() {
+        let dir = std::env::temp_dir().join("batsched_jsonl_tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("edge_{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let svc = Service::start(ServiceConfig {
+            log_json: Some(crate::logfmt::LogTarget::File(path.clone())),
+            ..ServiceConfig::default()
+        });
+        let req = serde_json::to_string(&ScheduleRequest::new(g2(), 75.0)).unwrap();
+        let input = format!("{req}\n{req}\n");
+        let summary = run_jsonl(&svc, input.as_bytes(), &mut Vec::new()).unwrap();
+        assert_eq!((summary.requests, summary.cache_hits), (2, 1));
+        svc.shutdown();
+        let logged = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let spans: Vec<&str> = logged.lines().collect();
+        assert_eq!(spans.len(), 2, "{logged}");
+        assert!(spans[0].contains("\"outcome\":\"solved\""), "{}", spans[0]);
+        assert!(!spans[0].contains("\"worker\":-1,"), "{}", spans[0]);
+        assert!(spans[1].contains("\"outcome\":\"hit\""), "{}", spans[1]);
+        assert!(spans[1].contains("\"worker\":-1,"), "{}", spans[1]);
+        assert!(spans[1].contains("\"queue_us\":0,"), "{}", spans[1]);
+    }
 }

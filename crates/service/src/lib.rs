@@ -52,8 +52,10 @@
 //! connection, and a sick disk tier trips a breaker (degraded mode:
 //! memory + cold solves) that periodically re-probes until it heals.
 //!
-//! Backpressure is explicit: the queue is bounded and a full queue answers
-//! `overloaded` immediately rather than queueing without limit.
+//! Backpressure is explicit: hits and client errors are answered on the
+//! caller's thread, only misses are queued, and a miss that finds the
+//! bounded queue full answers `overloaded` immediately rather than
+//! queueing without limit.
 //!
 //! ```
 //! use batsched_service::prelude::*;

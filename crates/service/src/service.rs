@@ -1,23 +1,35 @@
-//! The service core: a bounded job queue feeding a pool of worker threads,
-//! each holding reusable solver buffers, in front of the tiered result
-//! cache (sharded in-memory LRU over an optional disk tier) and the stats
-//! counters.
+//! The service core: the tiered result cache (sharded in-memory LRU over
+//! an optional disk tier), probed on the caller's thread, in front of a
+//! bounded job queue feeding a pool of worker threads that each hold
+//! reusable solver buffers, plus the stats counters.
+//!
+//! The pool only solves. The thread that submits a request runs
+//! everything up to the cache miss: the raw-key and alias probe,
+//! admission (JSON parse or binary decode), keying and the canonical
+//! probe, and the disk read. Hits in either tier and client errors are
+//! answered there, with no queue, no worker and no reply channel in the
+//! way (`worker: None`, a zero `queue` stage). A miss becomes a job that
+//! carries the decoded request, its key, the disk breaker's decision and
+//! the trace so far; a worker solves it, serialises the response, fills
+//! the memory cache and appends to the disk tier.
 //!
 //! Backpressure is explicit: [`Service::submit`] never blocks — when the
-//! queue is full the caller gets a typed `overloaded` response immediately
-//! instead of an unbounded pile-up. Shutdown is graceful: queued jobs are
-//! drained, workers exit, and the disk tier is compacted so the next boot
-//! loads a dense file.
+//! queue has no room for a solve the caller gets a typed `overloaded`
+//! response immediately instead of an unbounded pile-up, so a 503 means
+//! "no solve capacity" and hits are still answered. Shutdown is graceful:
+//! every request after it begins is refused, hits included; queued jobs
+//! are drained, workers exit, and the disk tier is compacted so the next
+//! boot loads a dense file.
 //!
 //! Failure is a first-class citizen:
 //!
 //! * a panicking solve is caught ([`std::panic::catch_unwind`]), answered
 //!   with a typed `internal` error, and the worker is respawned by a
 //!   supervisor thread so the pool never shrinks;
-//! * [`ServiceConfig::request_timeout`] bounds queue-to-reply latency —
-//!   an expired request answers a typed `timeout` error instead of
-//!   holding its connection, and workers shed jobs that expired while
-//!   queued without wasting a solve on them;
+//! * [`ServiceConfig::request_timeout`] bounds submit-to-reply latency of
+//!   a request that needs a solve — an expired request answers a typed
+//!   `timeout` error instead of holding its connection, and workers shed
+//!   jobs that expired while queued without wasting a solve on them;
 //! * disk-tier I/O errors feed a circuit breaker: after
 //!   [`ServiceConfig::disk_breaker_threshold`] consecutive errors the
 //!   tier is bypassed (`disk_degraded` in stats) and re-probed every
@@ -222,7 +234,8 @@ pub enum Disposition {
     /// The request itself was at fault (parse error, invalid graph,
     /// infeasible deadline, …).
     ClientError,
-    /// The queue was full; the request was never enqueued.
+    /// No solve capacity: a miss found the queue full (or the service is
+    /// shutting down); the request was never enqueued.
     Overloaded,
     /// The request exceeded [`ServiceConfig::request_timeout`] before an
     /// answer was produced; it may be retried.
@@ -277,34 +290,68 @@ pub struct Reply {
     pub body: String,
     /// Transport classification (HTTP status / `X-Cache` derive from it).
     pub disposition: Disposition,
-    /// Wall-clock service time in microseconds (enqueue to answer).
+    /// Wall-clock service time in microseconds (submit to answer).
     pub micros: u64,
     /// Stage timings and solver attribution for this request.
     pub trace: RequestTrace,
 }
 
-struct Job {
-    /// Raw request document bytes — UTF-8 JSON or the binary wire format,
-    /// as declared by `format`. Validation happens on the worker.
+/// A request that missed every cache tier, as the edge hands it to a
+/// worker: the admission work is done, only the solve is left.
+struct Solve {
+    /// Raw request document bytes: the alias a solved spelling leaves
+    /// points at them, and fault rules match on their text.
     body: Vec<u8>,
-    format: WireFormat,
     /// `xxh64(body)`, computed once where the body arrived: the edge that
     /// hashed it for a trace id or a route reuses it as the alias key, and
     /// as the cache key of a binary body that spells no default.
     raw_key: u64,
+    /// The decoded request, so a cold body is decoded once.
+    req: ScheduleRequest,
+    /// The canonical cache key of `req`.
+    key: u64,
+    /// The edge's breaker decision: one decision covers this request's
+    /// disk read and its disk append.
+    disk_allowed: bool,
+    /// The trace so far: wire format, admission and probe stages.
+    trace: RequestTrace,
+}
+
+/// A queued [`Solve`] with its reply channel.
+struct Job {
+    solve: Box<Solve>,
     reply: Sender<Reply>,
+    /// When the request reached the service (deadline and `micros`).
     submitted: Instant,
+    /// When the job entered the queue (the `queue` stage).
+    enqueued: Instant,
+}
+
+/// What the caller's thread made of one request.
+enum Admitted {
+    /// Answered without a solve: a hit in either tier, or a client error.
+    Answered(Reply),
+    /// A miss in every tier: only a solve can answer it.
+    Miss(Box<Solve>),
+}
+
+/// Where [`Service::submit_keyed`] left an accepted request.
+enum Submitted {
+    /// Answered on the caller's thread.
+    Answered(Reply),
+    /// Queued for a solve; the worker's reply arrives on the receiver.
+    Queued(Receiver<Reply>),
 }
 
 /// The storage behind [`SERIES`] and [`Service::stats`].
 ///
 /// Each stage histogram is observed by its [`Stage::observer`]: the
-/// worker stages once per worker-handled request — a stage that did not
-/// run observes 0 µs — so all those `_count` series agree with each other
-/// and with the number of requests the workers handled; `read`/`write`
-/// once per HTTP-served request. `total` is observed once per
-/// [`Service::call`]; `solve_cold` only on cold solves (it feeds the solve
-/// percentiles in stats).
+/// worker stages once per answered request, whether the edge or a worker
+/// answered it — a stage that did not run observes 0 µs — so all those
+/// `_count` series agree with each other and with the number of requests
+/// answered; `read`/`write` once per HTTP-served request. `total` is
+/// observed once per [`Service::call`]; `solve_cold` only on cold solves
+/// (it feeds the solve percentiles in stats).
 #[derive(Debug, Default)]
 struct Telemetry {
     counters: [AtomicU64; COUNTERS],
@@ -533,7 +580,8 @@ stats_snapshot! {
         disk_entries: usize,
     }
     counters {
-        /// Requests accepted into the queue.
+        /// Requests admitted: answered on the caller's thread or queued
+        /// for a solve (refusals count as `rejected` instead).
         Received received => "batsched_received_total",
         /// Requests that arrived in the binary wire format (the remainder
         /// of `received` arrived as JSON; exported through
@@ -551,7 +599,8 @@ stats_snapshot! {
         ClientErrors client_errors => "batsched_client_errors_total",
         /// Internal failures (including caught worker panics).
         InternalErrors internal_errors => "batsched_internal_errors_total",
-        /// Requests refused because the queue was full.
+        /// Requests refused: a miss that found the queue full, or any
+        /// request after shutdown began.
         Rejected rejected => "batsched_rejected_total",
         /// Requests that exceeded the configured deadline.
         Timeouts timeouts => "batsched_timeouts_total",
@@ -903,19 +952,23 @@ impl Service {
         &self.shared.faults
     }
 
-    /// Enqueues a JSON request document without blocking.
+    /// Submits a JSON request document without blocking. A request the
+    /// cache tiers can answer (or that is malformed) is answered on the
+    /// calling thread, and the returned receiver already holds its reply;
+    /// a miss is queued for a worker to solve.
     ///
     /// # Errors
     ///
-    /// When the queue is full (or the service is shutting down) the typed
-    /// overload [`Reply`] is returned immediately instead of a receiver.
+    /// When the queue has no room for a solve (or the service is shutting
+    /// down) the typed overload [`Reply`] is returned immediately instead
+    /// of a receiver.
     pub fn submit(&self, body: String) -> Result<Receiver<Reply>, Box<Reply>> {
         self.submit_bytes(body.into_bytes(), WireFormat::Json)
     }
 
-    /// Enqueues a raw request document in the declared wire format without
-    /// blocking. The response body is always canonical JSON; frontends
-    /// that negotiated a binary response transcode it at the edge.
+    /// [`Service::submit`] for a raw request document in the declared wire
+    /// format. The response body is always canonical JSON; frontends that
+    /// negotiated a binary response transcode it at the edge.
     ///
     /// # Errors
     ///
@@ -926,49 +979,92 @@ impl Service {
         format: WireFormat,
     ) -> Result<Receiver<Reply>, Box<Reply>> {
         let raw_key = wire::xxh64(&body);
-        self.submit_keyed(body, format, raw_key)
+        match self.submit_keyed(body, format, raw_key)? {
+            Submitted::Queued(rx) => Ok(rx),
+            Submitted::Answered(reply) => {
+                let (tx, rx) = std::sync::mpsc::channel();
+                let _ = tx.send(reply); // `rx` is alive: cannot fail
+                Ok(rx)
+            }
+        }
     }
 
-    /// [`Service::submit_bytes`] for a body whose `xxh64` the caller
-    /// already holds.
+    /// Admits one request on the calling thread, whose body's `xxh64` the
+    /// caller already holds: answers it there when no solve is needed,
+    /// otherwise queues the solve.
     fn submit_keyed(
         &self,
         body: Vec<u8>,
         format: WireFormat,
         raw_key: u64,
-    ) -> Result<Receiver<Reply>, Box<Reply>> {
+    ) -> Result<Submitted, Box<Reply>> {
         let started = Instant::now();
-        let overload = |started: Instant, telemetry: &Telemetry| {
-            telemetry.bump(Counter::Rejected);
+        let shared = &self.shared;
+        let tel = &shared.telemetry;
+        let overload = |trace: RequestTrace| {
+            tel.bump(Counter::Rejected);
             Box::new(Reply {
                 body: ErrorResponse::overloaded(self.cfg.queue_capacity).to_json(),
                 disposition: Disposition::Overloaded,
                 micros: started.elapsed().as_micros() as u64,
-                trace: RequestTrace::default(),
+                trace,
             })
+        };
+        // Every request after shutdown is refused, hits included.
+        if shared.shutting_down.load(Ordering::SeqCst) {
+            return Err(overload(RequestTrace::default()));
+        }
+        let admitted = catch_unwind(AssertUnwindSafe(|| {
+            admit(shared, body, format, raw_key, started)
+        }))
+        .unwrap_or_else(|payload| {
+            tel.bump(Counter::InternalErrors);
+            let message = format!(
+                "request admission panicked: {}",
+                panic_message(payload.as_ref())
+            );
+            Admitted::Answered(Reply {
+                body: ErrorResponse::new("internal", message).to_json(),
+                disposition: Disposition::Internal,
+                micros: started.elapsed().as_micros() as u64,
+                trace: RequestTrace {
+                    format,
+                    ..RequestTrace::default()
+                },
+            })
+        });
+        let accepted = || {
+            tel.bump(Counter::Received);
+            if format == WireFormat::Binary {
+                tel.bump(Counter::BinaryRequests);
+            }
+        };
+        let solve = match admitted {
+            Admitted::Answered(reply) => {
+                accepted();
+                tel.observe(&reply.trace, Observer::Worker);
+                return Ok(Submitted::Answered(reply));
+            }
+            Admitted::Miss(solve) => solve,
         };
         let guard = lock_recover(&self.tx);
         let Some(tx) = guard.as_ref() else {
-            return Err(overload(started, &self.shared.telemetry));
+            return Err(overload(solve.trace));
         };
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
         match tx.try_send(Job {
-            body,
-            format,
-            raw_key,
+            solve,
             reply: reply_tx,
             submitted: started,
+            enqueued: Instant::now(),
         }) {
             Ok(()) => {
-                self.shared.telemetry.bump(Counter::Received);
-                if format == WireFormat::Binary {
-                    self.shared.telemetry.bump(Counter::BinaryRequests);
-                }
-                self.shared.in_queue.fetch_add(1, Ordering::Relaxed);
-                Ok(reply_rx)
+                accepted();
+                shared.in_queue.fetch_add(1, Ordering::Relaxed);
+                Ok(Submitted::Queued(reply_rx))
             }
-            Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
-                Err(overload(started, &self.shared.telemetry))
+            Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
+                Err(overload(job.solve.trace))
             }
         }
     }
@@ -1012,7 +1108,8 @@ impl Service {
         started: Instant,
     ) -> Reply {
         let rx = match self.submit_keyed(body, format, raw_key) {
-            Ok(rx) => rx,
+            Ok(Submitted::Queued(rx)) => rx,
+            Ok(Submitted::Answered(reply)) => return reply,
             Err(reply) => return *reply,
         };
         let received = match self.cfg.request_timeout {
@@ -1198,7 +1295,6 @@ fn worker_loop(id: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) -> bool {
     // buffers survive across requests, so steady-state solving does not
     // allocate in the σ hot path.
     let mut ws = SolverWorkspace::new();
-    let worker = Some(id as u32);
     loop {
         let job = {
             let guard = lock_recover(rx);
@@ -1209,41 +1305,42 @@ fn worker_loop(id: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) -> bool {
         };
         shared.in_queue.fetch_sub(1, Ordering::Relaxed);
         let mut picked_up = RequestTrace {
-            worker,
-            format: job.format,
-            ..RequestTrace::default()
+            worker: Some(id as u32),
+            ..job.solve.trace
         };
-        picked_up.add(Stage::Queue, job.submitted.elapsed().as_micros() as u64);
+        picked_up.add(Stage::Queue, job.enqueued.elapsed().as_micros() as u64);
+        let reply = |disposition: Disposition, body: String, trace: RequestTrace| Reply {
+            body,
+            disposition,
+            micros: job.submitted.elapsed().as_micros() as u64,
+            trace,
+        };
         // Shed jobs that expired while queued: the caller has already
         // answered `timeout`, so a solve here would be wasted work that
         // delays every request still inside its deadline.
         if let Some(budget) = shared.request_timeout {
             if job.submitted.elapsed() >= budget {
                 shared.telemetry.observe(&picked_up, Observer::Worker);
-                let _ = job.reply.send(Reply {
-                    body: ErrorResponse::timeout(budget).to_json(),
-                    disposition: Disposition::Timeout,
-                    micros: job.submitted.elapsed().as_micros() as u64,
-                    trace: picked_up,
-                });
+                let body = ErrorResponse::timeout(budget).to_json();
+                let _ = job.reply.send(reply(Disposition::Timeout, body, picked_up));
                 continue;
             }
         }
         // The workspace's phase counters are cumulative across requests;
-        // the delta around `answer` is what this request cost.
+        // the delta around the solve is what this request cost.
         let prof_before = ws.prof();
         match catch_unwind(AssertUnwindSafe(|| {
-            answer(&job, shared, &mut ws, picked_up)
+            solve_job(&job.solve, shared, &mut ws, picked_up)
         })) {
-            Ok(mut reply) => {
-                reply.trace.prof = ws.prof().since(&prof_before);
-                shared.telemetry.add_prof(&reply.trace.prof);
-                shared.telemetry.observe(&reply.trace, Observer::Worker);
-                if reply.disposition == (Disposition::Ok { cached: false }) {
-                    let solve_us = reply.trace.us(Stage::Solve);
-                    shared.telemetry.solve_cold.observe(solve_us);
+            Ok((disposition, body, mut trace)) => {
+                trace.prof = ws.prof().since(&prof_before);
+                shared.telemetry.add_prof(&trace.prof);
+                shared.telemetry.observe(&trace, Observer::Worker);
+                if disposition == (Disposition::Ok { cached: false }) {
+                    shared.telemetry.solve_cold.observe(trace.us(Stage::Solve));
                 }
-                let _ = job.reply.send(reply); // caller may have given up; fine
+                // The caller may have given up; fine.
+                let _ = job.reply.send(reply(disposition, body, trace));
             }
             Err(payload) => {
                 shared.telemetry.bump(Counter::WorkerPanics);
@@ -1256,117 +1353,122 @@ fn worker_loop(id: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) -> bool {
                     ),
                 )
                 .to_json();
-                // The in-flight trace died with the unwound stack; report
-                // what the worker still knows. `injected` approximates
-                // fault-plane involvement: an armed plane is by far the
-                // most likely panic source in this codebase.
+                // The solve's own stages died with the unwound stack;
+                // report the trace as it was at pickup. `injected`
+                // approximates fault-plane involvement: an armed plane is
+                // by far the most likely panic source in this codebase.
                 let trace = RequestTrace {
-                    injected: shared.faults.is_armed(),
+                    injected: picked_up.injected || shared.faults.is_armed(),
                     ..picked_up
                 };
                 shared.telemetry.observe(&trace, Observer::Worker);
-                let _ = job.reply.send(Reply {
-                    body,
-                    disposition: Disposition::Internal,
-                    micros: job.submitted.elapsed().as_micros() as u64,
-                    trace,
-                });
+                let _ = job.reply.send(reply(Disposition::Internal, body, trace));
                 return false;
             }
         }
     }
 }
 
-/// Answers one job; `picked_up` is its trace so far (worker and queue
-/// wait).
-fn answer(job: &Job, shared: &Shared, ws: &mut SolverWorkspace, picked_up: RequestTrace) -> Reply {
-    let (body, format, raw_key) = (job.body.as_slice(), job.format, job.raw_key);
-    let tel = &shared.telemetry;
-    let finish = |disposition: Disposition, body: String, trace: RequestTrace| Reply {
-        micros: job.submitted.elapsed().as_micros() as u64,
-        body,
-        disposition,
-        trace,
-    };
-    let us = |t: Instant| t.elapsed().as_micros() as u64;
-    // A body that is its own key needs no alias to find its entry.
-    let remember_spelling = |key: u64| {
-        if key != raw_key {
-            shared.cache.alias(raw_key, body, key);
-        }
-    };
-    let mut trace = picked_up;
-    // Injected solver latency models a slow solve (chaos tests drive the
-    // deadline machinery with it); it sits inside `catch_unwind` like the
-    // real work it stands in for. The sleep is deliberately attributed to
-    // the solve stage — that is what it impersonates. Fault patterns match
-    // on text, so a non-UTF-8 binary body simply matches nothing.
-    let body_text_for_faults = || std::str::from_utf8(body).unwrap_or("");
-    if shared.faults.is_armed() {
-        if let Some(delay) = shared.faults.solver_latency(body_text_for_faults()) {
-            std::thread::sleep(delay);
-            trace.injected = true;
-            trace.add(Stage::Solve, delay.as_micros() as u64);
-        }
+/// Times `f` into `stage` of `trace`.
+fn timed<T>(trace: &mut RequestTrace, stage: Stage, f: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let out = f();
+    trace.add(stage, t.elapsed().as_micros() as u64);
+    out
+}
+
+/// Remembers `body`'s spelling of the request keyed `key`, so its next
+/// occurrence is found by its body hash alone. A body that is its own key
+/// needs no alias.
+fn remember_spelling(shared: &Shared, raw_key: u64, body: &[u8], key: u64) {
+    if key != raw_key {
+        shared.cache.alias(raw_key, body, key);
     }
+}
+
+/// Counts one disk-tier I/O error against the breaker and the request.
+fn disk_error(shared: &Shared, trace: &mut RequestTrace, op: &str, e: &io::Error) {
+    shared.breaker.record_err(&shared.telemetry);
+    trace.disk_errors += 1;
+    // The error may be organic or injected; with an armed plane, flag the
+    // request as fault-involved.
+    trace.injected |= shared.faults.is_armed();
+    eprintln!("batsched-service: disk-cache {op} failed: {e}");
+}
+
+/// Admits one request on the caller's thread: everything up to and
+/// including the disk probe. Answers hits from either tier and client
+/// errors; hands a miss back for a worker to solve.
+fn admit(
+    shared: &Shared,
+    body: Vec<u8>,
+    format: WireFormat,
+    raw_key: u64,
+    started: Instant,
+) -> Admitted {
+    let tel = &shared.telemetry;
+    let answered = |disposition: Disposition, body: String, trace: RequestTrace| {
+        Admitted::Answered(Reply {
+            micros: started.elapsed().as_micros() as u64,
+            body,
+            disposition,
+            trace,
+        })
+    };
+    let hit = |served: String, trace: RequestTrace| {
+        tel.bump(Counter::CacheHits);
+        answered(Disposition::Ok { cached: true }, served, trace)
+    };
+    let mut trace = RequestTrace {
+        format,
+        ..RequestTrace::default()
+    };
     // Fast path: an exact byte-duplicate of a previously answered request
     // is replayed without parsing anything. A binary body that spells no
     // default is its own cache key, so the entry is probed by the body
     // hash; any other spelling goes through the alias index, which maps
     // the body hash to the canonical entry and verifies the stored
     // document byte-for-byte (a hash collision is a miss, not a lie).
-    let t = Instant::now();
-    let fast_hit = match format {
-        WireFormat::Binary => shared.cache.get(raw_key),
-        WireFormat::Json => None,
-    }
-    .or_else(|| shared.cache.get_by_alias(raw_key, body));
-    trace.add(Stage::Cache, us(t));
+    let fast_hit = timed(&mut trace, Stage::Cache, || {
+        match format {
+            WireFormat::Binary => shared.cache.get(raw_key),
+            WireFormat::Json => None,
+        }
+        .or_else(|| shared.cache.get_by_alias(raw_key, &body))
+    });
     if let Some(cached) = fast_hit {
-        tel.bump(Counter::CacheHits);
-        return finish(Disposition::Ok { cached: true }, cached, trace);
+        return hit(cached, trace);
     }
     // Admission: decode the request in its wire format, then key it. The
     // key is computed here once and carried through to the response; a
     // canonical binary body already has it.
-    let t = Instant::now();
-    let parsed = match format {
-        WireFormat::Json => std::str::from_utf8(body)
+    let parsed = timed(&mut trace, Stage::Parse, || match format {
+        WireFormat::Json => std::str::from_utf8(&body)
             .map_err(|_| wire::WireError::Syntax {
                 message: "body is not UTF-8".into(),
             })
             .and_then(wire::parse_request)
             .map(|req| (req, None)),
-        WireFormat::Binary => wire_bin::decode_keyed(body, raw_key),
-    };
-    trace.add(Stage::Parse, us(t));
+        WireFormat::Binary => wire_bin::decode_keyed(&body, raw_key),
+    });
     let (req, body_key) = match parsed {
         Ok(parsed) => parsed,
         Err(e) => {
             tel.bump(Counter::ClientErrors);
-            return finish(
-                Disposition::ClientError,
-                ErrorResponse::from_wire(&e).to_json(),
-                trace,
-            );
+            let error = ErrorResponse::from_wire(&e).to_json();
+            return answered(Disposition::ClientError, error, trace);
         }
     };
     let key = match body_key {
         // The fast path above already probed this key.
         Some(key) => key,
         None => {
-            let t = Instant::now();
-            let key = req.content_hash();
-            trace.add(Stage::Hash, us(t));
-            let t = Instant::now();
-            let canonical_hit = shared.cache.get(key);
-            trace.add(Stage::Cache, us(t));
-            if let Some(cached) = canonical_hit {
+            let key = timed(&mut trace, Stage::Hash, || req.content_hash());
+            if let Some(cached) = timed(&mut trace, Stage::Cache, || shared.cache.get(key)) {
                 // Different spelling, same canonical question: remember
                 // this spelling so its next occurrence takes the fast path.
-                remember_spelling(key);
-                tel.bump(Counter::CacheHits);
-                return finish(Disposition::Ok { cached: true }, cached, trace);
+                remember_spelling(shared, raw_key, &body, key);
+                return hit(cached, trace);
             }
             key
         }
@@ -1380,66 +1482,73 @@ fn answer(job: &Job, shared: &Shared, ws: &mut SolverWorkspace, picked_up: Reque
     // memory hit. An I/O error here feeds the breaker and falls through
     // to a cold solve — the disk never fails a solvable request.
     if let Some(disk) = shared.disk.as_ref().filter(|_| disk_allowed) {
-        let t = Instant::now();
-        let persisted = lock_recover(disk).get(key);
-        trace.add(Stage::Disk, us(t));
-        match persisted {
+        match timed(&mut trace, Stage::Disk, || lock_recover(disk).get(key)) {
             Ok(Some(cached)) => {
                 shared.breaker.record_ok(tel);
                 shared.cache.insert(key, cached.clone());
-                remember_spelling(key);
+                remember_spelling(shared, raw_key, &body, key);
                 tel.bump(Counter::DiskHits);
                 trace.served_from_disk = true;
-                return finish(Disposition::Ok { cached: true }, cached, trace);
+                return answered(Disposition::Ok { cached: true }, cached, trace);
             }
             // An index miss does no I/O, so it proves nothing about the
             // disk's health: neutral for the breaker.
             Ok(None) => {}
-            Err(e) => {
-                shared.breaker.record_err(tel);
-                // The error may be organic or injected; with an armed
-                // plane, flag the request as fault-involved.
-                trace.injected |= shared.faults.is_armed();
-                eprintln!("batsched-service: disk-cache read failed: {e}");
-            }
+            Err(e) => disk_error(shared, &mut trace, "read", &e),
         }
+    }
+    Admitted::Miss(Box::new(Solve {
+        body,
+        raw_key,
+        req,
+        key,
+        disk_allowed,
+        trace,
+    }))
+}
+
+/// Solves one queued miss; `picked_up` is its trace so far (admission,
+/// worker and queue wait). Returns the disposition, body and trace of the
+/// reply.
+fn solve_job(
+    job: &Solve,
+    shared: &Shared,
+    ws: &mut SolverWorkspace,
+    picked_up: RequestTrace,
+) -> (Disposition, String, RequestTrace) {
+    let tel = &shared.telemetry;
+    let mut trace = picked_up;
+    // A twin of this request may have been solved while it waited in the
+    // queue: then it is a hit, and the solve is skipped.
+    if let Some(cached) = timed(&mut trace, Stage::Cache, || shared.cache.get(job.key)) {
+        remember_spelling(shared, job.raw_key, &job.body, job.key);
+        tel.bump(Counter::CacheHits);
+        return (Disposition::Ok { cached: true }, cached, trace);
     }
     tel.bump(Counter::CacheMisses);
-    if shared.faults.is_armed() && shared.faults.solver_panic(body_text_for_faults()) {
-        // lint:allow(panic-path): fault injection by design — this panic is
-        // the test stimulus for the catch_unwind isolation boundary below.
-        panic!("injected solver panic");
-    }
-    let t = Instant::now();
-    let solved = solve_keyed(&req, key, ws);
-    trace.add(Stage::Solve, us(t));
-    match solved {
-        Ok(resp) => {
-            let t = Instant::now();
-            // lint:allow(panic-path): ScheduleResponse is owned plain data
-            // with derived Serialize; serialisation cannot fail.
-            let rendered = serde_json::to_string(&resp).expect("responses serialise");
-            shared.cache.insert(key, rendered.clone());
-            remember_spelling(key);
-            trace.add(Stage::Serialize, us(t));
-            if let Some(disk) = shared.disk.as_ref().filter(|_| disk_allowed) {
-                // A failed append only costs warmth after the next restart;
-                // the in-memory answer is already correct.
-                let t = Instant::now();
-                let appended = lock_recover(disk).put(key, &rendered);
-                trace.add(Stage::Disk, us(t));
-                match appended {
-                    Ok(()) => shared.breaker.record_ok(tel),
-                    Err(e) => {
-                        shared.breaker.record_err(tel);
-                        trace.injected |= shared.faults.is_armed();
-                        eprintln!("batsched-service: disk-cache append failed: {e}");
-                    }
-                }
-            }
-            tel.bump(Counter::Solved);
-            finish(Disposition::Ok { cached: false }, rendered, trace)
+    // The fault hooks stand in for a solve, so they fire here and only
+    // here, inside the worker's `catch_unwind`. Injected latency is
+    // attributed to the solve stage — that is what it impersonates. Fault
+    // patterns match on text, so a non-UTF-8 binary body matches nothing.
+    if shared.faults.is_armed() {
+        let text = std::str::from_utf8(&job.body).unwrap_or("");
+        if let Some(delay) = shared.faults.solver_latency(text) {
+            std::thread::sleep(delay);
+            trace.injected = true;
+            trace.add(Stage::Solve, delay.as_micros() as u64);
         }
+        if shared.faults.solver_panic(text) {
+            // lint:allow(panic-path): fault injection by design — this
+            // panic is the test stimulus for the worker's catch_unwind
+            // isolation boundary.
+            panic!("injected solver panic");
+        }
+    }
+    let solved = timed(&mut trace, Stage::Solve, || {
+        solve_keyed(&job.req, job.key, ws)
+    });
+    let resp = match solved {
+        Ok(resp) => resp,
         Err(err) => {
             let disposition = if err.error == "internal" {
                 tel.bump(Counter::InternalErrors);
@@ -1448,9 +1557,29 @@ fn answer(job: &Job, shared: &Shared, ws: &mut SolverWorkspace, picked_up: Reque
                 tel.bump(Counter::ClientErrors);
                 Disposition::ClientError
             };
-            finish(disposition, err.to_json(), trace)
+            return (disposition, err.to_json(), trace);
+        }
+    };
+    let rendered = timed(&mut trace, Stage::Serialize, || {
+        // lint:allow(panic-path): ScheduleResponse is owned plain data
+        // with derived Serialize; serialisation cannot fail.
+        let rendered = serde_json::to_string(&resp).expect("responses serialise");
+        shared.cache.insert(job.key, rendered.clone());
+        remember_spelling(shared, job.raw_key, &job.body, job.key);
+        rendered
+    });
+    if let Some(disk) = shared.disk.as_ref().filter(|_| job.disk_allowed) {
+        // A failed append only costs warmth after the next restart; the
+        // in-memory answer is already correct.
+        match timed(&mut trace, Stage::Disk, || {
+            lock_recover(disk).put(job.key, &rendered)
+        }) {
+            Ok(()) => shared.breaker.record_ok(tel),
+            Err(e) => disk_error(shared, &mut trace, "append", &e),
         }
     }
+    tel.bump(Counter::Solved);
+    (Disposition::Ok { cached: false }, rendered, trace)
 }
 
 /// Solves one validated request to a response — shared by the pool workers
@@ -1567,7 +1696,15 @@ mod tests {
 
     #[test]
     fn service_round_trip_and_stats() {
-        let svc = Service::start(ServiceConfig::default());
+        let dir = std::env::temp_dir().join("batsched_service_tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("round_trip_{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let cfg = ServiceConfig {
+            disk_path: Some(path.clone()),
+            ..ServiceConfig::default()
+        };
+        let svc = Service::start(cfg.clone());
         let cold = svc.call(body(75.0));
         assert_eq!(cold.disposition, Disposition::Ok { cached: false });
         let warm = svc.call(body(75.0));
@@ -1597,6 +1734,17 @@ mod tests {
         // Submissions after shutdown are refused, not hung.
         let refused = svc.call(body(75.0));
         assert_eq!(refused.disposition, Disposition::Overloaded);
+
+        // A disk hit is refused after shutdown too: a fresh service on the
+        // same file holds the answer on disk only.
+        let svc = Service::start(cfg);
+        assert_eq!(svc.stats().disk_entries, 1);
+        svc.shutdown();
+        let refused = svc.call(body(75.0));
+        assert_eq!(refused.disposition, Disposition::Overloaded);
+        let stats = svc.stats();
+        assert_eq!((stats.received, stats.disk_hits, stats.rejected), (0, 0, 1));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -8,11 +8,14 @@
 //! id is echoed on the response, including typed errors, and stamps the
 //! span line.
 //!
-//! A [`RequestTrace`] rides on every [`Reply`]: the worker fills in the
+//! A [`RequestTrace`] rides on every [`Reply`]: the service fills in the
 //! time of each [`Stage`] it runs as the request moves through the memory
 //! cache's raw-bytes alias probe → parse → canonical hash → canonical
-//! cache probe → disk probe → solve → serialise, plus queue wait and the
-//! solver phase profile ([`batsched_core::Prof`]) delta for this request.
+//! cache probe → disk probe (on the submitting thread) → queue wait →
+//! solve → serialise (on a worker), plus the solver phase profile
+//! ([`batsched_core::Prof`]) delta for this request. A request answered
+//! before the queue — a hit or a client error — has no worker and a zero
+//! queue wait.
 //! The frontend that owns the connection adds what only it can see — read
 //! and write time, end-to-end latency — and renders the whole thing as
 //! one [`Span`] JSON line.
@@ -31,8 +34,8 @@ pub const MAX_CLIENT_ID_LEN: usize = 128;
 /// Who observes a stage into the `batsched_stage_duration_us` histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Observer {
-    /// The worker, once per request it handles; a stage that did not run
-    /// observes 0 µs.
+    /// The service core, once per request it answers, on the submitting
+    /// thread or on a worker; a stage that did not run observes 0 µs.
     Worker,
     /// The HTTP frontend, once per `/v1/schedule` request it answers.
     Http,
@@ -73,7 +76,8 @@ macro_rules! stages {
 stages! {
     /// Reading the request off the connection.
     Read "read" Http,
-    /// Queue wait: submission to worker pickup.
+    /// Queue wait: enqueue to worker pickup (0 for a request answered
+    /// before the queue).
     Queue "queue" Worker,
     /// Decoding the body in its wire format (JSON parse or binary decode).
     Parse "parse" Worker,
@@ -98,12 +102,15 @@ stages! {
 pub struct RequestTrace {
     pub(crate) stage_us: [u64; Stage::ALL.len()],
     /// Worker thread that answered; `None` when no worker was involved
-    /// (overload rejection, call-layer timeout).
+    /// (a hit or client error answered before the queue, an overload
+    /// rejection, a call-layer timeout).
     pub worker: Option<u32>,
     /// `true` when the answer came from the disk tier.
     pub served_from_disk: bool,
     /// `true` when a fault-injection rule fired while answering.
     pub injected: bool,
+    /// Disk-tier I/O errors (read or append) met while answering.
+    pub disk_errors: u32,
     /// Which wire format the request document arrived in.
     pub format: WireFormat,
     /// Solver phase counters attributable to this request.
@@ -151,7 +158,7 @@ pub fn sanitize_client_id(raw: &str) -> Option<String> {
 /// One completed request, rendered as a single JSON log line: `ts_ms`,
 /// `level`, `trace_id`, `outcome`, `status`, `worker`, `fleet_worker`,
 /// `total_us`, one `<stage>_us` key per [`Stage`], `other_us`,
-/// `wire_format`, `injected` and `prof`, in that order.
+/// `wire_format`, `injected`, `disk_errors` and `prof`, in that order.
 ///
 /// Invariant: the stage times plus `other_us` sum to `total_us`
 /// (`other_us` absorbs what no stage claims — channel hops, scheduling —
@@ -233,6 +240,7 @@ impl Serialize for Span {
             entry("other_us", self.other_us),
             entry("wire_format", t.format.as_str()),
             entry("injected", t.injected),
+            entry("disk_errors", t.disk_errors),
             entry("prof", t.prof),
         ]);
         Value::Obj(line)
@@ -387,6 +395,7 @@ mod tests {
                 "other_us",
                 "wire_format",
                 "injected",
+                "disk_errors",
                 "prof",
             ],
             "{logged}"

@@ -599,9 +599,13 @@ fn injected_faults_are_attributed_in_span_log_and_metrics() {
         spans[2]
     );
     assert!(span_field(spans[2], "solve_us") > 0, "{}", spans[2]);
-    assert!(
-        span_field(spans[2], "disk_us") > 0,
-        "the failed append attempt is attributed to the disk stage: {}",
+    // The injected append error returns before any I/O, often in under
+    // the 1 µs a stage time resolves, so the failed attempt is counted,
+    // not timed.
+    assert_eq!(
+        span_field(spans[2], "disk_errors"),
+        1,
+        "the failed append is counted on its request: {}",
         spans[2]
     );
     // Stage attribution reconciles: the staged times (plus `other_us`)

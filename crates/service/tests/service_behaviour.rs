@@ -5,6 +5,7 @@
 use batsched_core::{Prof, SolverWorkspace};
 use batsched_service::http::client::Conn;
 use batsched_service::prelude::*;
+use batsched_service::trace::Observer;
 use batsched_service::wire::{self, ScheduleResponse};
 use batsched_service::{Service, Stage};
 use batsched_taskgraph::paper::{g2, g3};
@@ -344,6 +345,124 @@ fn full_queue_rejects_with_typed_overload() {
     }
     assert_eq!(svc.stats().rejected, rejected as u64);
     svc.shutdown();
+}
+
+// ------------------------------------------------------- edge answers
+
+/// One sample's value from a Prometheus text exposition.
+fn metric(text: &str, sample: &str) -> u64 {
+    text.lines()
+        .find_map(|line| {
+            let (name, value) = line.rsplit_once(' ')?;
+            (name == sample).then(|| value.parse::<f64>().expect("numeric sample") as u64)
+        })
+        .unwrap_or_else(|| panic!("metric {sample} missing from exposition"))
+}
+
+/// The calling thread answers every request the cache tiers can answer,
+/// so hits are served while the pool has no solve capacity left: the one
+/// worker is held by an injected slow solve and the one queue slot by
+/// another cold request. Only a fresh cold body is refused.
+#[test]
+fn hits_are_answered_at_the_edge_while_the_pool_is_full() {
+    let dir = std::env::temp_dir().join("batsched_behaviour_tests");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join(format!("edge_{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let cfg = ServiceConfig {
+        workers: 1,
+        queue_capacity: 1,
+        disk_path: Some(path.clone()),
+        ..ServiceConfig::default()
+    };
+    let unique = |seed: u64| {
+        let g = synth_graph(3, 3, seed);
+        request_for(&g, loose_deadline(&g))
+    };
+    // A first process leaves one answer on disk only.
+    let on_disk = body_of(&request_for(&g2(), 75.0));
+    let first = Service::start(cfg.clone());
+    assert_eq!(
+        first.call(on_disk.clone()).disposition,
+        Disposition::Ok { cached: false }
+    );
+    first.shutdown();
+
+    // The second solve (the held one) sleeps well past the steps below.
+    let faults = FaultPlane::armed([FaultRule::always(FaultSite::SolverLatency)
+        .latency(Duration::from_millis(800))
+        .after(1)
+        .count(1)]);
+    let svc = Service::try_start_with_faults(cfg, faults).expect("starts");
+    let cached = unique(1);
+    let cached_bin = encode_request(&cached);
+    let cached_json = body_of(&cached);
+    let solved = svc.call_bytes(cached_bin.clone(), WireFormat::Binary);
+    assert_eq!(solved.disposition, Disposition::Ok { cached: false });
+    // A second spelling: a canonical hit that leaves an alias.
+    let spelled = svc.call(cached_json.clone());
+    assert_eq!(spelled.disposition, Disposition::Ok { cached: true });
+
+    let held = svc.submit(body_of(&unique(2))).expect("the worker is idle");
+    while svc.stats().queue_depth > 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let queued = svc
+        .submit(body_of(&unique(3)))
+        .expect("the queue has one slot");
+
+    let edge = |reply: &Reply, from_disk: bool| {
+        assert_eq!(reply.disposition, Disposition::Ok { cached: true });
+        assert_eq!(reply.trace.worker, None, "{:?}", reply.trace);
+        assert_eq!(reply.trace.us(Stage::Queue), 0, "{:?}", reply.trace);
+        assert_eq!(reply.trace.served_from_disk, from_disk);
+    };
+    let memory = svc.call_bytes(cached_bin, WireFormat::Binary);
+    edge(&memory, false);
+    assert_eq!(memory.body, solved.body);
+    let alias = svc.call(cached_json.clone());
+    edge(&alias, false);
+    assert_eq!(alias.body, solved.body);
+    edge(&svc.call(on_disk), true);
+    let refused = svc.call(body_of(&unique(4)));
+    assert_eq!(
+        refused.disposition,
+        Disposition::Overloaded,
+        "{}",
+        refused.body
+    );
+    let rx = svc.submit(cached_json).expect("a hit needs no queue slot");
+    let ready = rx.try_recv().expect("the receiver already holds the reply");
+    edge(&ready, false);
+
+    for rx in [held, queued] {
+        let reply = rx.recv().expect("accepted requests are answered");
+        assert_eq!(reply.disposition, Disposition::Ok { cached: false });
+        assert!(reply.trace.worker.is_some());
+    }
+    // Answered: two warm-ups, the held and the queued solve, three edge
+    // hits from `call` and one from `submit`. The refused one is not.
+    let answered = 8;
+    let stats = svc.stats();
+    assert_eq!(stats.received, answered, "{stats:?}");
+    assert_eq!(stats.rejected, 1, "{stats:?}");
+    assert_eq!(stats.solved, 3, "{stats:?}");
+    assert_eq!(stats.cache_hits, 4, "{stats:?}");
+    assert_eq!(stats.disk_hits, 1, "{stats:?}");
+    let text = svc.metrics_text();
+    for stage in Stage::ALL {
+        let sample = format!(
+            "batsched_stage_duration_us_count{{stage=\"{}\"}}",
+            stage.label()
+        );
+        let expected = match stage.observer() {
+            Observer::Worker => answered,
+            Observer::Http => 0,
+        };
+        assert_eq!(metric(&text, &sample), expected, "{sample}");
+    }
+    svc.shutdown();
+    std::fs::remove_file(&path).expect("cache file removed");
 }
 
 // ----------------------------------------------------------------- HTTP
