@@ -82,11 +82,11 @@ cache (entries, split over --shards independently locked shards);
 --disk-cache persists results to an append-only record file so a restarted
 daemon answers previously-seen requests warm; --fsync picks its durability
 policy (never, always, or sync every N appends — default every 8).
---request-timeout bounds each request's queue-to-reply time; expired
+--request-timeout bounds each request's submit-to-reply time; expired
 requests answer a typed `timeout` error (HTTP 504) instead of hanging.
 --disk-breaker trips the disk tier into degraded mode (memory + cold
 solves) after N consecutive I/O errors; --disk-probe-ms sets how often a
-probe request retries the sick tier until it heals and re-arms.
+probe append retries the sick tier until it heals and re-arms.
 --log-json emits one structured JSON span per completed request (stage
 timings, outcome, trace id, solver phase counters) to the given file or to
 stderr; --log-level filters by severity (default info) and

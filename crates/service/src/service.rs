@@ -9,9 +9,11 @@
 //! probe, and the disk read. Hits in either tier and client errors are
 //! answered there, with no queue, no worker and no reply channel in the
 //! way (`worker: None`, a zero `queue` stage). A miss becomes a job that
-//! carries the decoded request, its key, the disk breaker's decision and
-//! the trace so far; a worker solves it, serialises the response, fills
-//! the memory cache and appends to the disk tier.
+//! carries the decoded request, its key and the trace so far; a worker
+//! solves it, serialises the response, fills the memory cache and appends
+//! to the disk tier. Admission is linear in body bytes and capped by the
+//! frontend's body limit, but it runs outside the pool's bound: the
+//! worker count limits concurrent solves, not concurrent admissions.
 //!
 //! Backpressure is explicit: [`Service::submit`] never blocks — when the
 //! queue has no room for a solve the caller gets a typed `overloaded`
@@ -26,16 +28,18 @@
 //! * a panicking solve is caught ([`std::panic::catch_unwind`]), answered
 //!   with a typed `internal` error, and the worker is respawned by a
 //!   supervisor thread so the pool never shrinks;
-//! * [`ServiceConfig::request_timeout`] bounds submit-to-reply latency of
-//!   a request that needs a solve — an expired request answers a typed
-//!   `timeout` error instead of holding its connection, and workers shed
-//!   jobs that expired while queued without wasting a solve on them;
+//! * [`ServiceConfig::request_timeout`] bounds submit-to-reply latency:
+//!   a request whose admission (disk read included) ran past it answers a
+//!   typed `timeout` error instead of its late result, the caller stops
+//!   waiting for a solve that runs past it, and workers shed jobs that
+//!   expired while queued without wasting a solve on them. Admission
+//!   itself is not interrupted: the deadline is checked once it returns;
 //! * disk-tier I/O errors feed a circuit breaker: after
 //!   [`ServiceConfig::disk_breaker_threshold`] consecutive errors the
-//!   tier is bypassed (`disk_degraded` in stats) and re-probed every
-//!   [`ServiceConfig::disk_probe_interval`] until it heals. A disk
-//!   failure never fails a request that can be answered from memory or a
-//!   cold solve.
+//!   tier is bypassed (`disk_degraded` in stats) and re-probed by one
+//!   append every [`ServiceConfig::disk_probe_interval`] until it heals.
+//!   A disk failure never fails a request that can be answered from
+//!   memory or a cold solve.
 
 use crate::cache::ShardedCache;
 use crate::disk::{DiskTier, FsyncPolicy};
@@ -73,7 +77,7 @@ pub struct ServiceConfig {
     /// Append-only record file backing the disk cache tier; `None` keeps
     /// the cache memory-only (cold after every restart).
     pub disk_path: Option<PathBuf>,
-    /// Queue-to-reply deadline; an expired request answers a typed
+    /// Submit-to-reply deadline; an expired request answers a typed
     /// `timeout` error. `None` (the default) never expires requests.
     pub request_timeout: Option<Duration>,
     /// When disk-tier appends are fsynced.
@@ -81,8 +85,8 @@ pub struct ServiceConfig {
     /// Consecutive disk-tier I/O errors that trip the degraded-mode
     /// breaker (must be ≥ 1).
     pub disk_breaker_threshold: u32,
-    /// How often a tripped breaker lets one probe operation through to
-    /// test whether the disk healed (must be non-zero).
+    /// How often a tripped breaker lets one probe append through to test
+    /// whether the disk healed (must be non-zero).
     pub disk_probe_interval: Duration,
     /// Structured span-log destination (one JSON line per completed
     /// request); `None` disables span logging entirely.
@@ -310,9 +314,6 @@ struct Solve {
     req: ScheduleRequest,
     /// The canonical cache key of `req`.
     key: u64,
-    /// The edge's breaker decision: one decision covers this request's
-    /// disk read and its disk append.
-    disk_allowed: bool,
     /// The trace so far: wire format, admission and probe stages.
     trace: RequestTrace,
 }
@@ -333,14 +334,6 @@ enum Admitted {
     Answered(Reply),
     /// A miss in every tier: only a solve can answer it.
     Miss(Box<Solve>),
-}
-
-/// Where [`Service::submit_keyed`] left an accepted request.
-enum Submitted {
-    /// Answered on the caller's thread.
-    Answered(Reply),
-    /// Queued for a solve; the worker's reply arrives on the receiver.
-    Queued(Receiver<Reply>),
 }
 
 /// The storage behind [`SERIES`] and [`Service::stats`].
@@ -422,9 +415,13 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Consecutive-error circuit breaker guarding the disk tier. Closed: every
 /// operation is allowed. After `threshold` consecutive errors it opens:
-/// operations are skipped (the service answers from memory and cold
-/// solves) except one probe per `probe_interval`; a successful probe
-/// closes it again.
+/// reads and appends are skipped (the service answers from memory and
+/// cold solves) except one probe append per `probe_interval`; a
+/// successful probe closes it again. Reads never probe: a read that
+/// finds no index entry does no I/O and reports nothing, so a probe spent
+/// on it would be lost, and so would one spent on a request the queue
+/// then refuses. The append is only asked for once a solve has an answer
+/// to write, so every probe it is granted ends in an outcome.
 struct Breaker {
     threshold: u32,
     probe_interval: Duration,
@@ -449,10 +446,10 @@ impl Breaker {
         }
     }
 
-    /// Whether the next disk operation may run. While open, returns `true`
+    /// Whether the next disk append may run. While open, returns `true`
     /// once per probe interval (and restarts the interval, so concurrent
     /// callers get exactly one probe).
-    fn allow(&self) -> bool {
+    fn allow_append(&self) -> bool {
         let mut s = lock_recover(&self.state);
         match s.open_since {
             None => true,
@@ -979,25 +976,26 @@ impl Service {
         format: WireFormat,
     ) -> Result<Receiver<Reply>, Box<Reply>> {
         let raw_key = wire::xxh64(&body);
-        match self.submit_keyed(body, format, raw_key)? {
-            Submitted::Queued(rx) => Ok(rx),
-            Submitted::Answered(reply) => {
+        match self.submit_keyed(body, format, raw_key) {
+            Err(reply) if reply.disposition != Disposition::Overloaded => {
                 let (tx, rx) = std::sync::mpsc::channel();
-                let _ = tx.send(reply); // `rx` is alive: cannot fail
+                let _ = tx.send(*reply); // `rx` is alive: cannot fail
                 Ok(rx)
             }
+            queued_or_refused => queued_or_refused,
         }
     }
 
     /// Admits one request on the calling thread, whose body's `xxh64` the
-    /// caller already holds: answers it there when no solve is needed,
-    /// otherwise queues the solve.
+    /// caller already holds: queues its solve and returns the receiver
+    /// the worker answers on, or returns the reply when it is answered
+    /// now — a hit, a client error, an expired deadline or a refusal.
     fn submit_keyed(
         &self,
         body: Vec<u8>,
         format: WireFormat,
         raw_key: u64,
-    ) -> Result<Submitted, Box<Reply>> {
+    ) -> Result<Receiver<Reply>, Box<Reply>> {
         let started = Instant::now();
         let shared = &self.shared;
         let tel = &shared.telemetry;
@@ -1039,13 +1037,35 @@ impl Service {
                 tel.bump(Counter::BinaryRequests);
             }
         };
-        let solve = match admitted {
-            Admitted::Answered(reply) => {
+        // Admission is not interrupted (it is linear in the body and the
+        // disk probe waits on the tier's lock), so the deadline is checked
+        // once it returns: a late hit answers `timeout`, as it would have
+        // had it waited in the queue, and a late miss is not queued.
+        let expired = shared
+            .request_timeout
+            .filter(|&budget| started.elapsed() >= budget);
+        let solve = match (admitted, expired) {
+            (Admitted::Miss(solve), None) => solve,
+            (Admitted::Answered(reply), None) => {
                 accepted();
                 tel.observe(&reply.trace, Observer::Worker);
-                return Ok(Submitted::Answered(reply));
+                return Err(Box::new(reply));
             }
-            Admitted::Miss(solve) => solve,
+            (admitted, Some(budget)) => {
+                accepted();
+                tel.bump(Counter::Timeouts);
+                let trace = match admitted {
+                    Admitted::Answered(reply) => reply.trace,
+                    Admitted::Miss(solve) => solve.trace,
+                };
+                tel.observe(&trace, Observer::Worker);
+                return Err(Box::new(Reply {
+                    body: ErrorResponse::timeout(budget).to_json(),
+                    disposition: Disposition::Timeout,
+                    micros: started.elapsed().as_micros() as u64,
+                    trace,
+                }));
+            }
         };
         let guard = lock_recover(&self.tx);
         let Some(tx) = guard.as_ref() else {
@@ -1061,7 +1081,7 @@ impl Service {
             Ok(()) => {
                 accepted();
                 shared.in_queue.fetch_add(1, Ordering::Relaxed);
-                Ok(Submitted::Queued(reply_rx))
+                Ok(reply_rx)
             }
             Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
                 Err(overload(job.solve.trace))
@@ -1108,8 +1128,7 @@ impl Service {
         started: Instant,
     ) -> Reply {
         let rx = match self.submit_keyed(body, format, raw_key) {
-            Ok(Submitted::Queued(rx)) => rx,
-            Ok(Submitted::Answered(reply)) => return reply,
+            Ok(rx) => rx,
             Err(reply) => return *reply,
         };
         let received = match self.cfg.request_timeout {
@@ -1473,15 +1492,12 @@ fn admit(
             key
         }
     };
-    // One breaker decision covers this request's disk read and (on a cold
-    // solve) its disk append: while the tier is degraded both are skipped,
-    // and the periodic probe request exercises the full read+write path.
-    let disk_allowed = shared.disk.is_some() && shared.breaker.allow();
     // Disk tier: a previous process (or an entry the memory tier evicted)
     // may have the answer on disk; promote it so the next probe is a
     // memory hit. An I/O error here feeds the breaker and falls through
-    // to a cold solve — the disk never fails a solvable request.
-    if let Some(disk) = shared.disk.as_ref().filter(|_| disk_allowed) {
+    // to a cold solve — the disk never fails a solvable request. While
+    // the tier is degraded the read is skipped; only an append probes.
+    if let Some(disk) = shared.disk.as_ref().filter(|_| !shared.breaker.is_open()) {
         match timed(&mut trace, Stage::Disk, || lock_recover(disk).get(key)) {
             Ok(Some(cached)) => {
                 shared.breaker.record_ok(tel);
@@ -1502,7 +1518,6 @@ fn admit(
         raw_key,
         req,
         key,
-        disk_allowed,
         trace,
     }))
 }
@@ -1568,9 +1583,14 @@ fn solve_job(
         remember_spelling(shared, job.raw_key, &job.body, job.key);
         rendered
     });
-    if let Some(disk) = shared.disk.as_ref().filter(|_| job.disk_allowed) {
+    if let Some(disk) = shared
+        .disk
+        .as_ref()
+        .filter(|_| shared.breaker.allow_append())
+    {
         // A failed append only costs warmth after the next restart; the
-        // in-memory answer is already correct.
+        // in-memory answer is already correct. While the tier is degraded
+        // this is the periodic probe.
         match timed(&mut trace, Stage::Disk, || {
             lock_recover(disk).put(job.key, &rendered)
         }) {

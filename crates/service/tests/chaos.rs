@@ -5,12 +5,15 @@
 //! shutdown under injected latency, and fault attribution through the
 //! observability surfaces (span log, `/v1/metrics`, `/readyz`).
 
+mod common;
+
 use batsched_service::http::client::Conn;
 use batsched_service::prelude::*;
 use batsched_service::{LogTarget, Service};
 use batsched_taskgraph::paper::g2;
 use batsched_taskgraph::synth::{layered, Rounding, ScalingScheme, TaskParams};
 use batsched_taskgraph::TaskGraph;
+use common::metric;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -251,6 +254,61 @@ fn jobs_expired_in_the_queue_are_shed_without_solving() {
     svc.shutdown();
 }
 
+/// Admission (disk read included) runs on the caller's thread and is not
+/// interrupted, so the deadline is checked once it returns: an answer
+/// found after the budget ran out is a typed timeout, not a late 200.
+#[test]
+fn a_hit_found_past_the_deadline_answers_timeout() {
+    let path = tmp_disk("late_hit");
+    let cfg = ServiceConfig {
+        workers: 1,
+        disk_path: Some(path.clone()),
+        ..ServiceConfig::default()
+    };
+    let bodies = [g2_body(), unique_body(70)];
+    let warm = Service::try_start(cfg.clone()).unwrap();
+    for body in &bodies {
+        assert_eq!(
+            warm.call(body.clone()).disposition,
+            Disposition::Ok { cached: false }
+        );
+    }
+    warm.shutdown();
+
+    // A budget no admission can meet: each answer is found on disk, late.
+    let svc = Service::try_start(ServiceConfig {
+        request_timeout: Some(Duration::from_micros(1)),
+        ..cfg
+    })
+    .unwrap();
+    let late = svc.call(bodies[0].clone());
+    assert_eq!(late.disposition, Disposition::Timeout, "{}", late.body);
+    let err: ErrorResponse = serde_json::from_str(&late.body).expect("typed error body");
+    assert_eq!(err.error, "timeout");
+    assert_eq!(late.trace.worker, None, "answered at the edge");
+    assert!(late.trace.served_from_disk, "{:?}", late.trace);
+    // `submit` hands a timeout over in its receiver: it is not a refusal.
+    let rx = svc
+        .submit(bodies[1].clone())
+        .expect("only an overload is refused");
+    let late = rx.try_recv().expect("the receiver already holds the reply");
+    assert_eq!(late.disposition, Disposition::Timeout, "{}", late.body);
+
+    let stats = svc.stats();
+    assert_eq!(stats.timeouts, 2, "{stats:?}");
+    assert_eq!(stats.received, 2, "{stats:?}");
+    assert_eq!(stats.disk_hits, 2, "{stats:?}");
+    assert_eq!(stats.solved, 0, "{stats:?}");
+    assert_eq!(stats.rejected, 0, "{stats:?}");
+    let text = svc.metrics_text();
+    assert_eq!(
+        metric(&text, "batsched_stage_duration_us_count{stage=\"disk\"}"),
+        2
+    );
+    svc.shutdown();
+    std::fs::remove_file(&path).unwrap();
+}
+
 // ------------------------------------------------- disk breaker lifecycle
 
 #[test]
@@ -306,6 +364,76 @@ fn disk_breaker_trips_to_degraded_mode_and_rearms() {
     assert_eq!(stats.disk_rearms, 1);
     assert_eq!(stats.disk_errors, 4, "the whole fault budget was observed");
     assert!(stats.disk_entries > 0, "healed tier persists again");
+    svc.shutdown();
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A degraded tier is re-probed by an append, which a solve only asks for
+/// once it has an answer to write, so no probe is spent on a request the
+/// full queue refuses: the solves that drain the queue re-arm the tier
+/// at once.
+#[test]
+fn a_refused_request_does_not_spend_the_breaker_probe() {
+    let path = tmp_disk("probe_refused");
+    // The first append fails and trips the breaker (threshold 1); the
+    // second solve is held long past the probe interval.
+    let faults = FaultPlane::armed([
+        FaultRule::always(FaultSite::DiskAppend).count(1),
+        FaultRule::always(FaultSite::SolverLatency)
+            .latency(Duration::from_millis(2000))
+            .after(1)
+            .count(1),
+    ]);
+    let svc = Service::try_start_with_faults(
+        ServiceConfig {
+            workers: 1,
+            queue_capacity: 1,
+            disk_path: Some(path.clone()),
+            disk_breaker_threshold: 1,
+            disk_probe_interval: Duration::from_millis(1000),
+            ..ServiceConfig::default()
+        },
+        faults,
+    )
+    .unwrap();
+    let tripped = svc.call(unique_body(3000));
+    assert_eq!(tripped.disposition, Disposition::Ok { cached: false });
+    assert!(
+        svc.stats().disk_degraded,
+        "breaker open after the failed append"
+    );
+
+    let held = svc.submit(unique_body(3001)).expect("the worker is idle");
+    while svc.stats().queue_depth > 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let queued = svc
+        .submit(unique_body(3002))
+        .expect("the queue has one slot");
+    // The probe interval runs out while the pool is still full.
+    std::thread::sleep(Duration::from_millis(1100));
+    let refused = svc.call(unique_body(3003));
+    assert_eq!(
+        refused.disposition,
+        Disposition::Overloaded,
+        "{}",
+        refused.body
+    );
+
+    for rx in [held, queued] {
+        let reply = rx.recv().expect("accepted requests are answered");
+        assert_eq!(reply.disposition, Disposition::Ok { cached: false });
+    }
+    let stats = svc.stats();
+    assert!(
+        !stats.disk_degraded,
+        "the held solve's append re-armed the tier"
+    );
+    assert_eq!(stats.disk_breaker_trips, 1, "{stats:?}");
+    assert_eq!(stats.disk_rearms, 1, "{stats:?}");
+    assert_eq!(stats.disk_errors, 1, "{stats:?}");
+    assert_eq!(stats.rejected, 1, "{stats:?}");
+    assert_eq!(stats.disk_entries, 2, "both drained solves persisted");
     svc.shutdown();
     std::fs::remove_file(&path).unwrap();
 }
@@ -472,15 +600,6 @@ fn span_field(line: &str, field: &str) -> u64 {
 }
 
 /// Extracts one sample's value from a Prometheus text exposition.
-fn metric(text: &str, sample: &str) -> u64 {
-    text.lines()
-        .find_map(|line| {
-            let (name, value) = line.rsplit_once(' ')?;
-            (name == sample).then(|| value.parse::<f64>().expect("numeric sample") as u64)
-        })
-        .unwrap_or_else(|| panic!("metric {sample} missing from exposition"))
-}
-
 #[test]
 fn injected_faults_are_attributed_in_span_log_and_metrics() {
     let disk = tmp_disk("obs_faults_disk");

@@ -2,6 +2,8 @@
 //! (property-based), cache-hit bit-equivalence, multi-client concurrency,
 //! malformed-input robustness, backpressure, and the HTTP frontend.
 
+mod common;
+
 use batsched_core::{Prof, SolverWorkspace};
 use batsched_service::http::client::Conn;
 use batsched_service::prelude::*;
@@ -11,6 +13,7 @@ use batsched_service::{Service, Stage};
 use batsched_taskgraph::paper::{g2, g3};
 use batsched_taskgraph::synth::{layered, Rounding, ScalingScheme, TaskParams};
 use batsched_taskgraph::{PointId, TaskGraph, TaskId};
+use common::metric;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -350,15 +353,6 @@ fn full_queue_rejects_with_typed_overload() {
 // ------------------------------------------------------- edge answers
 
 /// One sample's value from a Prometheus text exposition.
-fn metric(text: &str, sample: &str) -> u64 {
-    text.lines()
-        .find_map(|line| {
-            let (name, value) = line.rsplit_once(' ')?;
-            (name == sample).then(|| value.parse::<f64>().expect("numeric sample") as u64)
-        })
-        .unwrap_or_else(|| panic!("metric {sample} missing from exposition"))
-}
-
 /// The calling thread answers every request the cache tiers can answer,
 /// so hits are served while the pool has no solve capacity left: the one
 /// worker is held by an injected slow solve and the one queue slot by
